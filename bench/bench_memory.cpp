@@ -1,161 +1,38 @@
-// PR 7: hybrid-container memory benchmarks. Two layers:
-//
-//  * Container micro-benches — build, Contains, and fused AndCount over a
-//    density sweep from 0.1% to 90% of a 2^20-bit universe, hybrid vs the
-//    flat DenseBitmap at each point. Every entry exports memory_bytes and
-//    dense_memory_bytes counters, so the sweep doubles as a size curve:
-//    below the per-chunk crossover the hybrid containers shrink toward
-//    2 bytes/element while the dense form stays at universe/8 bytes.
-//
-//  * Warm-session residency — N concurrently warm ExplainSessions over the
-//    retail workload and over deep-lattice workloads whose lower-level
-//    extensions are sparse over a large interned domain. Counters report
-//    the session-aggregated MemoryUsage() (the BENCH memory column):
-//    memory_bytes vs dense_memory_bytes is the measured residency
-//    reduction against the force-dense counterfactual, and
-//    adaptive_memory_bytes vs adaptive_dense_bytes isolates the sets the
-//    container layer actually converts (extensions + answer covers).
+// Warm-session residency benchmarks: N concurrently warm ExplainSessions
+// over the retail workload and over deep-lattice workloads whose
+// lower-level extensions are sparse over a large interned domain. Counters
+// report the session-aggregated MemoryUsage() (the BENCH memory column):
+// total bytes, the extension table and answer covers apart, and how many
+// extensions carry a dense mirror (ExtSet's density rule leaves sparse
+// ones as sorted id vectors).
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <vector>
 
-#include "whynot/common/hybrid_bitmap.h"
 #include "whynot/whynot.h"
 
 namespace wn = whynot;
 
 namespace {
 
-constexpr int64_t kUniverseBits = 1 << 20;
-
-/// Deterministic id set at `permille`/1000 density over the universe.
-std::vector<wn::ValueId> DensityIds(int64_t permille, uint64_t seed) {
-  wn::workload::Rng rng(seed);
-  std::vector<wn::ValueId> ids;
-  ids.reserve(static_cast<size_t>(kUniverseBits * permille / 1000));
-  for (int64_t id = 0; id < kUniverseBits; ++id) {
-    if (rng.Below(1000) < static_cast<uint64_t>(permille)) {
-      ids.push_back(static_cast<wn::ValueId>(id));
-    }
-  }
-  return ids;
-}
-
-void ReportContainerSize(benchmark::State& state, const wn::HybridBitmap& h,
-                         bool hybrid) {
-  state.counters["memory_bytes"] = hybrid
-                                       ? static_cast<double>(h.MemoryBytes())
-                                       : static_cast<double>(
-                                             h.DenseEquivalentBytes());
-  state.counters["dense_memory_bytes"] =
-      static_cast<double>(h.DenseEquivalentBytes());
-  state.counters["density_permille"] = static_cast<double>(state.range(0));
-}
-
-// --- container build -------------------------------------------------------
-
-void BM_ContainerBuild(benchmark::State& state) {
-  bool hybrid = state.range(1) == 1;
-  std::vector<wn::ValueId> ids = DensityIds(state.range(0), 42);
-  for (auto _ : state) {
-    if (hybrid) {
-      wn::HybridBitmap h = wn::HybridBitmap::FromSorted(ids, kUniverseBits);
-      benchmark::DoNotOptimize(h.Count());
-    } else {
-      wn::DenseBitmap d(ids, static_cast<int32_t>(kUniverseBits));
-      benchmark::DoNotOptimize(d.num_words());
-    }
-  }
-  ReportContainerSize(state, wn::HybridBitmap::FromSorted(ids, kUniverseBits),
-                      hybrid);
-  state.SetLabel(hybrid ? "hybrid" : "dense");
-}
-BENCHMARK(BM_ContainerBuild)
-    ->ArgsProduct({{1, 10, 100, 500, 900}, {0, 1}});
-
-// --- Contains probes -------------------------------------------------------
-
-void BM_ContainerContains(benchmark::State& state) {
-  bool hybrid = state.range(1) == 1;
-  std::vector<wn::ValueId> ids = DensityIds(state.range(0), 42);
-  wn::HybridBitmap h = wn::HybridBitmap::FromSorted(ids, kUniverseBits);
-  wn::DenseBitmap d(ids, static_cast<int32_t>(kUniverseBits));
-  // A fixed probe sequence mixing hits and misses, reused every iteration.
-  wn::workload::Rng rng(7);
-  std::vector<wn::ValueId> probes(4096);
-  for (wn::ValueId& p : probes) {
-    p = static_cast<wn::ValueId>(
-        rng.Below(static_cast<uint64_t>(kUniverseBits)));
-  }
-  for (auto _ : state) {
-    size_t hits = 0;
-    for (wn::ValueId p : probes) {
-      hits += hybrid ? h.Test(p) : d.Test(p);
-    }
-    benchmark::DoNotOptimize(hits);
-  }
-  ReportContainerSize(state, h, hybrid);
-  state.SetLabel(hybrid ? "hybrid" : "dense");
-}
-BENCHMARK(BM_ContainerContains)
-    ->ArgsProduct({{1, 10, 100, 500, 900}, {0, 1}});
-
-// --- fused AndCount --------------------------------------------------------
-
-void BM_ContainerAndCount(benchmark::State& state) {
-  bool hybrid = state.range(1) == 1;
-  std::vector<wn::ValueId> a_ids = DensityIds(state.range(0), 42);
-  std::vector<wn::ValueId> b_ids = DensityIds(state.range(0), 1042);
-  wn::HybridBitmap ha = wn::HybridBitmap::FromSorted(a_ids, kUniverseBits);
-  wn::HybridBitmap hb = wn::HybridBitmap::FromSorted(b_ids, kUniverseBits);
-  wn::DenseBitmap da(a_ids, static_cast<int32_t>(kUniverseBits));
-  wn::DenseBitmap db(b_ids, static_cast<int32_t>(kUniverseBits));
-  for (auto _ : state) {
-    size_t n = hybrid ? wn::HybridBitmap::AndCount(ha, hb)
-                      : wn::DenseBitmap::AndCountWords(da.words().data(),
-                                                      db.words().data(),
-                                                      da.num_words());
-    benchmark::DoNotOptimize(n);
-  }
-  ReportContainerSize(state, ha, hybrid);
-  state.SetLabel(hybrid ? "hybrid" : "dense");
-}
-BENCHMARK(BM_ContainerAndCount)
-    ->ArgsProduct({{1, 10, 100, 500, 900}, {0, 1}});
-
 // --- warm-session residency ------------------------------------------------
 
 void ReportSessionMemory(benchmark::State& state,
                          const std::vector<wn::explain::ExplainSession>&
                              sessions) {
-  double total = 0, dense_total = 0, adaptive = 0, adaptive_dense = 0;
-  double ext = 0, cover = 0;
-  double hybrid_sets = 0, dense_sets = 0;
+  double total = 0, ext = 0, cover = 0, dense_sets = 0;
   for (const wn::explain::ExplainSession& s : sessions) {
     auto m = s.MemoryUsage();
     total += static_cast<double>(m.total_bytes);
-    dense_total += static_cast<double>(m.dense_equivalent_total_bytes);
-    // The sets the container layer converts; instance storage and eval
-    // memos are byte-identical under both policies and only dilute the
-    // ratio.
-    adaptive += static_cast<double>(m.ext_bytes + m.cover_bytes);
-    adaptive_dense += static_cast<double>(m.dense_equivalent_total_bytes -
-                                          m.instance_bytes -
-                                          m.eval_cache_bytes);
     ext += static_cast<double>(m.ext_bytes);
     cover += static_cast<double>(m.cover_bytes);
-    hybrid_sets += static_cast<double>(m.hybrid_ext_sets);
     dense_sets += static_cast<double>(m.dense_ext_sets);
   }
   state.counters["memory_bytes"] = total;
-  state.counters["dense_memory_bytes"] = dense_total;
-  state.counters["adaptive_memory_bytes"] = adaptive;
-  state.counters["adaptive_dense_bytes"] = adaptive_dense;
   state.counters["ext_bytes"] = ext;
   state.counters["cover_bytes"] = cover;
-  state.counters["hybrid_sets"] = hybrid_sets;
   state.counters["dense_sets"] = dense_sets;
   state.counters["sessions"] = static_cast<double>(sessions.size());
 }
@@ -195,8 +72,8 @@ BENCHMARK(BM_SessionResidency_Retail)->Arg(16)->Arg(64);
 
 /// Deep-lattice residency: a layered ontology over a large interned
 /// domain with an aggressive per-level thinning rate, so everything below
-/// the first level is sparse relative to the 60k-value universe — the
-/// regime the hybrid freeze targets. The pinned request values keep every
+/// the first level is sparse relative to the 60k-value universe, where
+/// ExtSet keeps sorted id vectors instead of dense mirrors. The pinned request values keep every
 /// concept a live explanation candidate despite the thinning.
 struct LatticeFixture {
   wn::rel::Schema schema;

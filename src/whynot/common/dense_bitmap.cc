@@ -289,16 +289,6 @@ void DenseBitmap::AndWordsInPlace(uint64_t* acc, const uint64_t* words,
   AndWordsDispatch(acc, words, acc, n);
 }
 
-void DenseBitmap::AndWordsTo(const uint64_t* a, const uint64_t* b,
-                             uint64_t* out, size_t n) {
-  AndWordsDispatch(a, b, out, n);
-}
-
-bool DenseBitmap::SubsetOfWords(const uint64_t* a, const uint64_t* b,
-                                size_t n) {
-  return SubsetOfWordsDispatch(a, b, n);
-}
-
 size_t DenseBitmap::PopcountWords(const uint64_t* words, size_t n) {
   return CountWords(words, n);
 }

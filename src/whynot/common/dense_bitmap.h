@@ -87,16 +87,6 @@ class DenseBitmap {
   /// their own word buffers (the explain layer's running cover ANDs).
   static void AndWordsInPlace(uint64_t* acc, const uint64_t* words, size_t n);
 
-  /// Out-of-place word AND through the dispatch: out[i] = a[i] & b[i].
-  /// `out` may alias either input.
-  static void AndWordsTo(const uint64_t* a, const uint64_t* b, uint64_t* out,
-                         size_t n);
-
-  /// Word-parallel containment over raw buffers: no bit of a[0..n) is
-  /// missing from b. The raw-word form of SubsetOf, for containers that
-  /// manage their own word storage (HybridBitmap dense chunks).
-  static bool SubsetOfWords(const uint64_t* a, const uint64_t* b, size_t n);
-
   /// popcount over raw words through the runtime SIMD dispatch.
   static size_t PopcountWords(const uint64_t* words, size_t n);
 

@@ -86,41 +86,20 @@ const DenseBitmap& Extension::bits() const {
   return *bits_;
 }
 
-void Extension::EnsureRep() const {
-  if (bits_ != nullptr || hyb_ != nullptr) return;
-  std::vector<ValueId> sorted = ids_;
-  std::sort(sorted.begin(), sorted.end());
-  int32_t universe = pool_ == nullptr ? 0 : pool_->size();
-  size_t words = sorted.empty() && universe <= 0
-                     ? 0
-                     : (static_cast<size_t>(std::max(
-                            universe, sorted.empty() ? 0 : sorted.back() + 1)) +
-                        63) /
-                           64;
-  if (ChooseHybridRep(sorted.size(), words)) {
-    hyb_ = std::make_shared<const HybridBitmap>(
-        HybridBitmap::FromSorted(sorted, universe));
-  } else {
-    bits_ = std::make_shared<const DenseBitmap>(sorted, universe);
-  }
-}
-
 void Extension::Freeze() const {
   // Same build condition as ContainsIdSlow: only extensions that would
   // lazily materialize a representation on probe get one built eagerly
   // here. Small id sets answer probes with a read-only linear scan and
   // must not change representation (or memory footprint) by being cached.
   if (all || pool_ == nullptr) return;
-  if (ids_.size() > kSmallLinearIds) EnsureRep();
+  if (ids_.size() > kSmallLinearIds) bits();
 }
 
 bool Extension::ContainsIdSlow(ValueId id) const {
   if (ids_.size() <= kSmallLinearIds) {
     return std::find(ids_.begin(), ids_.end(), id) != ids_.end();
   }
-  EnsureRep();
-  if (bits_ != nullptr) return bits_->Test(id);
-  return hyb_->Test(id);
+  return bits().Test(id);
 }
 
 bool Extension::ContainsBoxedSlow(const Value& v) const {
@@ -150,14 +129,11 @@ bool Extension::SubsetOf(const Extension& o) const {
     if (ids_.empty()) return true;
     if (ids_.size() > o.ids_.size()) return false;
     if (has_bitmap() && o.has_bitmap()) return bits_->SubsetOf(*o.bits_);
-    if (has_hybrid() && o.has_hybrid()) return hyb_->SubsetOf(*o.hyb_);
-    if (o.has_bitmap() || o.has_hybrid()) {
-      // Probe our ids against the superset's O(1)/O(log) membership —
-      // representation-agnostic, no universe-sized temporary.
+    if (o.has_bitmap()) {
+      // Probe our ids against the superset's O(1) membership — no
+      // universe-sized temporary on our side.
       for (ValueId id : ids_) {
-        if (!(o.has_bitmap() ? o.bits_->Test(id) : o.hyb_->Test(id))) {
-          return false;
-        }
+        if (!o.bits_->Test(id)) return false;
       }
       return true;
     }
@@ -198,11 +174,6 @@ Extension Extension::Intersect(const Extension& o) const {
         for (ValueId id : small->ids_) {
           if (bb.Test(id)) out.ids_.push_back(id);
         }
-      } else if (big->has_hybrid()) {
-        const HybridBitmap& bh = big->hybrid();
-        for (ValueId id : small->ids_) {
-          if (bh.Test(id)) out.ids_.push_back(id);
-        }
       } else {
         // Rank-order merge: integer rank loads, no allocation.
         const ValuePool& pool = *pool_;
@@ -239,7 +210,6 @@ size_t Extension::MemoryBytes() const {
   size_t bytes = sizeof(*this) + ids_.capacity() * sizeof(ValueId) +
                  extras_.capacity() * sizeof(Value);
   if (bits_ != nullptr) bytes += bits_->MemoryBytes();
-  if (hyb_ != nullptr) bytes += hyb_->MemoryBytes();
   if (boxed_ != nullptr) {
     bytes += sizeof(*boxed_) + boxed_->capacity() * sizeof(Value);
   }

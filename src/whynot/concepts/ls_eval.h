@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "whynot/common/dense_bitmap.h"
-#include "whynot/common/hybrid_bitmap.h"
 #include "whynot/common/value.h"
 #include "whynot/concepts/ls_concept.h"
 #include "whynot/relational/instance.h"
@@ -85,7 +84,6 @@ class Extension {
   bool ContainsId(ValueId id) const {
     if (all) return true;
     if (bits_ != nullptr) return bits_->Test(id);
-    if (hyb_ != nullptr) return hyb_->Test(id);
     return ContainsIdSlow(id);
   }
 
@@ -116,30 +114,23 @@ class Extension {
   size_t CardinalityOrInfinite() const;
 
   /// The word-parallel mirror of ids() over the pool universe, built on
-  /// first use. Requires !all and a pool. Force-dense: callers that need
-  /// raw words (tests, DecodeTo-style consumers) get the flat form; the
-  /// internal probe paths go through the adaptive representation instead.
+  /// first use (ContainsId builds it for id sets past kSmallLinearIds).
+  /// Requires !all and a pool.
   const DenseBitmap& bits() const;
   bool has_bitmap() const { return bits_ != nullptr; }
-
-  /// Whether the lazy representation froze to chunked hybrid containers
-  /// (sparse-in-pool extensions: O(cardinality) bytes, not O(universe)).
-  bool has_hybrid() const { return hyb_ != nullptr; }
-  const HybridBitmap& hybrid() const { return *hyb_; }
 
   /// Heap + object bytes across ids, extras, and whichever lazy caches are
   /// built (shallow for boxed Values).
   size_t MemoryBytes() const;
 
-  /// Pre-builds the lazy membership representation that ContainsId would
-  /// otherwise build on first probe, making subsequent ContainsId /
-  /// ContainsInterned calls read-only — the shared concept cache calls
-  /// this at publish time (a serial point) so frozen extensions can be
-  /// probed from many workers concurrently. Mirrors ContainsIdSlow
-  /// exactly: small id sets stay rep-less (their linear scan is already
-  /// read-only). The boxed values() view is deliberately NOT built here —
-  /// it stays lazy and single-threaded; shared-cache consumers are
-  /// id-space end to end.
+  /// Pre-builds the lazy dense mirror that ContainsId would otherwise
+  /// build on first probe, making subsequent ContainsId / ContainsInterned
+  /// calls read-only — the shared concept cache calls this at publish time
+  /// (a serial point) so frozen extensions can be probed from many workers
+  /// concurrently. Mirrors ContainsIdSlow exactly: small id sets stay
+  /// mirror-less (their linear scan is already read-only). The boxed
+  /// values() view is deliberately NOT built here — it stays lazy and
+  /// single-threaded; shared-cache consumers are id-space end to end.
   void Freeze() const;
 
   std::string ToString() const;
@@ -147,20 +138,12 @@ class Extension {
  private:
   bool ContainsIdSlow(ValueId id) const;
   bool ContainsBoxedSlow(const Value& v) const;
-  /// Builds the lazy membership representation if absent: a dense mirror
-  /// when the ids are dense in the pool universe, hybrid containers when
-  /// sparse (freeze-time selection — an Extension is read-mostly once it
-  /// starts answering ContainsId).
-  void EnsureRep() const;
 
   const ValuePool* pool_ = nullptr;
   std::vector<ValueId> ids_;    // rank-sorted pool ids
   std::vector<Value> extras_;   // sorted members outside the pool
   // Lazy caches, shared across copies once built (immutable thereafter).
-  // bits_ and hyb_ are mutually exclusive unless bits() forces the dense
-  // form next to an existing hybrid.
   mutable std::shared_ptr<const DenseBitmap> bits_;
-  mutable std::shared_ptr<const HybridBitmap> hyb_;
   mutable std::shared_ptr<const std::vector<Value>> boxed_;
 };
 

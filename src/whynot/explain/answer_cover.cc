@@ -18,71 +18,33 @@ ConceptAnswerCovers::ConceptAnswerCovers(
   }
 }
 
-CoverView ConceptAnswerCovers::BuildCover(onto::ConceptId c, size_t pos) {
+const uint64_t* ConceptAnswerCovers::BuildCover(onto::ConceptId c,
+                                                size_t pos) {
   size_t n = static_cast<size_t>(bound_->NumConcepts());
   if (pos >= chunks_.size()) {
     chunks_.resize(pos + 1);
     built_.resize(pos + 1);
-    hybrids_.resize(pos + 1);
   }
   if (built_[pos].empty()) {
     chunks_[pos].resize((n + kChunkConcepts - 1) / kChunkConcepts);
-    built_[pos].assign(n, kRepUnbuilt);
-    // hybrids_[pos] stays empty until the first hybrid row at this
-    // position: throwaway covers objects (per-call locals on tiny
-    // searches) must not pay an O(NumConcepts) allocation per position
-    // for rows that all freeze flat.
+    built_[pos].assign(n, 0);
   }
   size_t idx = static_cast<size_t>(c);
-  const onto::ExtSet& ext = bound_->Ext(c);
-  // Card 0 is the most hybrid-permissive input, so a false here means no
-  // cardinality can freeze hybrid at this universe (small |Ans|, or
-  // kForceDense) — build straight into the arena slot, the pre-hybrid
-  // fast path.
-  if (!ChooseHybridRep(0, num_words_)) {
-    std::vector<uint64_t>& chunk = chunks_[pos][idx / kChunkConcepts];
-    if (chunk.empty()) chunk.assign(kChunkConcepts * num_words_, 0);
-    uint64_t* slot = chunk.data() + (idx % kChunkConcepts) * num_words_;
-    if (ext.is_all()) {
-      std::copy(full_.begin(), full_.end(), slot);
-    } else {
-      for (size_t a = 0; a < answers_.size(); ++a) {
-        if (ext.Contains(answers_[a][pos])) {
-          slot[a / 64] |= uint64_t{1} << (a % 64);
-        }
-      }
-    }
-    built_[pos][idx] = kRepDense;
-    return CoverView{slot, nullptr};
-  }
-  // Build into the scratch row first: representation choice needs the
-  // cardinality, and a hybrid row must not commit an arena chunk.
-  scratch_row_.assign(num_words_, 0);
-  size_t card = 0;
-  if (ext.is_all()) {
-    std::copy(full_.begin(), full_.end(), scratch_row_.begin());
-    card = answers_.size();
-  } else {
-    for (size_t a = 0; a < answers_.size(); ++a) {
-      if (ext.Contains(answers_[a][pos])) {
-        scratch_row_[a / 64] |= uint64_t{1} << (a % 64);
-        ++card;
-      }
-    }
-  }
-  if (ChooseHybridRep(card, num_words_)) {
-    if (hybrids_[pos].empty()) hybrids_[pos].resize(n);
-    hybrids_[pos][idx] = std::make_unique<HybridBitmap>(
-        HybridBitmap::FromWords(scratch_row_.data(), num_words_));
-    built_[pos][idx] = kRepHybrid;
-    return CoverView{nullptr, hybrids_[pos][idx].get()};
-  }
   std::vector<uint64_t>& chunk = chunks_[pos][idx / kChunkConcepts];
   if (chunk.empty()) chunk.assign(kChunkConcepts * num_words_, 0);
   uint64_t* slot = chunk.data() + (idx % kChunkConcepts) * num_words_;
-  std::copy(scratch_row_.begin(), scratch_row_.end(), slot);
-  built_[pos][idx] = kRepDense;
-  return CoverView{slot, nullptr};
+  const onto::ExtSet& ext = bound_->Ext(c);
+  if (ext.is_all()) {
+    std::copy(full_.begin(), full_.end(), slot);
+  } else {
+    for (size_t a = 0; a < answers_.size(); ++a) {
+      if (ext.Contains(answers_[a][pos])) {
+        slot[a / 64] |= uint64_t{1} << (a % 64);
+      }
+    }
+  }
+  built_[pos][idx] = 1;
+  return slot;
 }
 
 std::vector<uint64_t> ConceptAnswerCovers::AndAllExcept(
@@ -90,7 +52,7 @@ std::vector<uint64_t> ConceptAnswerCovers::AndAllExcept(
   std::vector<uint64_t> out = full_;
   for (size_t i = 0; i < e.size(); ++i) {
     if (i == skip) continue;
-    AndViewInPlace(out.data(), Cover(e[i], i), out.size());
+    DenseBitmap::AndWordsInPlace(out.data(), Cover(e[i], i), out.size());
   }
   return out;
 }
@@ -99,41 +61,24 @@ bool ConceptAnswerCovers::ProductIntersects(
     const std::vector<onto::ConceptId>& e) {
   if (answers_.empty() || e.empty()) return false;
   // Word-outer AND over the (equally sized) covers: no scratch writes.
-  scratch_views_.clear();
-  bool any_hybrid = false;
-  for (size_t i = 0; i < e.size(); ++i) {
-    scratch_views_.push_back(Cover(e[i], i));
-    any_hybrid = any_hybrid || scratch_views_.back().hybrid != nullptr;
-  }
-  if (!any_hybrid) {
-    return ProductAny(e.size(), num_words_,
-                      [this](size_t i) { return scratch_views_[i].words; });
-  }
-  return ProductAnyViews(e.size(), num_words_,
-                         [this](size_t i) { return scratch_views_[i]; });
+  scratch_rows_.clear();
+  for (size_t i = 0; i < e.size(); ++i) scratch_rows_.push_back(Cover(e[i], i));
+  return ProductAny(e.size(), num_words_,
+                    [this](size_t i) { return scratch_rows_[i]; });
 }
 
 size_t ConceptAnswerCovers::CountCovered(
     const std::vector<onto::ConceptId>& e) {
   if (answers_.empty() || e.empty()) return 0;
-  scratch_views_.clear();
-  bool any_hybrid = false;
-  for (size_t i = 0; i < e.size(); ++i) {
-    scratch_views_.push_back(Cover(e[i], i));
-    any_hybrid = any_hybrid || scratch_views_.back().hybrid != nullptr;
-  }
-  if (!any_hybrid) {
-    return ProductCount(e.size(), num_words_,
-                        [this](size_t i) { return scratch_views_[i].words; });
-  }
-  return ProductCountViews(e.size(), num_words_,
-                           [this](size_t i) { return scratch_views_[i]; });
+  scratch_rows_.clear();
+  for (size_t i = 0; i < e.size(); ++i) scratch_rows_.push_back(Cover(e[i], i));
+  return ProductCount(e.size(), num_words_,
+                      [this](size_t i) { return scratch_rows_[i]; });
 }
 
 size_t ConceptAnswerCovers::MemoryBytes() const {
   size_t bytes = sizeof(*this) + full_.capacity() * sizeof(uint64_t) +
-                 scratch_row_.capacity() * sizeof(uint64_t) +
-                 scratch_views_.capacity() * sizeof(CoverView);
+                 scratch_rows_.capacity() * sizeof(const uint64_t*);
   for (const auto& pos_chunks : chunks_) {
     bytes += pos_chunks.capacity() * sizeof(std::vector<uint64_t>);
     for (const auto& chunk : pos_chunks) {
@@ -141,34 +86,7 @@ size_t ConceptAnswerCovers::MemoryBytes() const {
     }
   }
   for (const auto& b : built_) bytes += b.capacity();
-  for (const auto& pos_hybrids : hybrids_) {
-    bytes += pos_hybrids.capacity() * sizeof(std::unique_ptr<HybridBitmap>);
-    for (const auto& h : pos_hybrids) {
-      if (h != nullptr) bytes += h->MemoryBytes();
-    }
-  }
   return bytes;
-}
-
-size_t ConceptAnswerCovers::DenseEquivalentBytes() const {
-  // Every built row flat: one arena slot (num_words_ words) per row, plus
-  // the bookkeeping that exists either way.
-  size_t bytes = sizeof(*this) + full_.capacity() * sizeof(uint64_t);
-  for (const auto& b : built_) {
-    bytes += b.capacity();
-    for (uint8_t rep : b) {
-      if (rep != kRepUnbuilt) bytes += num_words_ * sizeof(uint64_t);
-    }
-  }
-  return bytes;
-}
-
-size_t ConceptAnswerCovers::NumHybridCovers() const {
-  size_t n = 0;
-  for (const auto& b : built_) {
-    for (uint8_t rep : b) n += rep == kRepHybrid ? 1 : 0;
-  }
-  return n;
 }
 
 // ---- LsAnswerCovers -------------------------------------------------------
@@ -188,98 +106,58 @@ LsAnswerCovers::LsAnswerCovers(const rel::Instance* instance,
   }
 }
 
-CoverView LsAnswerCovers::Cover(const ls::Extension& ext, size_t pos) {
-  if (ext.all) return CoverView{full_.words().data(), nullptr};
+const uint64_t* LsAnswerCovers::Cover(const ls::Extension& ext, size_t pos) {
+  if (ext.all) return full_.words().data();
   auto key = std::make_pair(&ext, pos);
   auto it = covers_.find(key);
   if (it == covers_.end()) {
     DenseBitmap cover({}, static_cast<int32_t>(answers_->size()));
     const std::vector<ValueId>& column = columns_[pos];
-    size_t card = 0;
     for (size_t a = 0; a < column.size(); ++a) {
       if (ext.ContainsInterned(column[a], (*answers_)[a][pos])) {
         cover.Set(static_cast<ValueId>(a));
-        ++card;
       }
     }
-    StoredCover stored;
-    if (ChooseHybridRep(card, full_.num_words())) {
-      stored.hybrid = std::make_unique<HybridBitmap>(HybridBitmap::FromWords(
-          cover.words().data(), cover.num_words()));
-    } else {
-      stored.dense = std::move(cover);
-    }
-    it = covers_.emplace(key, std::move(stored)).first;
+    it = covers_.emplace(key, std::move(cover)).first;
   }
-  const StoredCover& stored = it->second;
-  if (stored.hybrid != nullptr) return CoverView{nullptr, stored.hybrid.get()};
-  return CoverView{stored.dense.words().data(), nullptr};
+  return it->second.words().data();
 }
 
 bool LsAnswerCovers::ProductIntersects(
     const std::vector<const ls::Extension*>& exts, size_t swap_pos,
     const ls::Extension* repl) {
   if (answers_->empty() || exts.empty()) return false;
-  scratch_views_.clear();
-  bool any_hybrid = false;
+  scratch_rows_.clear();
   for (size_t i = 0; i < exts.size(); ++i) {
-    const ls::Extension& ext = i == swap_pos ? *repl : *exts[i];
-    scratch_views_.push_back(Cover(ext, i));
-    any_hybrid = any_hybrid || scratch_views_.back().hybrid != nullptr;
+    scratch_rows_.push_back(Cover(i == swap_pos ? *repl : *exts[i], i));
   }
-  if (!any_hybrid) {
-    return ConceptAnswerCovers::ProductAny(
-        exts.size(), full_.num_words(),
-        [this](size_t i) { return scratch_views_[i].words; });
-  }
-  return ConceptAnswerCovers::ProductAnyViews(
+  return ConceptAnswerCovers::ProductAny(
       exts.size(), full_.num_words(),
-      [this](size_t i) { return scratch_views_[i]; });
+      [this](size_t i) { return scratch_rows_[i]; });
 }
 
 size_t LsAnswerCovers::CountCovered(
     const std::vector<const ls::Extension*>& exts, size_t swap_pos,
     const ls::Extension* repl) {
   if (answers_->empty() || exts.empty()) return 0;
-  scratch_views_.clear();
-  bool any_hybrid = false;
+  scratch_rows_.clear();
   for (size_t i = 0; i < exts.size(); ++i) {
-    const ls::Extension& ext = i == swap_pos ? *repl : *exts[i];
-    scratch_views_.push_back(Cover(ext, i));
-    any_hybrid = any_hybrid || scratch_views_.back().hybrid != nullptr;
+    scratch_rows_.push_back(Cover(i == swap_pos ? *repl : *exts[i], i));
   }
-  if (!any_hybrid) {
-    return ConceptAnswerCovers::ProductCount(
-        exts.size(), full_.num_words(),
-        [this](size_t i) { return scratch_views_[i].words; });
-  }
-  return ConceptAnswerCovers::ProductCountViews(
+  return ConceptAnswerCovers::ProductCount(
       exts.size(), full_.num_words(),
-      [this](size_t i) { return scratch_views_[i]; });
-}
-
-size_t LsAnswerCovers::DenseEquivalentBytes() const {
-  size_t bytes = sizeof(*this);
-  bytes += full_.MemoryBytes() - sizeof(DenseBitmap);
-  for (const auto& col : columns_) bytes += col.capacity() * sizeof(ValueId);
-  bytes += columns_.capacity() * sizeof(std::vector<ValueId>);
-  bytes += covers_.bucket_count() * sizeof(void*);
-  bytes += covers_.size() *
-           (sizeof(std::pair<const ls::Extension*, size_t>) +
-            sizeof(StoredCover) + full_.num_words() * sizeof(uint64_t));
-  return bytes;
+      [this](size_t i) { return scratch_rows_[i]; });
 }
 
 size_t LsAnswerCovers::MemoryBytes() const {
-  size_t bytes = sizeof(*this) + scratch_views_.capacity() * sizeof(CoverView);
+  size_t bytes =
+      sizeof(*this) + scratch_rows_.capacity() * sizeof(const uint64_t*);
   bytes += full_.MemoryBytes() - sizeof(DenseBitmap);
   for (const auto& col : columns_) bytes += col.capacity() * sizeof(ValueId);
   bytes += columns_.capacity() * sizeof(std::vector<ValueId>);
   bytes += covers_.bucket_count() * sizeof(void*);
-  for (const auto& [key, stored] : covers_) {
-    bytes += sizeof(key) + sizeof(StoredCover) +
-             (stored.dense.MemoryBytes() - sizeof(DenseBitmap));
-    if (stored.hybrid != nullptr) bytes += stored.hybrid->MemoryBytes();
+  for (const auto& [key, cover] : covers_) {
+    bytes += sizeof(key) + cover.MemoryBytes();
   }
   return bytes;
 }

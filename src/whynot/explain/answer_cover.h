@@ -2,13 +2,13 @@
 #define WHYNOT_EXPLAIN_ANSWER_COVER_H_
 
 #include <cstdint>
-#include <memory>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "whynot/common/dense_bitmap.h"
-#include "whynot/common/hybrid_bitmap.h"
+#include "whynot/common/status.h"
 #include "whynot/common/value.h"
 #include "whynot/concepts/ls_eval.h"
 #include "whynot/ontology/ontology.h"
@@ -34,42 +34,23 @@ namespace whynot::explain {
 /// form; the counting (containment) form keeps its finite/overflow
 /// pre-checks at the caller.
 ///
-/// Rows freeze adaptively (ChooseHybridRep over the |Ans| universe): flat
-/// arena rows below the sparsity crossover, chunked HybridBitmap rows
-/// above it. A CoverView names either form and the m-way kernels accept
-/// mixed operand sets — the all-dense case runs the exact word loops of
-/// the flat kernel, any hybrid operand switches to driving from the
-/// sparsest hybrid's elements and probing the rest.
-
-/// One answer-cover row: exactly one of `words` (flat, num_words() words)
-/// or `hybrid` is set. Trivially copyable; the underlying storage is owned
-/// by the covers object and stable for its lifetime.
-struct CoverView {
-  const uint64_t* words = nullptr;
-  const HybridBitmap* hybrid = nullptr;
-};
+/// A cover row is a `const uint64_t*` to num_words() words, owned by the
+/// covers object and stable for its lifetime.
 
 /// Covers for an external finite ontology bound to an instance: keyed by
 /// ConceptId. `answers` are id rows interned against bound->pool()
 /// (InternAnswers), captured by value; `bound` must outlive the covers.
 ///
-/// Dense storage is a per-position chunked *arena*: covers live in
-/// contiguous kChunkConcepts × words(|Ans|) word blocks allocated on
-/// demand, covers are pointers into them — a handful of allocations per
-/// position instead of one per cover, without committing
-/// NumConcepts × |Ans| memory when only a few concepts are ever probed at
-/// a position (chunk buffers never move once allocated, so handed-out
-/// pointers stay valid). Rows past the sparsity crossover skip the arena
-/// and box a HybridBitmap instead.
+/// Storage is a per-position chunked *arena*: covers live in contiguous
+/// kChunkConcepts × words(|Ans|) word blocks allocated on demand, covers
+/// are pointers into them — a handful of allocations per position instead
+/// of one per cover, without committing NumConcepts × |Ans| memory when
+/// only a few concepts are ever probed at a position (chunk buffers never
+/// move once allocated, so handed-out pointers stay valid).
 class ConceptAnswerCovers {
  public:
   /// Concepts per arena chunk; bounds slack at 32 covers' worth of words.
   static constexpr size_t kChunkConcepts = 32;
-
-  /// built_[pos][concept] states.
-  static constexpr uint8_t kRepUnbuilt = 0;
-  static constexpr uint8_t kRepDense = 1;
-  static constexpr uint8_t kRepHybrid = 2;
 
   ConceptAnswerCovers(onto::BoundOntology* bound,
                       std::vector<std::vector<ValueId>> answers);
@@ -82,22 +63,15 @@ class ConceptAnswerCovers {
   const std::vector<uint64_t>& full_words() const { return full_; }
 
   /// Cover(c, pos), built on first use (two array loads on the warm path,
-  /// no tree/hash walk). A null-words dense view iff Ans is empty (zero
-  /// words).
-  CoverView Cover(onto::ConceptId c, size_t pos) {
+  /// no tree/hash walk). nullptr iff Ans is empty (zero words).
+  const uint64_t* Cover(onto::ConceptId c, size_t pos) {
     // built_[pos] stays empty until the first build at this position
     // (positions can be touched out of order), so guard before indexing.
-    if (pos < built_.size() && !built_[pos].empty()) {
+    if (pos < built_.size() && !built_[pos].empty() &&
+        built_[pos][static_cast<size_t>(c)]) {
       size_t idx = static_cast<size_t>(c);
-      uint8_t rep = built_[pos][idx];
-      if (rep == kRepDense) {
-        return CoverView{chunks_[pos][idx / kChunkConcepts].data() +
-                             (idx % kChunkConcepts) * num_words_,
-                         nullptr};
-      }
-      if (rep == kRepHybrid) {
-        return CoverView{nullptr, hybrids_[pos][idx].get()};
-      }
+      return chunks_[pos][idx / kChunkConcepts].data() +
+             (idx % kChunkConcepts) * num_words_;
     }
     return BuildCover(c, pos);
   }
@@ -121,29 +95,6 @@ class ConceptAnswerCovers {
       if (words[w] & cover[w]) return true;
     }
     return false;
-  }
-
-  /// The view forms of the probe primitives: a flat row runs the word
-  /// loop / SIMD dispatch, a hybrid row folds through the mixed
-  /// hybrid × raw-word kernels without materializing a dense copy.
-  static bool AnyAndView(const std::vector<uint64_t>& words,
-                         const CoverView& v) {
-    if (v.hybrid != nullptr) {
-      return v.hybrid->AnyAndWith(words.data(), words.size());
-    }
-    return AnyAnd(words, v.words);
-  }
-  static void AndViewInPlace(uint64_t* acc, const CoverView& v, size_t n) {
-    if (v.hybrid != nullptr) {
-      v.hybrid->AndWith(acc, acc, n);
-    } else {
-      DenseBitmap::AndWordsInPlace(acc, v.words, n);
-    }
-  }
-  /// Membership of answer index `bit` in a row of either representation.
-  static bool ViewTestBit(const CoverView& v, size_t bit) {
-    if (v.hybrid != nullptr) return v.hybrid->Test(static_cast<ValueId>(bit));
-    return (v.words[bit / 64] >> (bit % 64)) & 1u;
   }
 
   /// The shared m-way word-AND kernels: `cover_at(i)` yields position i's
@@ -179,90 +130,25 @@ class ConceptAnswerCovers {
     return count;
   }
 
-  /// Mixed-representation m-way kernels: `view_at(i)` yields position i's
-  /// row as a CoverView. All-dense operand sets fall through to the flat
-  /// kernels above (byte-identical work); otherwise the sparsest hybrid
-  /// operand drives — its elements are visited in ascending answer order
-  /// and probed against every other row, so cost is O(smallest hybrid
-  /// cardinality × m) instead of O(m × nwords).
-  template <typename ViewAt>
-  static bool ProductAnyViews(size_t m, size_t nwords, ViewAt view_at) {
-    size_t driver = SIZE_MAX;
-    size_t driver_card = SIZE_MAX;
-    for (size_t i = 0; i < m; ++i) {
-      const CoverView v = view_at(i);
-      if (v.hybrid != nullptr && v.hybrid->Count() < driver_card) {
-        driver = i;
-        driver_card = v.hybrid->Count();
-      }
-    }
-    if (driver == SIZE_MAX) {
-      return ProductAny(m, nwords, [&](size_t i) { return view_at(i).words; });
-    }
-    return !view_at(driver).hybrid->ForEachIdUntil([&](ValueId a) {
-      for (size_t i = 0; i < m; ++i) {
-        if (i == driver) continue;
-        if (!ViewTestBit(view_at(i), static_cast<size_t>(a))) return true;
-      }
-      return false;  // survivor found — stop the scan
-    });
-  }
-  template <typename ViewAt>
-  static size_t ProductCountViews(size_t m, size_t nwords, ViewAt view_at) {
-    size_t driver = SIZE_MAX;
-    size_t driver_card = SIZE_MAX;
-    for (size_t i = 0; i < m; ++i) {
-      const CoverView v = view_at(i);
-      if (v.hybrid != nullptr && v.hybrid->Count() < driver_card) {
-        driver = i;
-        driver_card = v.hybrid->Count();
-      }
-    }
-    if (driver == SIZE_MAX) {
-      return ProductCount(m, nwords,
-                          [&](size_t i) { return view_at(i).words; });
-    }
-    if (m == 1) return driver_card;
-    size_t count = 0;
-    view_at(driver).hybrid->ForEachIdUntil([&](ValueId a) {
-      for (size_t i = 0; i < m; ++i) {
-        if (i == driver) continue;
-        if (!ViewTestBit(view_at(i), static_cast<size_t>(a))) return true;
-      }
-      ++count;
-      return true;
-    });
-    return count;
-  }
-
   // The pre-resolved per-candidate-list cover table lives in
   // search_core.h (explain::CoverTable), next to the chunked candidate
   // filter that probes it.
 
-  /// Heap + object bytes resident across arenas, hybrid rows, and
-  /// bookkeeping.
+  /// Heap + object bytes resident across arenas and bookkeeping.
   size_t MemoryBytes() const;
-  /// Counterfactual bytes had every built row been a flat arena slot (the
-  /// pre-hybrid behavior); the BENCH memory column's reduction baseline.
-  size_t DenseEquivalentBytes() const;
-  /// Rows currently stored hybrid (stats/tests).
-  size_t NumHybridCovers() const;
 
  private:
-  CoverView BuildCover(onto::ConceptId c, size_t pos);
+  const uint64_t* BuildCover(onto::ConceptId c, size_t pos);
 
   onto::BoundOntology* bound_;
   std::vector<std::vector<ValueId>> answers_;
   size_t num_words_;
   // chunks_[pos][chunk]: kChunkConcepts × num_words_ words (empty until a
-  // dense cover of that chunk is built); built_[pos][concept] is a kRep*
-  // code; hybrids_[pos][concept] boxes the hybrid rows.
+  // concept of that chunk is built); built_[pos][concept].
   std::vector<std::vector<std::vector<uint64_t>>> chunks_;
   std::vector<std::vector<uint8_t>> built_;
-  std::vector<std::vector<std::unique_ptr<HybridBitmap>>> hybrids_;
   std::vector<uint64_t> full_;
-  std::vector<uint64_t> scratch_row_;
-  std::vector<CoverView> scratch_views_;
+  std::vector<const uint64_t*> scratch_rows_;
 };
 
 /// Covers for the derived ontology O_I: keyed by ls::Extension *identity*.
@@ -276,11 +162,9 @@ class LsAnswerCovers {
                  const std::vector<Tuple>* answers);
 
   size_t num_answers() const { return answers_->size(); }
-  size_t num_words() const { return full_.num_words(); }
 
-  /// Cover(ext, pos), built on first use (identity-cached); flat or
-  /// hybrid per the freeze rule over the |Ans| universe.
-  CoverView Cover(const ls::Extension& ext, size_t pos);
+  /// Cover(ext, pos), built on first use (identity-cached).
+  const uint64_t* Cover(const ls::Extension& ext, size_t pos);
 
   /// ⋀_i Cover(exts_i, i) ≠ 0, with position `swap_pos` (if != SIZE_MAX)
   /// read from `repl` instead of exts[swap_pos] — the probe form of the
@@ -296,16 +180,8 @@ class LsAnswerCovers {
 
   /// Heap + object bytes across columns and cached cover rows.
   size_t MemoryBytes() const;
-  /// Counterfactual bytes with every cached row flat (pre-hybrid
-  /// behavior): columns plus one |Ans|-universe DenseBitmap per row.
-  size_t DenseEquivalentBytes() const;
 
  private:
-  /// One cached row: exactly one representation is populated.
-  struct StoredCover {
-    DenseBitmap dense;
-    std::unique_ptr<HybridBitmap> hybrid;
-  };
   struct KeyHash {
     size_t operator()(const std::pair<const ls::Extension*, size_t>& k) const {
       uintptr_t p = reinterpret_cast<uintptr_t>(k.first);
@@ -317,12 +193,28 @@ class LsAnswerCovers {
   const ValuePool* pool_;
   // columns_[pos][a] = pool id of (*answers_)[a][pos], -1 if not interned.
   std::vector<std::vector<ValueId>> columns_;
-  std::unordered_map<std::pair<const ls::Extension*, size_t>, StoredCover,
+  std::unordered_map<std::pair<const ls::Extension*, size_t>, DenseBitmap,
                      KeyHash>
       covers_;
   DenseBitmap full_;
-  std::vector<CoverView> scratch_views_;
+  std::vector<const uint64_t*> scratch_rows_;
 };
+
+/// The first check of every derived entry point that takes caller-owned
+/// LsAnswerCovers. The covers key rows by extension address, so the stores
+/// those extensions live in must be caller-owned as well: a per-call local
+/// store frees its extensions at return, a later call reuses the
+/// addresses, and the covers would serve another extension's row.
+/// `stores_given` says whether the caller passed every store the entry
+/// point takes; InvalidArgument naming `where` when covers come without it.
+inline Status RequireCoverStores(const LsAnswerCovers* covers,
+                                 bool stores_given, const char* where) {
+  if (covers == nullptr || stores_given) return Status::OK();
+  return Status::InvalidArgument(
+      std::string(where) +
+      ": caller-owned covers need the caller-owned extension stores their "
+      "rows are keyed by");
+}
 
 }  // namespace whynot::explain
 

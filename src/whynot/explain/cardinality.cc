@@ -261,7 +261,7 @@ Result<std::optional<CardinalityResult>> GreedyCardinalityClimb(
           WHYNOT_RETURN_IF_ERROR(check());
           if (halted.has_value()) break;
           if (c == current[i]) continue;
-          if (ConceptAnswerCovers::AnyAndView(base, covers->Cover(c, i))) {
+          if (ConceptAnswerCovers::AnyAnd(base, covers->Cover(c, i))) {
             continue;
           }
           Explanation probe = current;
@@ -280,12 +280,12 @@ Result<std::optional<CardinalityResult>> GreedyCardinalityClimb(
       // mask; the acceptance scan — whose degree threshold ratchets
       // within the sweep — replays serially in candidate order, exactly
       // as the serial loop.
-      std::vector<CoverView> cover_at =
+      std::vector<const uint64_t*> cover_at =
           CoverTable::ResolveList(covers, list, i);
       std::vector<uint8_t> valid(list.size(), 0);
       par::ParallelFor(list.size(), 64, [&](size_t begin, size_t end) {
         for (size_t c = begin; c < end; ++c) {
-          valid[c] = !ConceptAnswerCovers::AnyAndView(base, cover_at[c]);
+          valid[c] = !ConceptAnswerCovers::AnyAnd(base, cover_at[c]);
         }
       });
       for (size_t c = 0; c < list.size(); ++c) {

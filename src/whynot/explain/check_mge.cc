@@ -121,6 +121,9 @@ Result<bool> CheckMgeDerived(const WhyNotInstance& wni,
                              ls::EvalCache* cache, LsAnswerCovers* covers,
                              ls::ConceptCache* concept_cache,
                              const exec::ExecContext* exec) {
+  WHYNOT_RETURN_IF_ERROR(RequireCoverStores(
+      covers, cache != nullptr && concept_cache != nullptr,
+      "CheckMgeDerived"));
   std::optional<ls::EvalCache> local_cache;
   if (cache == nullptr) {
     local_cache.emplace(wni.instance);

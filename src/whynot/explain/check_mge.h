@@ -39,13 +39,14 @@ Result<bool> CheckMgeExternal(onto::BoundOntology* bound,
 /// generalization to ⊤) keeps the tuple an explanation. PTIME for
 /// selection-free LS and for bounded schema arity, EXPTIME in general.
 /// `cache` / `covers`, when non-null, are a prepared session's warm
-/// extension memo and answer-cover table over (wni.instance, wni.answers);
-/// per-call locals are created otherwise, with identical results.
+/// extension memo and answer-cover table over (wni.instance, wni.answers).
 /// `concept_cache`, when non-null, is the shared lub/eval cache the
 /// maximality probes run through (published-tier lookups during a sharded
 /// sweep, misses published at its serial end; a session cache carries the
-/// entries to later requests). Null uses a call-local cache; verdicts and
-/// errors are identical either way.
+/// entries to later requests). Each null store gets a per-call local, with
+/// identical verdicts and errors — except that `covers` key rows by
+/// extension address, so passing covers requires passing `cache` and
+/// `concept_cache` too (InvalidArgument otherwise).
 /// `exec` follows the CheckMgeExternal contract (one probe per position,
 /// stops are always errors).
 Result<bool> CheckMgeDerived(const WhyNotInstance& wni,

@@ -117,7 +117,7 @@ class NodeEvaluator {
     // cover into its prefix as Rest moves past it — cover_at reads the
     // state's current extension at absorption time.
     auto cover_at = [this, state](size_t k) {
-      return View(*state->exts[k], k);
+      return CoverRow(*state->exts[k], k);
     };
     and_cache_.Reset(m, nwords_, full_.data(), cover_at);
 
@@ -135,7 +135,7 @@ class NodeEvaluator {
         std::vector<Value> extended = state->support[j];
         extended.push_back(adom_[bi]);
         WHYNOT_ASSIGN_OR_RETURN(auto cand, LubAndEval(extended));
-        if (!AnyAnd(rest, View(*cand.second, j))) {
+        if (!AnyAnd(rest, CoverRow(*cand.second, j))) {
           state->support[j] = std::move(extended);
           state->concepts[j] = *cand.first;
           state->exts[j] = cand.second;
@@ -165,7 +165,7 @@ class NodeEvaluator {
     // this pass); the exclusion set iterates in ascending position order,
     // exactly the non-decreasing j the cache requires.
     auto cover_at = [this, &state](size_t k) {
-      return View(*state.exts[k], k);
+      return CoverRow(*state.exts[k], k);
     };
     and_cache_.Reset(m, nwords_, full_.data(), cover_at);
     for (const GroundElement& e : excluded) {
@@ -188,7 +188,7 @@ class NodeEvaluator {
       // across sibling nodes and requests, stay on the caching path).
       WHYNOT_ASSIGN_OR_RETURN(std::shared_ptr<const ls::Extension> cand,
                               overlay_.LubExtTransient(extended));
-      if (!AnyAnd(rest, View(*cand, j))) return false;
+      if (!AnyAnd(rest, CoverRow(*cand, j))) return false;
     }
     return true;
   }
@@ -212,19 +212,15 @@ class NodeEvaluator {
         &entry->concept, entry->ext.get());
   }
 
-  CoverView View(const ls::Extension& ext, size_t pos) {
+  const uint64_t* CoverRow(const ls::Extension& ext, size_t pos) {
     // No answers: nothing to cover, every probe passes (the covers have no
     // per-position columns to index in that case).
-    if (nwords_ == 0) return CoverView{full_.data(), nullptr};
+    if (nwords_ == 0) return full_.data();
     return covers_.Cover(ext, pos);
   }
 
-  // The probe reuses the cover kernel's early-exit AnyAnd (view form for
-  // cached cover rows, raw form for the all-alive words); the running
+  // The probe reuses the cover kernel's early-exit AnyAnd; the running
   // prefix/suffix ANDs live in the shared GreedyAndCache.
-  static bool AnyAnd(const std::vector<uint64_t>& a, const CoverView& b) {
-    return ConceptAnswerCovers::AnyAndView(a, b);
-  }
   static bool AnyAnd(const std::vector<uint64_t>& a, const uint64_t* b) {
     return ConceptAnswerCovers::AnyAnd(a, b);
   }

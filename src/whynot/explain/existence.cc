@@ -135,18 +135,14 @@ class Search {
         cover_table_[pos] = CoverTable::ResolveList(covers_, cands, pos);
       }
       std::vector<std::vector<uint64_t>> nexts(cands.size());
-      const std::vector<CoverView>& table = cover_table_[pos];
+      const std::vector<const uint64_t*>& table = cover_table_[pos];
       size_t grain = std::max<size_t>(1, 2048 / std::max<size_t>(1, nwords));
       par::ParallelFor(cands.size(), grain, [&](size_t begin, size_t end) {
         for (size_t c = begin; c < end; ++c) {
           nexts[c].resize(nwords);
-          const CoverView& cover = table[c];
-          if (cover.hybrid != nullptr) {
-            cover.hybrid->AndWith(alive.data(), nexts[c].data(), nwords);
-          } else {
-            for (size_t w = 0; w < nwords; ++w) {
-              nexts[c][w] = alive[w] & cover.words[w];
-            }
+          const uint64_t* cover = table[c];
+          for (size_t w = 0; w < nwords; ++w) {
+            nexts[c][w] = alive[w] & cover[w];
           }
         }
       });
@@ -162,12 +158,8 @@ class Search {
     } else {
       std::vector<uint64_t> next(nwords);
       for (onto::ConceptId c : cands) {
-        CoverView cover = covers_->Cover(c, pos);
-        if (cover.hybrid != nullptr) {
-          cover.hybrid->AndWith(alive.data(), next.data(), nwords);
-        } else {
-          for (size_t w = 0; w < nwords; ++w) next[w] = alive[w] & cover.words[w];
-        }
+        const uint64_t* cover = covers_->Cover(c, pos);
+        for (size_t w = 0; w < nwords; ++w) next[w] = alive[w] & cover[w];
         chosen_[pos] = c;
         WHYNOT_RETURN_IF_ERROR(Descend(pos + 1, next, found));
         if (*found || halted_.has_value()) return Status::OK();
@@ -182,9 +174,9 @@ class Search {
   std::vector<std::vector<onto::ConceptId>> candidates_;
   ConceptAnswerCovers* covers_;
   std::optional<ConceptAnswerCovers> local_covers_;
-  // Pre-resolved cover views per position (parallel runs only; empty
+  // Pre-resolved cover rows per position (parallel runs only; empty
   // in the serial configuration, which keeps the lazy one-at-a-time path).
-  std::vector<std::vector<CoverView>> cover_table_;
+  std::vector<std::vector<const uint64_t*>> cover_table_;
   Explanation chosen_;
   std::set<std::pair<size_t, std::vector<uint64_t>>> defeated_;
   size_t nodes_ = 0;

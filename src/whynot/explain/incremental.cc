@@ -12,6 +12,9 @@ Result<LsExplanation> IncrementalSearch(const WhyNotInstance& wni,
                                         LsAnswerCovers* covers,
                                         ls::ConceptCache* concept_cache,
                                         ls::ConceptCacheOverlay* session_overlay) {
+  WHYNOT_RETURN_IF_ERROR(RequireCoverStores(
+      covers, cache != nullptr && concept_cache != nullptr,
+      "IncrementalSearch"));
   size_t m = wni.arity();
   std::optional<ls::EvalCache> local_cache;
   if (cache == nullptr) {

@@ -54,8 +54,11 @@ Result<LsExplanation> IncrementalSearch(const WhyNotInstance& wni,
 /// memo and answer-cover table over (wni.instance, wni.answers);
 /// `concept_cache` the shared lub/eval cache the greedy sweep runs through
 /// (the search is serial, so entries publish once on return — a session
-/// cache carries them to later requests). Per-call locals are created for
-/// any null parameter, with bit-identical results.
+/// cache carries them to later requests). A null `cache`, `covers` or
+/// `concept_cache` gets a per-call local, with bit-identical results —
+/// except that `covers` key rows by extension address, so passing covers
+/// requires passing `cache` and `concept_cache` too (InvalidArgument
+/// otherwise).
 ///
 /// `session_overlay`, when non-null, must be an overlay bound to exactly
 /// (concept_cache, options.with_selections, lub_context, cache); the

@@ -301,31 +301,6 @@ CoverTable::CoverTable(ConceptAnswerCovers* covers,
       table_(lists.size()) {
   for (size_t i = 0; i < lists.size(); ++i) {
     table_[i] = ResolveList(covers, lists[i], i);
-    for (const CoverView& v : table_[i]) {
-      any_hybrid_ = any_hybrid_ || v.hybrid != nullptr;
-    }
-  }
-  if (!any_hybrid_) {
-    size_t entries = 0;
-    for (const auto& t : table_) entries += t.size();
-    const uint64_t** data;
-    uint32_t* off;
-    if (entries <= kInlineEntries && table_.size() <= kInlinePositions) {
-      data = inline_data_.data();
-      off = inline_off_.data();
-    } else {
-      flat_data_.resize(entries);
-      flat_off_.resize(table_.size());
-      data = flat_data_.data();
-      off = flat_off_.data();
-    }
-    size_t k = 0;
-    for (size_t i = 0; i < table_.size(); ++i) {
-      off[i] = static_cast<uint32_t>(k);
-      for (const CoverView& v : table_[i]) data[k++] = v.words;
-    }
-    flat_data_p_ = data;
-    flat_off_p_ = off;
   }
 }
 
@@ -347,10 +322,10 @@ void CoverTable::ResolveSizes(
   }
 }
 
-std::vector<CoverView> CoverTable::ResolveList(
+std::vector<const uint64_t*> CoverTable::ResolveList(
     ConceptAnswerCovers* covers, const std::vector<onto::ConceptId>& list,
     size_t pos) {
-  std::vector<CoverView> out;
+  std::vector<const uint64_t*> out;
   out.reserve(list.size());
   for (onto::ConceptId c : list) out.push_back(covers->Cover(c, pos));
   return out;

@@ -2,7 +2,6 @@
 #define WHYNOT_EXPLAIN_SEARCH_CORE_H_
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -373,11 +372,6 @@ class CoverTable {
   CoverTable(ConceptAnswerCovers* covers,
              const std::vector<std::vector<onto::ConceptId>>& lists);
 
-  // The probe-mirror pointers may reference the inline arrays, so the
-  // table is address-stable by contract.
-  CoverTable(const CoverTable&) = delete;
-  CoverTable& operator=(const CoverTable&) = delete;
-
   /// Resolves |ext| / is-All metadata for every candidate (the counting
   /// form's pre-checks). Must be called before ProductInsideAt.
   void ResolveSizes(onto::BoundOntology* bound,
@@ -386,30 +380,17 @@ class CoverTable {
   size_t num_answers() const { return num_answers_; }
 
   /// ⋀_i Cover(lists[i][idx[i]], i) ≠ 0: the candidate product intersects
-  /// Ans (the avoidance test of Definition 3.2, negated). When every
-  /// resolved row is flat (the common case — covers only go hybrid past
-  /// the sparsity crossover) the probe reads the raw-pointer mirror, so
-  /// it is the exact pre-hybrid word loop over the pre-hybrid layout.
+  /// Ans (the avoidance test of Definition 3.2, negated).
   bool ProductAnyAt(const std::vector<size_t>& idx) const {
     if (num_answers_ == 0) return false;
-    if (!any_hybrid_) {
-      return ConceptAnswerCovers::ProductAny(
-          table_.size(), nwords_,
-          [&](size_t i) { return flat_data_p_[flat_off_p_[i] + idx[i]]; });
-    }
-    return ConceptAnswerCovers::ProductAnyViews(
+    return ConceptAnswerCovers::ProductAny(
         table_.size(), nwords_, [&](size_t i) { return table_[i][idx[i]]; });
   }
 
   /// popcount(⋀_i Cover(lists[i][idx[i]], i)).
   size_t ProductCountAt(const std::vector<size_t>& idx) const {
     if (num_answers_ == 0) return 0;
-    if (!any_hybrid_) {
-      return ConceptAnswerCovers::ProductCount(
-          table_.size(), nwords_,
-          [&](size_t i) { return flat_data_p_[flat_off_p_[i] + idx[i]]; });
-    }
-    return ConceptAnswerCovers::ProductCountViews(
+    return ConceptAnswerCovers::ProductCount(
         table_.size(), nwords_, [&](size_t i) { return table_[i][idx[i]]; });
   }
 
@@ -450,35 +431,14 @@ class CoverTable {
 
   /// Covers of one candidate list at a fixed position (the existence
   /// search's per-node tables, the greedy climb's sweep tables).
-  static std::vector<CoverView> ResolveList(
+  static std::vector<const uint64_t*> ResolveList(
       ConceptAnswerCovers* covers, const std::vector<onto::ConceptId>& list,
       size_t pos);
 
  private:
-  /// Inline mirror capacity: tables at most this many resolved entries
-  /// (and at most kInlinePositions positions) stay allocation-free.
-  static constexpr size_t kInlineEntries = 64;
-  static constexpr size_t kInlinePositions = 16;
-
   size_t num_answers_;
   size_t nwords_;
-  bool any_hybrid_ = false;
-  std::vector<std::vector<CoverView>> table_;
-  // Raw words-pointer mirror of table_ (built only when no row is
-  // hybrid), flattened into one span indexed by per-position offsets:
-  // the probe loop then reads 8-byte entries — the pre-hybrid table
-  // stride — because the avoidance AND is a few cycles on small |Ans|,
-  // so the view struct's doubled stride is measurable on probe-dense
-  // searches. Small tables (the per-call covers of tiny searches, where
-  // ctor allocations would eat the win) mirror into the inline arrays;
-  // flat_data_p_/flat_off_p_ point at whichever storage holds the
-  // mirror.
-  const uint64_t* const* flat_data_p_ = nullptr;
-  const uint32_t* flat_off_p_ = nullptr;
-  std::array<const uint64_t*, kInlineEntries> inline_data_;
-  std::array<uint32_t, kInlinePositions> inline_off_;
-  std::vector<const uint64_t*> flat_data_;
-  std::vector<uint32_t> flat_off_;
+  std::vector<std::vector<const uint64_t*>> table_;
   std::vector<std::vector<size_t>> sizes_;    // |ext|, 0 for All
   std::vector<std::vector<uint8_t>> is_all_;  // empty until ResolveSizes
 };
@@ -499,9 +459,8 @@ class CoverTable {
 /// `cover_at` is passed to both calls rather than stored: the cache
 /// object outlives any one sweep (NodeEvaluator keeps one across all
 /// branch-tree nodes), and a stored callback would silently dangle into
-/// the previous sweep's stack state. `cover_at(k)` may return either raw
-/// cover words (`const uint64_t*`) or a CoverView — hybrid rows fold into
-/// the running word accumulators through the mixed kernels.
+/// the previous sweep's stack state. `cover_at(k)` returns raw cover words
+/// (`const uint64_t*`).
 class GreedyAndCache {
  public:
   /// Rebinds to a sweep over `m` positions of `nwords`-word covers.
@@ -519,7 +478,8 @@ class GreedyAndCache {
     suffix_[m - 1].assign(full, full + nwords);
     for (size_t j = m - 1; j > 0; --j) {
       suffix_[j - 1] = suffix_[j];
-      FoldCover(suffix_[j - 1].data(), cover_at(j), nwords_);
+      DenseBitmap::AndWordsInPlace(suffix_[j - 1].data(), cover_at(j),
+                                   nwords_);
     }
   }
 
@@ -528,7 +488,8 @@ class GreedyAndCache {
   template <typename CoverAt>
   const std::vector<uint64_t>& Rest(size_t j, CoverAt cover_at) {
     while (absorbed_ < j) {
-      FoldCover(prefix_.data(), cover_at(absorbed_), nwords_);
+      DenseBitmap::AndWordsInPlace(prefix_.data(), cover_at(absorbed_),
+                                   nwords_);
       ++absorbed_;
     }
     if (rest_j_ != j) {
@@ -540,13 +501,6 @@ class GreedyAndCache {
   }
 
  private:
-  static void FoldCover(uint64_t* acc, const uint64_t* cover, size_t n) {
-    DenseBitmap::AndWordsInPlace(acc, cover, n);
-  }
-  static void FoldCover(uint64_t* acc, const CoverView& cover, size_t n) {
-    ConceptAnswerCovers::AndViewInPlace(acc, cover, n);
-  }
-
   size_t nwords_ = 0;
   std::vector<std::vector<uint64_t>> suffix_;  // suffix_[j] = ⋀_{k>j} initial
   std::vector<uint64_t> prefix_;               // ⋀_{k<absorbed_} current

@@ -266,36 +266,20 @@ ExplainSession::MemoryStats ExplainSession::MemoryUsage() const {
   const State& s = *state_;
   MemoryStats m;
   m.instance_bytes = s.instance->MemoryBytes();
-  size_t ext_dense_equivalent = 0;
-  size_t cover_dense_equivalent = 0;
   if (s.bound != nullptr) {
     onto::BoundOntology::MemoryStats es = s.bound->ExtMemoryStats();
     m.ext_bytes = es.ext_bytes;
-    ext_dense_equivalent = es.dense_equivalent_bytes;
-    m.hybrid_ext_sets = es.hybrid_sets;
     m.dense_ext_sets = es.dense_sets;
   }
-  if (s.covers != nullptr) {
-    m.cover_bytes += s.covers->MemoryBytes();
-    cover_dense_equivalent += s.covers->DenseEquivalentBytes();
-  }
-  if (s.why_covers != nullptr) {
-    m.cover_bytes += s.why_covers->MemoryBytes();
-    cover_dense_equivalent += s.why_covers->DenseEquivalentBytes();
-  }
-  if (s.ls_covers != nullptr) {
-    m.cover_bytes += s.ls_covers->MemoryBytes();
-    cover_dense_equivalent += s.ls_covers->DenseEquivalentBytes();
-  }
+  if (s.covers != nullptr) m.cover_bytes += s.covers->MemoryBytes();
+  if (s.why_covers != nullptr) m.cover_bytes += s.why_covers->MemoryBytes();
+  if (s.ls_covers != nullptr) m.cover_bytes += s.ls_covers->MemoryBytes();
   if (s.cache != nullptr) m.eval_cache_bytes = s.cache->MemoryBytes();
   if (s.concept_cache != nullptr) {
     m.shared_cache_bytes = s.concept_cache->MemoryBytes();
   }
   m.total_bytes = m.instance_bytes + m.ext_bytes + m.cover_bytes +
                   m.eval_cache_bytes + m.shared_cache_bytes;
-  m.dense_equivalent_total_bytes = m.instance_bytes + ext_dense_equivalent +
-                                   cover_dense_equivalent +
-                                   m.eval_cache_bytes + m.shared_cache_bytes;
   return m;
 }
 

@@ -115,11 +115,7 @@ class ExplainSession {
   Status CheckConsistent();
 
   /// Per-session memory accounting over the warm state (the BENCH memory
-  /// column's source). `*_dense_equivalent_*` fields report the
-  /// counterfactual residency had every adaptive set force-built its flat
-  /// pool/answer-universe DenseBitmap (the pre-hybrid engine), so
-  /// total_bytes / dense_equivalent_total_bytes is the measured residency
-  /// reduction of the hybrid containers on this binding.
+  /// column's source).
   struct MemoryStats {
     size_t instance_bytes = 0;    // columns, fact index, column indexes
     size_t ext_bytes = 0;         // warm extension table (external ontology)
@@ -127,9 +123,7 @@ class ExplainSession {
     size_t eval_cache_bytes = 0;  // derived-ontology extension memos
     size_t shared_cache_bytes = 0;  // published concept-cache entries
     size_t total_bytes = 0;
-    size_t dense_equivalent_total_bytes = 0;
-    size_t hybrid_ext_sets = 0;   // extensions frozen to hybrid containers
-    size_t dense_ext_sets = 0;    // extensions frozen to flat mirrors
+    size_t dense_ext_sets = 0;    // extensions carrying a dense mirror
   };
   MemoryStats MemoryUsage() const;
 

@@ -299,8 +299,10 @@ void ResolveWhyCaches(const WhyInstance& wi, ls::EvalCache** cache,
 
 }  // namespace
 
-bool IsLsWhyExplanation(const WhyInstance& wi, const LsExplanation& e,
-                        ls::EvalCache* cache, LsAnswerCovers* covers) {
+Result<bool> IsLsWhyExplanation(const WhyInstance& wi, const LsExplanation& e,
+                                ls::EvalCache* cache, LsAnswerCovers* covers) {
+  WHYNOT_RETURN_IF_ERROR(
+      RequireCoverStores(covers, cache != nullptr, "IsLsWhyExplanation"));
   WhyScratch scratch;
   ResolveWhyCaches(wi, &cache, &covers, &scratch);
   return IsLsWhyExplanationImpl(wi, e, covers, cache);
@@ -315,6 +317,9 @@ Result<LsExplanation> IncrementalWhySearch(const WhyInstance& wi,
                                            const exec::ExecContext* exec,
                                            exec::Certificate* cert,
                                            ls::ConceptCacheOverlay* session_overlay) {
+  WHYNOT_RETURN_IF_ERROR(RequireCoverStores(
+      covers, cache != nullptr && concept_cache != nullptr,
+      "IncrementalWhySearch"));
   std::optional<ls::LubContext> local_ctx;
   if (lub_context == nullptr) {
     local_ctx.emplace(wi.instance);
@@ -418,6 +423,9 @@ Result<bool> CheckWhyMgeDerived(const WhyInstance& wi,
                                 LsAnswerCovers* covers,
                                 ls::ConceptCache* concept_cache,
                                 const exec::ExecContext* exec) {
+  WHYNOT_RETURN_IF_ERROR(RequireCoverStores(
+      covers, cache != nullptr && concept_cache != nullptr,
+      "CheckWhyMgeDerived"));
   WhyScratch scratch;
   ResolveWhyCaches(wi, &cache, &covers, &scratch);
   std::optional<ls::ConceptCache> local_cc;

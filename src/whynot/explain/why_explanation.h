@@ -81,14 +81,17 @@ Result<std::vector<Explanation>> AllMostGeneralWhyExplanations(
 /// throughout this header: `cache` is an extension memo bound to
 /// wi.instance, `covers` an LsAnswerCovers over the *sort-deduped* answer
 /// vector fed by the same cache; both are created per call when null, and
-/// results are bit-identical either way. Passing `covers` additionally
-/// asserts that wi.answers is itself sorted and duplicate-free (an
-/// ExplainSession guarantees this) — the one-shot path sort-dedups a
-/// local copy defensively, but warm covers and a hand-filled,
-/// duplicate-carrying wi.answers would disagree on answer indexing.
-bool IsLsWhyExplanation(const WhyInstance& wi, const LsExplanation& e,
-                        ls::EvalCache* cache = nullptr,
-                        LsAnswerCovers* covers = nullptr);
+/// results are bit-identical either way. The covers key rows by extension
+/// address, so passing `covers` requires passing `cache` (and, where the
+/// entry point takes one, `concept_cache`) — InvalidArgument otherwise.
+/// Passing `covers` additionally asserts that wi.answers is itself sorted
+/// and duplicate-free (an ExplainSession guarantees this) — the one-shot
+/// path sort-dedups a local copy defensively, but warm covers and a
+/// hand-filled, duplicate-carrying wi.answers would disagree on answer
+/// indexing.
+Result<bool> IsLsWhyExplanation(const WhyInstance& wi, const LsExplanation& e,
+                                ls::EvalCache* cache = nullptr,
+                                LsAnswerCovers* covers = nullptr);
 
 /// Algorithm 2's scheme applied to the dual problem: start from the
 /// nominal-pinned tuple (whose product is {a} ⊆ Ans) and greedily grow
@@ -105,7 +108,8 @@ bool IsLsWhyExplanation(const WhyInstance& wi, const LsExplanation& e,
 /// stop returns the tuple generalized so far — a sound why-explanation,
 /// possibly not most general (Quality::kHeuristic).
 /// `concept_cache` is the shared lub/eval cache (session convention: null
-/// uses a call-local one; output is bit-identical either way).
+/// uses a call-local one; output is bit-identical either way, under the
+/// covers rule above).
 /// `session_overlay` follows the IncrementalSearch contract: a session's
 /// persistent overlay bound to (concept_cache, with_selections,
 /// lub_context, cache), keeping probe memos warm across requests.

@@ -24,7 +24,8 @@ bool ObdaInducedOntology::Subsumes(onto::ConceptId sub,
 onto::ExtSet ObdaInducedOntology::ComputeExt(onto::ConceptId id,
                                              const rel::Instance& instance,
                                              ValuePool* pool) const {
-  if (cached_instance_ != &instance || cached_saturation_ == nullptr) {
+  if (cached_instance_ != &instance || cached_version_ != instance.version() ||
+      cached_saturation_ == nullptr) {
     Result<Saturation> sat = spec_->Saturate(instance);
     if (!sat.ok()) {
       // Saturation only fails on malformed mappings, which Validate()
@@ -34,6 +35,7 @@ onto::ExtSet ObdaInducedOntology::ComputeExt(onto::ConceptId id,
     cached_saturation_ =
         std::make_unique<Saturation>(std::move(sat).value());
     cached_instance_ = &instance;
+    cached_version_ = instance.version();
   }
   const std::set<Value>& members =
       cached_saturation_->Members(concepts_[static_cast<size_t>(id)]);

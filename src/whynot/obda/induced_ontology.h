@@ -21,8 +21,9 @@ namespace whynot::obda {
 ///    Theorem 4.1.2).
 ///
 /// Construction is polynomial in the specification size (Theorem 4.2).
-/// Saturations are cached per instance (keyed by address) so that binding
-/// the ontology to an instance costs one saturation, not one per concept.
+/// Saturations are cached per instance state (keyed by address and
+/// version()) so that binding the ontology to an instance costs one
+/// saturation, not one per concept, and a write forces a fresh one.
 class ObdaInducedOntology : public onto::FiniteOntology {
  public:
   explicit ObdaInducedOntology(const ObdaSpec* spec);
@@ -50,8 +51,10 @@ class ObdaInducedOntology : public onto::FiniteOntology {
   std::vector<dl::BasicConcept> concepts_;
   std::map<dl::BasicConcept, onto::ConceptId> index_;
   // Single-entry saturation cache: explanation algorithms bind exactly one
-  // instance at a time.
+  // instance at a time. The version keeps an AddFact on the same instance
+  // from serving the old certain answers.
   mutable const rel::Instance* cached_instance_ = nullptr;
+  mutable uint64_t cached_version_ = 0;
   mutable std::unique_ptr<Saturation> cached_saturation_;
 };
 

@@ -44,28 +44,20 @@ ExtSet ExtSet::All() {
 void ExtSet::EnsureBitmap(int32_t universe) {
   if (all_ || has_bitmap() || ids_.empty()) return;
   bits_ = DenseBitmap(ids_, universe);
-  hyb_ = HybridBitmap();
 }
 
 void ExtSet::Freeze(int32_t universe) {
-  if (all_ || ids_.empty() || has_hybrid()) return;
   // Finite() may already have built a dense mirror over the small id-local
-  // universe; the force-hybrid sweep still converts it so every engine path
-  // runs on chunked containers, otherwise an existing mirror stands.
-  bool force_hybrid = GetSetRepPolicy() == SetRepPolicy::kForceHybrid;
-  if (has_bitmap() && !force_hybrid) return;
-  if (ChooseHybridRep(ids_.size(), WordsFor(universe))) {
-    hyb_ = HybridBitmap::FromSorted(ids_, universe);
-    bits_ = DenseBitmap();
-  } else if (!has_bitmap()) {
-    bits_ = DenseBitmap(ids_, universe);
+  // universe; an existing mirror stands.
+  if (all_ || has_bitmap() || !DenseEnough(ids_.size(), WordsFor(universe))) {
+    return;
   }
+  bits_ = DenseBitmap(ids_, universe);
 }
 
 size_t ExtSet::MemoryBytes() const {
   return sizeof(*this) + ids_.capacity() * sizeof(ValueId) +
-         (bits_.MemoryBytes() - sizeof(DenseBitmap)) +
-         (hyb_.MemoryBytes() - sizeof(HybridBitmap));
+         (bits_.MemoryBytes() - sizeof(DenseBitmap));
 }
 
 bool ExtSet::ContainsSlow(ValueId id) const {
@@ -78,12 +70,9 @@ bool ExtSet::SubsetOf(const ExtSet& other) const {
   if (has_bitmap() && other.has_bitmap()) {
     return bits_.SubsetOf(other.bits_);
   }
-  if (has_hybrid() && other.has_hybrid()) {
-    return hyb_.SubsetOf(other.hyb_);
-  }
-  if (other.has_bitmap() || other.has_hybrid()) {
+  if (other.has_bitmap()) {
     // Mixed representations: probe our (sorted, usually small) id list
-    // against the other side's O(1)/O(log) membership.
+    // against the other side's O(1) membership.
     for (ValueId id : ids_) {
       if (!other.Contains(id)) return false;
     }
@@ -102,17 +91,6 @@ ExtSet ExtSet::Intersect(const ExtSet& other) const {
     out.ids_ = out.bits_.ToIds();
     if (out.ids_.empty()) out.bits_ = DenseBitmap();
     return out;
-  }
-  if (has_hybrid() || other.has_hybrid()) {
-    // Probe the smaller side's ids against the bigger side's membership —
-    // never materializes a universe-sized temporary.
-    const ExtSet* small = ids_.size() <= other.ids_.size() ? this : &other;
-    const ExtSet* big = small == this ? &other : this;
-    std::vector<ValueId> ids;
-    for (ValueId id : small->ids_) {
-      if (big->Contains(id)) ids.push_back(id);
-    }
-    return Finite(std::move(ids));
   }
   std::vector<ValueId> ids;
   std::set_intersection(ids_.begin(), ids_.end(), other.ids_.begin(),

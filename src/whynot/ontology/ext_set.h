@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "whynot/common/dense_bitmap.h"
-#include "whynot/common/hybrid_bitmap.h"
 #include "whynot/common/value.h"
 
 namespace whynot::onto {
@@ -56,12 +55,11 @@ class ExtSet {
   /// Sorted ids; requires !is_all().
   const std::vector<ValueId>& ids() const { return ids_; }
 
-  /// Inline: one bitmap word test on the (warm) extension-table path, a
-  /// chunked probe when the set froze hybrid, binary search otherwise.
+  /// Inline: one bitmap word test on the (warm) extension-table path,
+  /// binary search otherwise.
   bool Contains(ValueId id) const {
     if (all_) return true;
     if (!bits_.empty()) return bits_.Test(id);
-    if (!hyb_.empty()) return hyb_.Test(id);
     return ContainsSlow(id);
   }
 
@@ -81,20 +79,16 @@ class ExtSet {
   /// All or if already built.
   void EnsureBitmap(int32_t universe);
 
-  /// Freeze-time representation selection for a long-lived read-mostly set
-  /// (BoundOntology's warm extension table): builds a dense mirror when the
-  /// set is dense in the `universe`, a chunked HybridBitmap otherwise —
-  /// O(cardinality) bytes instead of O(universe). Mutation-phase code never
-  /// calls this; the flat ids_ vector stays canonical either way.
+  /// Freeze-time mirror for a long-lived read-mostly set (BoundOntology's
+  /// warm extension table): builds the dense mirror over `universe` where
+  /// the density switch allows one. Sparser sets stay sorted id vectors
+  /// probed by binary search — O(cardinality) bytes instead of O(universe).
   void Freeze(int32_t universe);
 
   /// Whether the bitmap mirror is present (exposed for tests/benchmarks).
   bool has_bitmap() const { return !bits_.empty(); }
 
-  /// Whether the frozen hybrid representation is present.
-  bool has_hybrid() const { return !hyb_.empty(); }
-
-  /// Heap + object bytes this set occupies across all representations.
+  /// Heap + object bytes this set occupies (ids plus any mirror).
   size_t MemoryBytes() const;
 
   /// "{a, b, c}" or "Const" using the pool for names.
@@ -107,8 +101,6 @@ class ExtSet {
   std::vector<ValueId> ids_;
   DenseBitmap bits_;   // empty unless the density switch (or EnsureBitmap)
                        // materialized it; always mirrors ids_ when present
-  HybridBitmap hyb_;   // empty unless Freeze chose the hybrid form; mutually
-                       // exclusive with bits_, always mirrors ids_
 };
 
 /// Interns a list of values into the pool and returns their ExtSet.

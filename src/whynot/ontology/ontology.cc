@@ -206,19 +206,13 @@ Status BoundOntology::CheckConsistent() {
 
 BoundOntology::MemoryStats BoundOntology::ExtMemoryStats() const {
   MemoryStats s;
-  size_t pool_words = (static_cast<size_t>(pool_.size()) + 63) / 64;
   for (size_t i = 0; i < cache_.size(); ++i) {
     if (!cached_[i]) continue;
     const ExtSet& e = cache_[i];
     if (e.is_all()) continue;
     s.ext_bytes += e.MemoryBytes();
-    s.dense_equivalent_bytes += sizeof(ExtSet) +
-                                e.ids().capacity() * sizeof(ValueId) +
-                                pool_words * sizeof(uint64_t);
     if (e.has_bitmap()) {
       ++s.dense_sets;
-    } else if (e.has_hybrid()) {
-      ++s.hybrid_sets;
     } else {
       ++s.flat_sets;
     }

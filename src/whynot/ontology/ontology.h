@@ -106,16 +106,14 @@ class BoundOntology {
   /// ontology. Returns InvalidArgument naming the offending pair otherwise.
   Status CheckConsistent();
 
-  /// Memory accounting for the warm extension table. `ext_bytes` is the
-  /// actual residency across representations; `dense_equivalent_bytes` is
-  /// the counterfactual cost had every finite extension force-built a
-  /// pool-universe dense mirror (the pre-hybrid behavior) — the pair is
-  /// what the BENCH memory column reports residency reduction against.
+  /// Memory accounting for the warm extension table: resident bytes and
+  /// how many finite extensions carry a dense mirror. `hybrid_sets` is
+  /// always 0 — the chunked hybrid form is gone, and the field stays only
+  /// for readers that still report it.
   struct MemoryStats {
     size_t ext_bytes = 0;
-    size_t dense_equivalent_bytes = 0;
-    size_t dense_sets = 0;   // froze to a flat dense mirror
-    size_t hybrid_sets = 0;  // froze to chunked hybrid containers
+    size_t dense_sets = 0;   // carries a dense mirror
+    size_t hybrid_sets = 0;  // always 0
     size_t flat_sets = 0;    // id vector only
   };
   MemoryStats ExtMemoryStats() const;

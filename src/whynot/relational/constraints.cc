@@ -134,26 +134,10 @@ bool SatisfiesId(const Instance& instance, const InclusionDependency& id,
         lhs->Index(static_cast<size_t>(id.lhs_attrs[0]));
     const StoredRelation::ColumnIndex& rix =
         rhs->Index(static_cast<size_t>(id.rhs_attrs[0]));
-    bool contained;
-    if (lix.distinct_hybrid.empty() && rix.distinct_hybrid.empty()) {
-      contained = lix.distinct.SubsetOf(rix.distinct);
-    } else if (!lix.distinct_hybrid.empty() && !rix.distinct_hybrid.empty()) {
-      contained = lix.distinct_hybrid.SubsetOf(rix.distinct_hybrid);
-    } else {
-      // Mixed representations: probe the lhs distinct keys (sorted,
-      // exactly the lhs set) against the rhs membership.
-      contained = true;
-      for (ValueId key : lix.keys) {
-        if (!rix.DistinctTest(key)) {
-          contained = false;
-          break;
-        }
-      }
-    }
-    if (contained) return true;
+    if (lix.distinct.SubsetOf(rix.distinct)) return true;
     if (violation != nullptr) {
       for (ValueId key : lix.keys) {
-        if (!rix.DistinctTest(key)) {
+        if (!rix.distinct.Test(key)) {
           *violation = id.ToString(instance.schema()) + " misses " +
                        TupleToString({instance.pool().Get(key)});
           break;

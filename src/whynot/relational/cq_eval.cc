@@ -179,7 +179,7 @@ class Evaluator {
       return false;
     }
     for (const auto& [v, ix] : filters_) {
-      if (v == var && !ix->DistinctTest(id)) return false;
+      if (v == var && !ix->distinct.Test(id)) return false;
     }
     return true;
   }
@@ -288,8 +288,8 @@ class Evaluator {
   std::vector<const CompiledAtom*> ordered_;
   std::vector<VarState> vars_;
   // (var, column index) semi-join filters; the index pointer is stable
-  // (indexes_ is sized at relation construction) and its distinct set is
-  // probed representation-agnostically via DistinctTest.
+  // (indexes_ is sized at relation construction) and its distinct bitmap
+  // is the probe.
   std::vector<std::pair<int, const StoredRelation::ColumnIndex*>> filters_;
   std::vector<int> bind_stack_;  // vars bound, in bind order
 

@@ -61,12 +61,6 @@ void StoredRelation::InvalidateIndexes() const {
 
 void StoredRelation::MergeAppendedRows(size_t attr) const {
   ColumnIndex& ix = indexes_[attr];
-  if (!ix.distinct_hybrid.empty()) {
-    // Mutation resumed after a freeze: thaw back to the flat mirror (the
-    // hybrid containers are immutable; the merge below Sets new keys).
-    ix.distinct = DenseBitmap(ix.keys);
-    ix.distinct_hybrid = HybridBitmap();
-  }
   const std::vector<ValueId>& col = columns_[attr];
   std::vector<std::pair<ValueId, uint32_t>> pairs;
   pairs.reserve(col.size() - index_rows_[attr]);
@@ -141,16 +135,6 @@ const StoredRelation::ColumnIndex& StoredRelation::Index(size_t attr) const {
     MergeAppendedRows(attr);
   }
   return ix;
-}
-
-void StoredRelation::FreezeIndex(size_t attr) const {
-  ColumnIndex& ix = indexes_[attr];
-  if (!index_built_[attr] || index_rows_[attr] < num_rows_) return;
-  if (!ix.distinct_hybrid.empty()) return;  // already frozen
-  if (ChooseHybridRep(ix.keys.size(), ix.distinct.num_words())) {
-    ix.distinct_hybrid = HybridBitmap::FromSorted(ix.keys);
-    ix.distinct = DenseBitmap();
-  }
 }
 
 size_t StoredRelation::MemoryBytes() const {
@@ -383,12 +367,7 @@ void Instance::WarmForConcurrentReads() const {
   for (const auto& [name, idx] : store_index_) {
     const StoredRelation& rel = store_[idx];
     Relation(name);  // boxed tuple view (instance-dependent ExtFns read it)
-    for (size_t a = 0; a < rel.arity(); ++a) {
-      rel.Index(a);
-      // Read-only phase from here on: sparse distinct sets freeze to
-      // hybrid containers (thawed automatically if mutation resumes).
-      rel.FreezeIndex(a);
-    }
+    for (size_t a = 0; a < rel.arity(); ++a) rel.Index(a);
   }
 }
 

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "whynot/common/dense_bitmap.h"
-#include "whynot/common/hybrid_bitmap.h"
 #include "whynot/common/status.h"
 #include "whynot/common/value.h"
 #include "whynot/relational/schema.h"
@@ -42,24 +41,13 @@ class StoredRelation {
     std::vector<ValueId> keys;      // distinct ids, ascending
     std::vector<uint32_t> offsets;  // keys.size() + 1, CSR into rows
     std::vector<uint32_t> rows;     // row ids grouped by key
-    DenseBitmap distinct;           // bitmap over keys (mutation phase)
-    // Frozen sparse form of `distinct` (WarmForConcurrentReads applies the
-    // freeze rule; mutually exclusive with a populated `distinct`). Merging
-    // appended rows thaws back to the flat mirror first.
-    HybridBitmap distinct_hybrid;
-
-    /// Membership in the distinct-value set under either representation.
-    bool DistinctTest(ValueId id) const {
-      if (!distinct_hybrid.empty()) return distinct_hybrid.Test(id);
-      return distinct.Test(id);
-    }
+    DenseBitmap distinct;           // bitmap over keys
 
     /// Heap bytes resident in this index.
     size_t MemoryBytes() const {
       return keys.capacity() * sizeof(ValueId) +
              (offsets.capacity() + rows.capacity()) * sizeof(uint32_t) +
-             (distinct.MemoryBytes() - sizeof(DenseBitmap)) +
-             (distinct_hybrid.MemoryBytes() - sizeof(HybridBitmap));
+             (distinct.MemoryBytes() - sizeof(DenseBitmap));
     }
   };
 
@@ -118,10 +106,6 @@ class StoredRelation {
   void InvalidateIndexes() const;
   /// Merges rows [index_rows_[attr], num_rows_) into the built index.
   void MergeAppendedRows(size_t attr) const;
-  /// Applies the freeze rule to a fully built index: sparse distinct sets
-  /// convert to hybrid containers (read-only phase; Index() must have been
-  /// called first so the index is built and merged).
-  void FreezeIndex(size_t attr) const;
 
   bool RowEquals(uint32_t row, const std::vector<ValueId>& ids) const;
 

@@ -55,6 +55,55 @@ TEST_F(IncrementalTest, WithSelectionsOutputIsExplanationAndMge) {
   EXPECT_TRUE(mge);
 }
 
+// Caller-owned covers key rows by extension address, so the derived
+// entry points refuse them without the caller-owned stores those
+// extensions live in: per-call locals would free the extensions at return
+// and a later call would reuse the addresses.
+TEST_F(IncrementalTest, IncrementalSearchRejectsCoversWithoutStores) {
+  explain::LsAnswerCovers covers(instance_.get(), &wni_->answers);
+  ls::LubContext ctx(instance_.get());
+  ls::EvalCache cache(instance_.get());
+  ls::ConceptCache concepts(instance_.get());
+  EXPECT_EQ(explain::IncrementalSearch(*wni_, {}, &ctx, &cache, &covers,
+                                       nullptr)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(explain::IncrementalSearch(*wni_, {}, &ctx, nullptr, &covers,
+                                       &concepts)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_OK_AND_ASSIGN(LsExplanation want,
+                       explain::IncrementalSearch(*wni_, {}));
+  ASSERT_OK_AND_ASSIGN(LsExplanation got,
+                       explain::IncrementalSearch(*wni_, {}, &ctx, &cache,
+                                                  &covers, &concepts));
+  EXPECT_EQ(got, want);
+}
+
+TEST_F(IncrementalTest, CheckMgeDerivedRejectsCoversWithoutStores) {
+  ASSERT_OK_AND_ASSIGN(LsExplanation e, explain::IncrementalSearch(*wni_, {}));
+  explain::LsAnswerCovers covers(instance_.get(), &wni_->answers);
+  ls::LubContext ctx(instance_.get());
+  ls::EvalCache cache(instance_.get());
+  ls::ConceptCache concepts(instance_.get());
+  EXPECT_EQ(explain::CheckMgeDerived(*wni_, e, false, &ctx, &cache, &covers,
+                                     nullptr)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(explain::CheckMgeDerived(*wni_, e, false, &ctx, nullptr, &covers,
+                                     &concepts)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_OK_AND_ASSIGN(bool mge,
+                       explain::CheckMgeDerived(*wni_, e, false, &ctx, &cache,
+                                                &covers, &concepts));
+  EXPECT_TRUE(mge);
+}
+
 TEST_F(IncrementalTest, TrivialExplanationWhenAnswersBlockEverything) {
   // A why-not question whose missing tuple repeats an answer column-wise:
   // the nominal-pinned start must still be an explanation (Section 5.2).

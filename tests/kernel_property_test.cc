@@ -145,6 +145,45 @@ TEST(KernelPropertyTest, DensitySwitchBuildsBitmapOnlyWhenDense) {
   EXPECT_FALSE(sparse.Contains(7));
 }
 
+TEST(KernelPropertyTest, FreezeLeavesSparseSetsAsIdVectors) {
+  // The warm extension table freezes every set against the pool universe;
+  // a set too sparse for the density rule keeps its sorted id vector, and
+  // every operation still agrees with the reference over it.
+  Rng rng(0xF4EE2E);
+  const int32_t universe = 1 << 20;
+  // A frozen dense set (a mirror over the same universe) for mixed pairs.
+  std::vector<ValueId> dense_ids;
+  for (ValueId i = 0; i < universe; i += 4) dense_ids.push_back(i);
+  onto::ExtSet dense = onto::ExtSet::Finite(dense_ids);
+  dense.Freeze(universe);
+  ASSERT_TRUE(dense.has_bitmap());
+  for (int round = 0; round < 30; ++round) {
+    onto::ExtSet a = onto::ExtSet::Finite(RandomIds(&rng, universe, 6));
+    onto::ExtSet b = onto::ExtSet::Finite(RandomIds(&rng, universe, 6));
+    a.Freeze(universe);
+    b.Freeze(universe);
+    ASSERT_FALSE(a.has_bitmap());
+    ASSERT_FALSE(b.has_bitmap());
+    onto::ExtSet sub = a.Intersect(b);
+    sub.Freeze(universe);
+    for (ValueId id : a.ids()) EXPECT_TRUE(a.Contains(id));
+    for (int probe = 0; probe < 50; ++probe) {
+      ValueId id =
+          static_cast<ValueId>(rng.Below(static_cast<uint64_t>(universe)));
+      EXPECT_EQ(a.Contains(id), RefContains(a.ids(), id)) << "id=" << id;
+    }
+    EXPECT_EQ(a.SubsetOf(b), RefSubsetOf(a.ids(), b.ids()));
+    EXPECT_TRUE(sub.SubsetOf(a));
+    EXPECT_TRUE(sub.SubsetOf(b));
+    EXPECT_EQ(a.Intersect(b).ids(), RefIntersect(a.ids(), b.ids()));
+    // Both argument orders of the mixed pair agree too.
+    EXPECT_EQ(a.SubsetOf(dense), RefSubsetOf(a.ids(), dense.ids()));
+    EXPECT_FALSE(dense.SubsetOf(a));
+    EXPECT_EQ(a.Intersect(dense).ids(), RefIntersect(a.ids(), dense.ids()));
+    EXPECT_EQ(dense.Intersect(a).ids(), RefIntersect(dense.ids(), a.ids()));
+  }
+}
+
 // --- Warshall closure ------------------------------------------------------
 
 /// Per-bit reference Warshall over a vector<vector<bool>> adjacency.

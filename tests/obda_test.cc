@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "test_util.h"
 
 namespace whynot {
@@ -108,6 +110,43 @@ TEST_F(ObdaTest, InducedOntologyConsistentWithInstance) {
   obda::ObdaInducedOntology ontology(spec_.get());
   onto::BoundOntology bound(&ontology, instance_.get());
   EXPECT_OK(bound.CheckConsistent());
+}
+
+TEST_F(ObdaTest, SessionRewarmSeesWritesToTheSameInstance) {
+  // The induced ontology caches one saturation per instance; a write to
+  // that instance must not let a session's re-warm serve the old certain
+  // answers. Paris is not in the Figure 2 data, so only a fresh saturation
+  // puts it in ext(EU-City).
+  obda::ObdaInducedOntology ontology(spec_.get());
+  ASSERT_OK_AND_ASSIGN(
+      explain::ExplainSession session,
+      explain::ExplainSession::Bind(instance_.get(),
+                                    workload::ConnectedViaQuery(), &ontology));
+  ASSERT_OK(instance_->AddFact(
+      "Cities", {Value("Paris"), Value(2148000), Value("France"),
+                 Value("Europe")}));
+  ASSERT_OK(instance_->AddFact("Train-Connections",
+                               {Value("Paris"), Value("Amsterdam")}));
+  const Tuple missing = {Value("Paris"), Value("New York")};
+  ASSERT_OK_AND_ASSIGN(std::vector<explain::Explanation> got,
+                       session.ExhaustiveMges(missing));
+
+  onto::ConceptId eu = ontology.FindConcept(BasicConcept::Atomic("EU-City"));
+  onto::ConceptId na =
+      ontology.FindConcept(BasicConcept::Atomic("N.A.-City"));
+  ASSERT_GE(eu, 0);
+  ASSERT_GE(na, 0);
+  EXPECT_NE(std::find(got.begin(), got.end(), explain::Explanation{eu, na}),
+            got.end());
+
+  obda::ObdaInducedOntology fresh(spec_.get());
+  ASSERT_OK_AND_ASSIGN(
+      explain::ExplainSession fresh_session,
+      explain::ExplainSession::Bind(instance_.get(),
+                                    workload::ConnectedViaQuery(), &fresh));
+  ASSERT_OK_AND_ASSIGN(std::vector<explain::Explanation> want,
+                       fresh_session.ExhaustiveMges(missing));
+  EXPECT_EQ(got, want);
 }
 
 TEST_F(ObdaTest, RoleInclusionClosureInSaturation) {

@@ -215,6 +215,84 @@ TEST_P(ParallelDeterminismTest, CheckMgeAndWhyExternal) {
       "AllMostGeneralWhyExplanations");
 }
 
+std::string RenderIds(const std::vector<explain::Explanation>& es) {
+  std::string s;
+  for (const explain::Explanation& e : es) {
+    for (onto::ConceptId c : e) s += std::to_string(c) + ",";
+    s += ";";
+  }
+  return s;
+}
+
+std::string RenderLs(const std::vector<explain::LsExplanation>& es) {
+  std::string s;
+  for (const explain::LsExplanation& e : es) {
+    for (const ls::LsConcept& c : e) s += c.ToString() + "|";
+    s += ";";
+  }
+  return s;
+}
+
+TEST_P(ParallelDeterminismTest, SessionServedRequests) {
+  // One warm session over given answers (not a query) with an external
+  // ontology serves derived and external requests in turn: each result
+  // must equal the one-shot entry point's at the same thread count, and
+  // the whole sequence the 1-thread run's. The session path additionally
+  // runs WarmForConcurrentReads, the session-owned cover tables, and
+  // repeated requests over one warm state.
+  ExternalFixture f = MakeExternalFixture(GetParam() ^ 0x5e55ull);
+  ExpectSameAtAllThreadCounts<std::vector<std::string>>(
+      [&] {
+        std::vector<std::string> out;
+        auto session = explain::ExplainSession::BindWithAnswers(
+            f.instance.get(), f.wni.answers, f.ontology.get());
+        EXPECT_TRUE(session.ok());
+        if (!session.ok()) return out;
+        explain::ExplainSession& s = session.value();
+        onto::BoundOntology bound(f.ontology.get(), f.instance.get());
+
+        auto whynot = s.WhyNot(f.wni.missing);
+        auto want_whynot = explain::IncrementalSearch(f.wni, {});
+        EXPECT_TRUE(whynot.ok() && want_whynot.ok());
+        if (!whynot.ok() || !want_whynot.ok()) return out;
+        EXPECT_EQ(whynot.value(), want_whynot.value());
+        out.push_back(RenderLs({whynot.value()}));
+
+        explain::EnumerateStats stats, want_stats;
+        auto mges = s.EnumerateMges(f.wni.missing, &stats);
+        auto want_mges = explain::EnumerateAllMges(f.wni, {}, &want_stats);
+        EXPECT_TRUE(mges.ok() && want_mges.ok());
+        if (!mges.ok() || !want_mges.ok()) return out;
+        EXPECT_EQ(mges.value(), want_mges.value());
+        EXPECT_EQ(stats.nodes_expanded, want_stats.nodes_expanded);
+        out.push_back(RenderLs(mges.value()) + "#" +
+                      std::to_string(stats.nodes_expanded));
+
+        auto ext = s.ExhaustiveMges(f.wni.missing);
+        auto want_ext = explain::ExhaustiveSearchAllMge(&bound, f.wni);
+        EXPECT_TRUE(ext.ok() && want_ext.ok());
+        if (!ext.ok() || !want_ext.ok()) return out;
+        EXPECT_EQ(ext.value(), want_ext.value());
+        out.push_back(RenderIds(ext.value()));
+
+        auto greedy = s.GreedyCard(f.wni.missing);
+        auto want_greedy = explain::GreedyCardinalityClimb(&bound, f.wni);
+        EXPECT_TRUE(greedy.ok() && want_greedy.ok());
+        if (!greedy.ok() || !want_greedy.ok()) return out;
+        EXPECT_EQ(greedy.value().has_value(), want_greedy.value().has_value());
+        if (greedy.value().has_value() && want_greedy.value().has_value()) {
+          EXPECT_EQ(greedy.value()->explanation,
+                    want_greedy.value()->explanation);
+          out.push_back(greedy.value()->degree.ToString() + ":" +
+                        RenderIds({greedy.value()->explanation}));
+        } else {
+          out.push_back("none");
+        }
+        return out;
+      },
+      "session-served requests");
+}
+
 struct DerivedFixture {
   rel::Schema schema;
   std::unique_ptr<rel::Instance> instance;

@@ -180,13 +180,13 @@ TEST_F(WhyDerivedTest, NominalTupleIsAWhyExplanation) {
   explain::LsExplanation nominals = {
       ls::LsConcept::Nominal(Value("Amsterdam")),
       ls::LsConcept::Nominal(Value("Rome"))};
-  EXPECT_TRUE(explain::IsLsWhyExplanation(*wi_, nominals));
+  EXPECT_TRUE(explain::IsLsWhyExplanation(*wi_, nominals).value());
 }
 
 TEST_F(WhyDerivedTest, TopNeverQualifies) {
   explain::LsExplanation with_top = {ls::LsConcept::Top(),
                                      ls::LsConcept::Nominal(Value("Rome"))};
-  EXPECT_FALSE(explain::IsLsWhyExplanation(*wi_, with_top));
+  EXPECT_FALSE(explain::IsLsWhyExplanation(*wi_, with_top).value());
 }
 
 TEST_F(WhyDerivedTest, ProductOutsideAnswersRejected) {
@@ -195,14 +195,78 @@ TEST_F(WhyDerivedTest, ProductOutsideAnswersRejected) {
       ls::LsConcept::Projection("Cities", 0,
                                 {{3, rel::CmpOp::kEq, Value("Europe")}}),
       ls::LsConcept::Nominal(Value("Rome"))};
-  EXPECT_FALSE(explain::IsLsWhyExplanation(*wi_, e));
+  EXPECT_FALSE(explain::IsLsWhyExplanation(*wi_, e).value());
+}
+
+// Caller-owned covers key rows by extension address, so the why entry
+// points refuse them without the caller-owned stores those extensions
+// live in: per-call locals would free the extensions at return and a later
+// call would reuse the addresses.
+TEST_F(WhyDerivedTest, IsLsWhyExplanationRejectsCoversWithoutCache) {
+  explain::LsAnswerCovers covers(instance_.get(), &wi_->answers);
+  explain::LsExplanation nominals = {
+      ls::LsConcept::Nominal(Value("Amsterdam")),
+      ls::LsConcept::Nominal(Value("Rome"))};
+  Result<bool> r = explain::IsLsWhyExplanation(*wi_, nominals, nullptr,
+                                               &covers);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  ls::EvalCache cache(instance_.get());
+  ASSERT_OK_AND_ASSIGN(
+      bool inside, explain::IsLsWhyExplanation(*wi_, nominals, &cache, &covers));
+  EXPECT_TRUE(inside);
+}
+
+TEST_F(WhyDerivedTest, IncrementalWhySearchRejectsCoversWithoutStores) {
+  explain::LsAnswerCovers covers(instance_.get(), &wi_->answers);
+  ls::LubContext ctx(instance_.get());
+  ls::EvalCache cache(instance_.get());
+  ls::ConceptCache concepts(instance_.get());
+  EXPECT_EQ(explain::IncrementalWhySearch(*wi_, false, &ctx, &cache, &covers,
+                                          nullptr)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(explain::IncrementalWhySearch(*wi_, false, &ctx, nullptr, &covers,
+                                          &concepts)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_OK_AND_ASSIGN(explain::LsExplanation want,
+                       explain::IncrementalWhySearch(*wi_, false));
+  ASSERT_OK_AND_ASSIGN(explain::LsExplanation got,
+                       explain::IncrementalWhySearch(*wi_, false, &ctx, &cache,
+                                                     &covers, &concepts));
+  EXPECT_EQ(got, want);
+}
+
+TEST_F(WhyDerivedTest, CheckWhyMgeDerivedRejectsCoversWithoutStores) {
+  ASSERT_OK_AND_ASSIGN(explain::LsExplanation e,
+                       explain::IncrementalWhySearch(*wi_, false));
+  explain::LsAnswerCovers covers(instance_.get(), &wi_->answers);
+  ls::LubContext ctx(instance_.get());
+  ls::EvalCache cache(instance_.get());
+  ls::ConceptCache concepts(instance_.get());
+  EXPECT_EQ(explain::CheckWhyMgeDerived(*wi_, e, false, &ctx, &cache, &covers,
+                                        nullptr)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(explain::CheckWhyMgeDerived(*wi_, e, false, &ctx, nullptr,
+                                        &covers, &concepts)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_OK_AND_ASSIGN(bool mge,
+                       explain::CheckWhyMgeDerived(*wi_, e, false, &ctx, &cache,
+                                                   &covers, &concepts));
+  EXPECT_TRUE(mge);
 }
 
 TEST_F(WhyDerivedTest, IncrementalWhySearchOutputIsWhyExplanationAndMge) {
   for (bool with_selections : {false, true}) {
     ASSERT_OK_AND_ASSIGN(explain::LsExplanation e,
                          explain::IncrementalWhySearch(*wi_, with_selections));
-    EXPECT_TRUE(explain::IsLsWhyExplanation(*wi_, e));
+    EXPECT_TRUE(explain::IsLsWhyExplanation(*wi_, e).value());
     ls::LubContext ctx(instance_.get());
     ASSERT_OK_AND_ASSIGN(
         bool mge, explain::CheckWhyMgeDerived(*wi_, e, with_selections, &ctx));

@@ -31,10 +31,11 @@ went dark (e.g. a search stopped threading the session cache through) even
 if timings look plausible.
 
 Since PR 7 the memory column: entries exporting a memory_bytes counter
-(bench_memory's container sweep and warm-session residency scenarios)
-print their residency against the dense_memory_bytes counterfactual —
-the force-dense byte count the hybrid containers replaced — and are
-gated against the parent tree: when the baseline JSON carries the same
+(bench_memory's warm-session residency scenarios) print their residency
+and are gated against the parent tree. BENCH files from PR 7 to PR 10
+also carry dense_memory_bytes / adaptive_* counters, the force-dense
+counterfactual of the since-removed hybrid set containers; they are
+printed when present. When the baseline JSON carries the same
 entry, current memory_bytes above --memory-ceiling (default 1.10x) times
 the parent's fails, so a time win can never quietly buy back the memory.
 Per-binary peak RSS (context.peak_rss_bytes) is reported alongside.
