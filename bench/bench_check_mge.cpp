@@ -28,7 +28,7 @@ void BM_CheckMge_External(benchmark::State& state) {
     state.SkipWithError("wni");
     return;
   }
-  auto mges = wn::explain::ExhaustiveSearchAllMge(&bound, wni.value());
+  auto mges = wn::explain::PrunedSearchAllMge(&bound, wni.value());
   if (!mges.ok() || mges->empty()) {
     state.SkipWithError("no MGE");
     return;

@@ -4,12 +4,6 @@
 // measures the exclusion-branching enumerator: total time, number of MGEs,
 // branch-tree nodes per reported MGE, and the maximum node gap between
 // consecutive outputs (`max_delay` — the empirical delay).
-//
-// It also runs the duplicate-pruning heuristic as an ablation: pruning
-// duplicate-output nodes collapses the node count by orders of magnitude
-// but *loses MGEs on real inputs* (`mges_missed` > 0 on several seeds),
-// demonstrating why the completeness guarantee needs the full tree — and
-// why the paper's open problem is open.
 
 #include <benchmark/benchmark.h>
 
@@ -92,44 +86,6 @@ void BM_Enumerate_InstanceSizeSweep(benchmark::State& state) {
   state.counters["max_delay"] = static_cast<double>(stats.max_delay);
 }
 BENCHMARK(BM_Enumerate_InstanceSizeSweep)->RangeMultiplier(2)->Range(5, 40);
-
-// Ablation: completeness guarantee (expand duplicate-output nodes) vs. the
-// duplicate-pruning heuristic. arg0 = seed; reports the MGEs the heuristic
-// misses on the same input.
-void BM_Enumerate_DuplicatePruningAblation(benchmark::State& state) {
-  auto f = MakeRandomFixture(/*rows=*/10, /*domain=*/8,
-                             static_cast<uint64_t>(state.range(0)));
-  if (f == nullptr) {
-    state.SkipWithError("fixture");
-    return;
-  }
-  wn::explain::EnumerateOptions heuristic;
-  heuristic.expand_duplicate_nodes = false;
-  wn::explain::EnumerateStats full_stats;
-  wn::explain::EnumerateStats heur_stats;
-  size_t full_count = 0;
-  size_t heur_count = 0;
-  for (auto _ : state) {
-    auto full = wn::explain::EnumerateAllMges(f->wni, {}, &full_stats);
-    auto heur =
-        wn::explain::EnumerateAllMges(f->wni, heuristic, &heur_stats);
-    if (!full.ok() || !heur.ok()) {
-      state.SkipWithError("enumeration failed");
-      return;
-    }
-    full_count = full.value().size();
-    heur_count = heur.value().size();
-    benchmark::DoNotOptimize(full);
-    benchmark::DoNotOptimize(heur);
-  }
-  state.counters["mges"] = static_cast<double>(full_count);
-  state.counters["mges_missed"] =
-      static_cast<double>(full_count - heur_count);
-  state.counters["nodes_full"] = static_cast<double>(full_stats.nodes_expanded);
-  state.counters["nodes_heuristic"] =
-      static_cast<double>(heur_stats.nodes_expanded);
-}
-BENCHMARK(BM_Enumerate_DuplicatePruningAblation)->DenseRange(1, 5, 1);
 
 // The Figures 1-2 travel world (Examples 3.4/4.9 input).
 void BM_Enumerate_CitiesWorld(benchmark::State& state) {

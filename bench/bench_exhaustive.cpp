@@ -1,10 +1,8 @@
 // Experiment E15 (DESIGN.md): Theorem 5.2 — EXHAUSTIVE SEARCH (Algorithm 1)
-// runs in PTIME for fixed query arity and EXPTIME in general, plus the
-// naive-vs-pruned antichain-maintenance ablation.
+// runs in PTIME for fixed query arity and EXPTIME in general.
 //
 // Expected shape: near-linear growth in the ontology size at arity 2;
-// multiplicative blowup as the arity grows at fixed ontology size; the
-// pruned variant dominates the naive one as the explanation count rises.
+// multiplicative blowup as the arity grows at fixed ontology size.
 
 #include <benchmark/benchmark.h>
 
@@ -53,7 +51,7 @@ void BM_Exhaustive_OntologySizeFixedArity(benchmark::State& state) {
     return;
   }
   for (auto _ : state) {
-    auto r = wn::explain::ExhaustiveSearchAllMge(f->bound.get(), f->wni);
+    auto r = wn::explain::PrunedSearchAllMge(f->bound.get(), f->wni);
     if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
     benchmark::DoNotOptimize(r);
   }
@@ -73,7 +71,7 @@ void BM_Exhaustive_AritySweep(benchmark::State& state) {
   options.max_candidates = 200000000;
   for (auto _ : state) {
     auto r =
-        wn::explain::ExhaustiveSearchAllMge(f->bound.get(), f->wni, options);
+        wn::explain::PrunedSearchAllMge(f->bound.get(), f->wni, options);
     if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
     benchmark::DoNotOptimize(r);
   }
@@ -187,23 +185,5 @@ void BM_Exhaustive_DeepLattice(benchmark::State& state) {
   state.counters["mges"] = static_cast<double>(found);
 }
 BENCHMARK(BM_Exhaustive_DeepLattice)->Arg(12)->Arg(25);
-
-void BM_Exhaustive_PrunedAblation(benchmark::State& state) {
-  auto f = MakeFixture(8, 2);
-  if (f == nullptr) {
-    state.SkipWithError("fixture");
-    return;
-  }
-  bool pruned = state.range(0) == 1;
-  for (auto _ : state) {
-    auto r = pruned
-                 ? wn::explain::PrunedSearchAllMge(f->bound.get(), f->wni)
-                 : wn::explain::ExhaustiveSearchAllMge(f->bound.get(), f->wni);
-    if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
-    benchmark::DoNotOptimize(r);
-  }
-  state.SetLabel(pruned ? "pruned" : "naive");
-}
-BENCHMARK(BM_Exhaustive_PrunedAblation)->Arg(0)->Arg(1);
 
 }  // namespace

@@ -96,7 +96,7 @@ void BM_Obda_InducedOntologyEndToEnd(benchmark::State& state) {
   for (auto _ : state) {
     wn::obda::ObdaInducedOntology ontology(&spec);
     wn::onto::BoundOntology bound(&ontology, &instance.value());
-    auto mges = wn::explain::ExhaustiveSearchAllMge(&bound, wni.value());
+    auto mges = wn::explain::PrunedSearchAllMge(&bound, wni.value());
     if (!mges.ok()) state.SkipWithError("search");
     benchmark::DoNotOptimize(mges);
   }

@@ -1,5 +1,6 @@
 // PR 4: the parallel execution layer's warm-up benches. Measures the
-// sharded BoundOntology extension warm-up, the pairwise consistency check,
+// BoundOntology extension warm-up (serial at every thread count, so its
+// pooled and 1-thread rows should agree), the pairwise consistency check,
 // the row-parallel blocked Warshall closure, and the materialize
 // extension-class dedup — the "embarrassingly parallel" costs outside the
 // candidate searches. Thread count comes from WHYNOT_THREADS (the runner

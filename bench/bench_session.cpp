@@ -72,7 +72,7 @@ void BM_ColdOneShot_ExhaustiveMges(benchmark::State& state) {
     }
     wn::onto::BoundOntology bound(f->scenario.ontology.get(),
                                   f->scenario.instance.get());
-    auto mges = wn::explain::ExhaustiveSearchAllMge(&bound, wni.value());
+    auto mges = wn::explain::PrunedSearchAllMge(&bound, wni.value());
     if (!mges.ok()) {
       state.SkipWithError(mges.status().ToString().c_str());
       return;

@@ -58,7 +58,7 @@ int main() {
   }
 
   wn::Result<std::vector<wn::explain::Explanation>> mges =
-      wn::explain::ExhaustiveSearchAllMge(&bound, wni.value());
+      wn::explain::PrunedSearchAllMge(&bound, wni.value());
   if (!mges.ok()) {
     std::fprintf(stderr, "%s\n", mges.status().ToString().c_str());
     return 1;

@@ -107,6 +107,10 @@ const char* QualityName(Quality quality);
 /// probes actually evaluated, `remaining` the known still-queued work at
 /// the stop point (0 when unknown or complete), `best_so_far` a
 /// search-specific scalar (explanations kept, best degree, nodes output).
+/// The candidate-product searches (explain::ProductSearch) count
+/// `remaining` as the untested rest of the raw product, saturated at
+/// SIZE_MAX when the product overflows a word — on the odometer and the
+/// frontier alike.
 struct Progress {
   size_t tested = 0;
   size_t remaining = 0;

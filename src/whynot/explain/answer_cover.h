@@ -100,8 +100,8 @@ class ConceptAnswerCovers {
   /// The shared m-way word-AND kernels: `cover_at(i)` yields position i's
   /// cover (all covers num_words() long). Any: early-exits on the first
   /// surviving word; Count: popcount of the full AND. Used by the product
-  /// checks here and by the enumeration odometers in exhaustive.cc /
-  /// cardinality.cc so the kernel exists exactly once.
+  /// checks here and by the candidate-product searches (CoverTable in
+  /// search_core.h) so the kernel exists exactly once.
   template <typename CoverAt>
   static bool ProductAny(size_t m, size_t nwords, CoverAt cover_at) {
     for (size_t w = 0; w < nwords; ++w) {

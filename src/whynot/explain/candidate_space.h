@@ -30,15 +30,17 @@ class CandidateSpace {
       const std::vector<std::vector<onto::ConceptId>>& lists)
       : lists_(&lists) {
     total_ = lists.empty() ? 0 : 1;
+    // An empty list empties the space even after the running product has
+    // overflowed, so every list is looked at.
     for (const auto& list : lists) {
       if (list.empty()) {
         total_ = 0;
         overflow_ = false;
         return;
       }
-      if (__builtin_mul_overflow(total_, list.size(), &total_)) {
+      if (!overflow_ &&
+          __builtin_mul_overflow(total_, list.size(), &total_)) {
         overflow_ = true;
-        return;
       }
     }
   }

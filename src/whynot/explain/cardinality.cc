@@ -28,63 +28,21 @@ Result<std::optional<CardinalityResult>> ExactCardMaximal(
     LatticeHandle* lattice) {
   // Enumerate the full candidate product (as in Algorithm 1 line 2) and
   // keep the highest-degree explanation.
-  std::vector<std::vector<onto::ConceptId>> lists(wni.arity());
-  for (size_t i = 0; i < wni.arity(); ++i) {
-    ValueId id = bound->pool().Intern(wni.missing[i]);
-    lists[i] = bound->ConceptsContaining(id);
-    if (lists[i].empty()) {
-      exec::FillCertificate(options.cert, exec::Stop{}, exec::Progress{}, 0);
-      return std::optional<CardinalityResult>();
-    }
-  }
-  std::optional<ConceptAnswerCovers> local;
-  if (covers == nullptr) {
-    local.emplace(bound, InternAnswers(bound, wni));
-    covers = &*local;
-  }
-  size_t m = wni.arity();
-  CandidateSpace space(lists);
-
+  std::vector<std::vector<onto::ConceptId>> lists =
+      CandidateLists(bound, wni.missing);
   // The degree objective is ≼-monotone only when every candidate
   // extension is finite: the degree order compares finite parts even
   // between two infinite degrees, so with an All component a *less*
   // general tuple can rank strictly higher. Any All candidate therefore
   // pins the search to the odometer — the frontier would stop at maximal
   // passing products and could miss the degree winner below them.
-  bool any_all = false;
+  ExhaustiveOptions opts = options;
   for (const auto& list : lists) {
     for (onto::ConceptId c : list) {
-      if (bound->Ext(c).is_all()) {
-        any_all = true;
-        break;
-      }
+      if (bound->Ext(c).is_all()) opts.strategy = SearchStrategy::kOdometer;
     }
-    if (any_all) break;
   }
-  std::unique_ptr<LatticeHandle> local_lattice;
-  LatticeChoice choice =
-      any_all ? LatticeChoice{}
-              : ChooseStrategy(options.strategy, space, options.max_candidates,
-                               bound, lattice, &local_lattice);
-  if (!choice.use_lattice && options.cert == nullptr &&
-      (space.overflow() || space.total() > options.max_candidates)) {
-    return Status::ResourceExhausted(
-        "exact >card-maximal enumeration exceeded max_candidates "
-        "(Proposition 6.4: no PTIME algorithm exists unless P=NP)");
-  }
-  // Pre-resolved cover table: the avoidance ANDs — the dominant cost —
-  // shard through the shared candidate filter, while the degree front
-  // replays serially over the survivors in the serial odometer's order.
-  // On spaces large enough to amortize the setup, degrees come from the
-  // table's resolved sizes (a handful of adds per survivor, even when
-  // nothing is filtered); tiny spaces keep the direct DegreeOf, whose
-  // two warm extension loads per survivor undercut the table build. The
-  // frontier path always resolves sizes: its hooks need degrees with no
-  // side effects on the consume scratch.
-  CoverTable table(covers, lists);
-  const bool table_degree = choice.use_lattice || space.total() >= 4096;
-  if (table_degree) table.ResolveSizes(bound, lists);
-
+  ProductSearch search(lists, opts, bound, lattice);
   // The running winners: every maximum-degree explanation seen so far
   // that no other maximum-degree explanation strictly dominates, in
   // arrival order. The front (rather than a first-wins ratchet) is what
@@ -93,92 +51,87 @@ Result<std::optional<CardinalityResult>> ExactCardMaximal(
   // earliest *undominated* witness — which, degree being monotone here,
   // is exactly the earliest maximal one the odometer also keeps.
   std::vector<CardinalityResult> front;
-  Explanation current(m);
-  auto degree_at = [&](const std::vector<size_t>& idx) {
-    Degree d;
-    if (table_degree) {
-      table.DegreeAt(idx, &d.infinite, &d.finite);
-    } else {
-      for (size_t i = 0; i < m; ++i) current[i] = lists[i][idx[i]];
-      d = DegreeOf(bound, current);
+  if (!search.empty()) {
+    std::optional<ConceptAnswerCovers> local;
+    if (covers == nullptr) {
+      local.emplace(bound, InternAnswers(bound, wni));
+      covers = &*local;
     }
-    return d;
-  };
-  auto pred = [&](const std::vector<size_t>& idx) {
-    return !table.ProductAnyAt(idx);
-  };
-  auto consume = [&](const std::vector<size_t>& idx) {
-    Degree d = degree_at(idx);
-    if (!front.empty() && front.front().degree > d) return true;
-    for (size_t i = 0; i < m; ++i) current[i] = lists[i][idx[i]];
-    if (front.empty() || d > front.front().degree) {
-      front.clear();
-      front.push_back(CardinalityResult{current, d});
-      return true;
-    }
-    // Degree tie: keep only witnesses no tying explanation strictly
-    // dominates, earliest first.
-    for (const CardinalityResult& k : front) {
-      if (StrictlyLessGeneral(*bound, current, k.explanation)) return true;
-    }
-    front.erase(
-        std::remove_if(front.begin(), front.end(),
-                       [&](const CardinalityResult& k) {
-                         return StrictlyLessGeneral(*bound, k.explanation,
-                                                    current);
-                       }),
-        front.end());
-    front.push_back(CardinalityResult{current, d});
-    return true;
-  };
-
-  const bool certified = options.cert != nullptr;
-  exec::Stop stop;
-  exec::Progress progress;
-  exec::Stop* stop_p = certified ? &stop : nullptr;
-  if (choice.use_lattice) {
-    // Branch and bound on the degree: on_pass tracks the best degree over
-    // *passing* products as the wave merge reaches them; a failing
+    size_t m = wni.arity();
+    // Pre-resolved cover table: the avoidance ANDs — the dominant cost —
+    // shard through the shared candidate filter, while the degree front
+    // replays serially over the survivors in the serial odometer's order.
+    // On spaces large enough to amortize the setup, degrees come from the
+    // table's resolved sizes (a handful of adds per survivor, even when
+    // nothing is filtered); tiny spaces keep the direct DegreeOf, whose
+    // two warm extension loads per survivor undercut the table build. The
+    // frontier path always resolves sizes: its hooks need degrees with no
+    // side effects on the consume scratch.
+    CoverTable table(covers, lists);
+    const bool table_degree = search.frontier() ||
+                              search.space().overflow() ||
+                              search.space().total() >= 4096;
+    if (table_degree) table.ResolveSizes(bound, lists);
+    Explanation current(m);
+    auto degree_at = [&](const std::vector<size_t>& idx) {
+      Degree d;
+      if (table_degree) {
+        table.DegreeAt(idx, &d.infinite, &d.finite);
+      } else {
+        for (size_t i = 0; i < m; ++i) current[i] = lists[i][idx[i]];
+        d = DegreeOf(bound, current);
+      }
+      return d;
+    };
+    // Branch and bound on the frontier: on_pass tracks the best degree
+    // over *passing* products as the wave merge reaches them; a failing
     // product strictly beaten by that bound cannot hold a tying witness
     // anywhere in its downset (degrees only shrink along ≼), so its
     // expansion is cut. Ties must expand — a downset member can still
     // join the front.
     std::optional<Degree> best_degree;
-    LatticeFrontierHooks hooks;
-    hooks.pred = pred;
-    hooks.consume = consume;
-    hooks.on_pass = [&](const std::vector<size_t>& idx) {
-      Degree d = degree_at(idx);
-      if (!best_degree.has_value() || d > *best_degree) best_degree = d;
-    };
-    hooks.expand = [&](const std::vector<size_t>& idx) {
-      return !best_degree.has_value() || !(*best_degree > degree_at(idx));
-    };
-    PruneStats local_ps;
-    PruneStats* ps = certified ? &local_ps : options.prune_stats;
-    WHYNOT_RETURN_IF_ERROR(LatticeFilterSpace(space, *choice.lattice, lists,
-                                              options.max_candidates, hooks,
-                                              ps, options.exec, stop_p));
-    if (certified) {
-      progress.tested = local_ps.products_enumerated;
-      progress.remaining = local_ps.products_skipped;
-      if (options.prune_stats != nullptr) {
-        AccumulatePruneStats(options.prune_stats, local_ps);
-      }
-    }
-  } else {
-    WHYNOT_RETURN_IF_ERROR(ParallelFilterSpace(
-        space, options.exec, stop_p,
-        certified ? options.max_candidates : SIZE_MAX, pred, consume));
-    if (certified) {
-      size_t total = space.overflow() ? SIZE_MAX : space.total();
-      progress.tested =
-          stop.reason != exec::StopReason::kNone ? stop.at : total;
-      progress.remaining = total - progress.tested;
-    }
+    WHYNOT_RETURN_IF_ERROR(search.Run(
+        "exact >card-maximal enumeration exceeded max_candidates "
+        "(Proposition 6.4: no PTIME algorithm exists unless P=NP)",
+        [&](const std::vector<size_t>& idx) {
+          return !table.ProductAnyAt(idx);
+        },
+        [&](const std::vector<size_t>& idx) {
+          Degree d = degree_at(idx);
+          if (!front.empty() && front.front().degree > d) return true;
+          for (size_t i = 0; i < m; ++i) current[i] = lists[i][idx[i]];
+          if (front.empty() || d > front.front().degree) {
+            front.clear();
+            front.push_back(CardinalityResult{current, d});
+            return true;
+          }
+          // Degree tie: keep only witnesses no tying explanation strictly
+          // dominates, earliest first.
+          for (const CardinalityResult& k : front) {
+            if (StrictlyLessGeneral(*bound, current, k.explanation)) {
+              return true;
+            }
+          }
+          front.erase(
+              std::remove_if(front.begin(), front.end(),
+                             [&](const CardinalityResult& k) {
+                               return StrictlyLessGeneral(
+                                   *bound, k.explanation, current);
+                             }),
+              front.end());
+          front.push_back(CardinalityResult{current, d});
+          return true;
+        },
+        NoSerialSkip{},
+        [&](const std::vector<size_t>& idx) {
+          Degree d = degree_at(idx);
+          if (!best_degree.has_value() || d > *best_degree) best_degree = d;
+        },
+        [&](const std::vector<size_t>& idx) {
+          return !best_degree.has_value() || !(*best_degree > degree_at(idx));
+        }));
   }
-  exec::FillCertificate(options.cert, stop, progress,
-                        front.empty() ? 0 : front.front().degree.finite);
+  search.Certify(front.empty() ? 0 : front.front().degree.finite);
   if (front.empty()) return std::optional<CardinalityResult>();
   return std::optional<CardinalityResult>(std::move(front.front()));
 }
@@ -224,11 +177,8 @@ Result<std::optional<CardinalityResult>> GreedyCardinalityClimb(
 
   // Per-position candidate lists are loop-invariant; hoist them out of
   // the climb.
-  std::vector<std::vector<onto::ConceptId>> candidates(wni.arity());
-  for (size_t i = 0; i < wni.arity(); ++i) {
-    candidates[i] =
-        bound->ConceptsContaining(bound->pool().Intern(wni.missing[i]));
-  }
+  std::vector<std::vector<onto::ConceptId>> candidates =
+      CandidateLists(bound, wni.missing);
 
   Explanation current = seed;
   Degree degree = DegreeOf(bound, current);

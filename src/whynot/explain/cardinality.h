@@ -44,7 +44,7 @@ struct CardinalityResult {
 /// when non-null, must be the answer-cover table of
 /// (bound, InternAnswers(bound, wni)) (a prepared ExplainSession's warm
 /// table); results are identical. `lattice` follows the
-/// ExhaustiveSearchAllMge contract; the frontier path additionally
+/// PrunedSearchAllMge contract; the frontier path additionally
 /// branch-and-bounds on the degree (a failing product strictly beaten by
 /// the best passing degree prunes its whole downset). Candidate lists
 /// containing an All-extension concept pin the search to the odometer:

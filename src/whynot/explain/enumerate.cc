@@ -344,7 +344,6 @@ class Enumerator {
 
       WHYNOT_ASSIGN_OR_RETURN(bool maximal,
                               evaluator.MaximalUnconstrained(excluded, state));
-      bool fresh_output = false;
       if (maximal) {
         std::vector<ExtKey> ext_key;
         ext_key.reserve(state.exts.size());
@@ -352,7 +351,6 @@ class Enumerator {
           ext_key.emplace_back(ext->all, ext->ids(), ext->extras());
         }
         if (seen_outputs.insert(std::move(ext_key)).second) {
-          fresh_output = true;
           stats_->max_delay =
               std::max(stats_->max_delay, nodes_since_last_output);
           nodes_since_last_output = 0;
@@ -369,7 +367,6 @@ class Enumerator {
           ++stats_->duplicate_outputs;
         }
       }
-      if (!fresh_output && !options_.expand_duplicate_nodes) continue;
 
       for (const GroundElement& e : state.decisions) {
         ExclusionSet child = excluded;
@@ -517,10 +514,8 @@ class Enumerator {
         ++nodes_since_last_output;
         NodeResult& nr = evaluated[i];
         if (!nr.status.ok()) return nr.status;
-        bool fresh_output = false;
         if (nr.maximal) {
           if (seen_outputs.insert(std::move(nr.ext_key)).second) {
-            fresh_output = true;
             stats_->max_delay =
                 std::max(stats_->max_delay, nodes_since_last_output);
             nodes_since_last_output = 0;
@@ -537,7 +532,6 @@ class Enumerator {
             ++stats_->duplicate_outputs;
           }
         }
-        if (!fresh_output && !options_.expand_duplicate_nodes) continue;
         for (const GroundElement& e : nr.decisions) {
           ExclusionSet child = frontier[i];
           child.insert(e);

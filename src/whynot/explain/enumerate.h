@@ -31,15 +31,6 @@ struct EnumerateOptions {
   /// paper leaves that question open).
   size_t max_nodes = 1000000;
 
-  /// true (default): expand children of every node, including nodes whose
-  /// greedy output duplicates an already-reported MGE — required for the
-  /// completeness guarantee (a duplicate node's exclusion set can still be
-  /// the only gateway to an unreported MGE). false: stop at duplicate
-  /// outputs — a heuristic that explores far fewer nodes; every output is
-  /// still a verified MGE, but rare MGEs may be missed. The benchmark
-  /// bench_enumerate measures the gap.
-  bool expand_duplicate_nodes = true;
-
   ls::LubOptions lub;
 
   /// Optional execution control, observed once per branch-tree node at the

@@ -43,8 +43,12 @@ struct ExhaustiveOptions {
 /// explanations for the why-not instance w.r.t. the bound finite ontology.
 /// Runs in EXPTIME in general and PTIME for fixed query arity
 /// (Theorem 5.2). The result is an antichain under ≤_O containing, modulo
-/// equivalence, every most-general explanation; explanations are returned
-/// in lexicographic concept-id order.
+/// equivalence, every most-general explanation — the first of each class
+/// in the serial odometer's order; explanations are returned in
+/// lexicographic concept-id order. Lines 3-5 of Algorithm 1 (drop every
+/// explanation strictly below another) run incrementally: the maximal
+/// antichain is maintained while enumerating, and candidates already
+/// dominated are skipped.
 ///
 /// `covers`, when non-null, must be the answer-cover table of
 /// (bound, InternAnswers(bound, wni)); a prepared ExplainSession passes
@@ -54,16 +58,6 @@ struct ExhaustiveOptions {
 /// (possibly still unbuilt) LatticeHandle over the same binding, consulted
 /// only when the strategy resolves to the frontier path; results are
 /// identical to a locally built lattice.
-Result<std::vector<Explanation>> ExhaustiveSearchAllMge(
-    onto::BoundOntology* bound, const WhyNotInstance& wni,
-    const ExhaustiveOptions& options = {},
-    ConceptAnswerCovers* covers = nullptr, LatticeHandle* lattice = nullptr);
-
-/// Optimized variant of Algorithm 1 used as an ablation baseline: maintains
-/// the maximal antichain incrementally while enumerating (instead of
-/// generating all explanations first and filtering pairwise afterwards) and
-/// skips candidates already dominated. Produces exactly the same set as
-/// ExhaustiveSearchAllMge. Same `covers` and `lattice` contracts as above.
 Result<std::vector<Explanation>> PrunedSearchAllMge(
     onto::BoundOntology* bound, const WhyNotInstance& wni,
     const ExhaustiveOptions& options = {},

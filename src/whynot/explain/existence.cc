@@ -30,11 +30,7 @@ class Search {
       covers_ = &*local_covers_;
     }
     m_ = wni.arity();
-    candidates_.resize(m_);
-    for (size_t i = 0; i < m_; ++i) {
-      ValueId id = bound->pool().Intern(wni.missing[i]);
-      candidates_[i] = bound->ConceptsContaining(id);
-    }
+    candidates_ = CandidateLists(bound, wni.missing);
     if (options.strategy == SearchStrategy::kLattice) {
       // Keep only ≼-minimal candidates per position: a minimal concept's
       // cover narrows the alive set at least as much as anything above

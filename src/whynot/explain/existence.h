@@ -42,7 +42,7 @@ struct ExistenceOptions {
 /// `covers`, when non-null, must be the answer-cover table of
 /// (bound, InternAnswers(bound, wni)) (a prepared ExplainSession's warm
 /// table); the traversal, witness, and node counts are identical.
-/// `lattice` follows the ExhaustiveSearchAllMge contract and is consulted
+/// `lattice` follows the PrunedSearchAllMge contract and is consulted
 /// only under ExistenceOptions::strategy == kLattice.
 Result<bool> ExistsExplanation(onto::BoundOntology* bound,
                                const WhyNotInstance& wni,

@@ -20,7 +20,7 @@ Result<std::vector<LsExplanation>> ComputeAllMgeDerived(
   onto::BoundOntology bound(ontology.get(), wni.instance);
   WHYNOT_ASSIGN_OR_RETURN(
       std::vector<Explanation> mges,
-      ExhaustiveSearchAllMge(&bound, wni, options.exhaustive));
+      PrunedSearchAllMge(&bound, wni, options.exhaustive));
   std::vector<LsExplanation> out;
   out.reserve(mges.size());
   for (const Explanation& e : mges) {

@@ -280,18 +280,38 @@ Status LatticeFilterSpace(
 
   ps.products_skipped =
       space.overflow() ? SIZE_MAX : space.total() - ps.products_enumerated;
-  if (stats != nullptr) {
-    stats->products_enumerated += ps.products_enumerated;
-    stats->downset_hits += ps.downset_hits;
-    stats->waves += ps.waves;
-    stats->products_skipped =
-        ps.products_skipped == SIZE_MAX ||
-                SIZE_MAX - stats->products_skipped < ps.products_skipped
-            ? SIZE_MAX
-            : stats->products_skipped + ps.products_skipped;
-  }
+  if (stats != nullptr) AccumulatePruneStats(stats, ps);
   if (halted.has_value()) *stop = *halted;  // non-null by construction
   return Status::OK();
+}
+
+std::vector<std::vector<onto::ConceptId>> CandidateLists(
+    onto::BoundOntology* bound, const Tuple& values) {
+  std::vector<std::vector<onto::ConceptId>> lists(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    lists[i] = bound->ConceptsContaining(bound->pool().Intern(values[i]));
+    if (lists[i].empty()) break;
+  }
+  return lists;
+}
+
+bool DominatedByAny(const onto::BoundOntology& bound, const Explanation& e,
+                    const std::vector<Explanation>& antichain) {
+  for (const Explanation& kept : antichain) {
+    if (LessGeneral(bound, e, kept)) return true;
+  }
+  return false;
+}
+
+void KeepMaximal(const onto::BoundOntology& bound, const Explanation& e,
+                 std::vector<Explanation>* antichain) {
+  if (DominatedByAny(bound, e, *antichain)) return;
+  antichain->erase(std::remove_if(antichain->begin(), antichain->end(),
+                                  [&](const Explanation& kept) {
+                                    return StrictlyLessGeneral(bound, kept, e);
+                                  }),
+                   antichain->end());
+  antichain->push_back(e);
 }
 
 CoverTable::CoverTable(ConceptAnswerCovers* covers,

@@ -18,19 +18,22 @@
 #include "whynot/common/status.h"
 #include "whynot/explain/answer_cover.h"
 #include "whynot/explain/candidate_space.h"
+#include "whynot/explain/exhaustive.h"
 #include "whynot/explain/lattice.h"
 #include "whynot/ontology/ontology.h"
 
 namespace whynot::explain {
 
 /// The shared search core of every explain entry point. Each of the
-/// paper's algorithms bottoms out in the same four pieces of scaffolding,
-/// which used to be hand-written per file (PR 4) and live exactly once
-/// here:
+/// paper's algorithms bottoms out in the same pieces of scaffolding, which
+/// live exactly once here:
 ///
+///  * ProductSearch — the one driver of the candidate-product searches
+///    (Algorithm 1, exact cardinality, the why antichain): strategy,
+///    budget, stats and certificate around the two walks below;
 ///  * ParallelFilterSpace — the chunked candidate-product shard with
-///    range-ordered survivor replay (exhaustive / pruned enumeration,
-///    exact cardinality, the why antichain);
+///    range-ordered survivor replay (the odometer walk);
+///  * LatticeFilterSpace — the dominance-pruned frontier walk;
 ///  * LexMinSweep — the per-worker first-outcome sweep of the derived MGE
 ///    checks (CheckMgeDerived / CheckWhyMgeDerived);
 ///  * CoverTable — pre-resolved cover pointers aligned with per-position
@@ -67,7 +70,7 @@ inline constexpr size_t kFilterGrain = 1024;
 /// so enumeration stays exact at any width; callers that budget by
 /// total() must check overflow() themselves before calling.
 ///
-/// `serial_skip` (optional overload) is a *stateful* pre-filter applied
+/// `serial_skip` (NoSerialSkip for none) is a *stateful* pre-filter applied
 /// before `pred` on the serial path only: return true to skip a
 /// candidate without paying for `pred`. It may read state that `consume`
 /// mutates (the why antichain's domination check), which is exactly why
@@ -208,32 +211,17 @@ Status ParallelFilterSpace(const CandidateSpace& space,
   return Status::OK();
 }
 
-template <typename Pred, typename Consume>
-Status ParallelFilterSpace(const CandidateSpace& space,
-                           const exec::ExecContext* exec, exec::Stop* stop,
-                           size_t budget, Pred&& pred, Consume&& consume) {
-  return ParallelFilterSpace(space, exec, stop, budget,
-                             std::forward<Pred>(pred),
-                             std::forward<Consume>(consume),
-                             [](const std::vector<size_t>&) { return false; });
-}
-
-template <typename Pred, typename Consume, typename SerialSkip>
-Status ParallelFilterSpace(const CandidateSpace& space, Pred&& pred,
-                           Consume&& consume, SerialSkip&& serial_skip) {
-  return ParallelFilterSpace(space, nullptr, nullptr, SIZE_MAX,
-                             std::forward<Pred>(pred),
-                             std::forward<Consume>(consume),
-                             std::forward<SerialSkip>(serial_skip));
-}
+/// The serial skip that skips nothing.
+struct NoSerialSkip {
+  bool operator()(const std::vector<size_t>&) const { return false; }
+};
 
 template <typename Pred, typename Consume>
 Status ParallelFilterSpace(const CandidateSpace& space, Pred&& pred,
                            Consume&& consume) {
   return ParallelFilterSpace(space, nullptr, nullptr, SIZE_MAX,
                              std::forward<Pred>(pred),
-                             std::forward<Consume>(consume),
-                             [](const std::vector<size_t>&) { return false; });
+                             std::forward<Consume>(consume), NoSerialSkip{});
 }
 
 /// Hooks of the dominance-pruned frontier enumeration. `pred` and
@@ -299,6 +287,128 @@ Status LatticeFilterSpace(const CandidateSpace& space,
                           PruneStats* stats,
                           const exec::ExecContext* exec = nullptr,
                           exec::Stop* stop = nullptr);
+
+/// C(a_1), ..., C(a_m) for the tuple `values`: per position, the concepts
+/// whose extension contains that position's value (line 1 of Algorithm
+/// 1), in concept-id order. Stops at the first empty list — the product
+/// is then empty — leaving the later lists empty too.
+std::vector<std::vector<onto::ConceptId>> CandidateLists(
+    onto::BoundOntology* bound, const Tuple& values);
+
+/// Whether some kept explanation is at least as general as `e` (≤_O).
+bool DominatedByAny(const onto::BoundOntology& bound, const Explanation& e,
+                    const std::vector<Explanation>& antichain);
+
+/// Lines 3-5 of Algorithm 1, run incrementally over the candidates as
+/// they arrive: keeps `e` unless DominatedByAny, and drops the kept
+/// explanations `e` strictly exceeds. The antichain stays ≤_O-maximal
+/// with the first arrival of each equivalence class.
+void KeepMaximal(const onto::BoundOntology& bound, const Explanation& e,
+                 std::vector<Explanation>* antichain);
+
+/// The one driver of the searches that walk the candidate product
+/// C(a_1) × ... × C(a_m) of an external ontology: Algorithm 1
+/// (PrunedSearchAllMge), the Section 6 >card-maximal search
+/// (ExactCardMaximal) and the Section 7 why dual
+/// (AllMostGeneralWhyExplanations). They differ only in the predicate
+/// applied to each product and in what they keep; the rest lives here:
+///  * the CandidateSpace and the resolution of options.strategy
+///    (ChooseStrategy): the frontier (LatticeFilterSpace) or the odometer
+///    (ParallelFilterSpace);
+///  * the pre-emptive ResourceExhausted when the odometer would pass
+///    max_candidates and no certificate was asked for — with one, the
+///    budget becomes a certified kBudget stop at ordinal max_candidates;
+///  * the frontier's PruneStats, accumulated into options.prune_stats;
+///  * the certificate's Progress: `tested` products, and `remaining` the
+///    untested rest of the raw product, saturated at SIZE_MAX when the
+///    product overflows a word (on either walk).
+///
+/// Use: construct over the lists (which must outlive the search); unless
+/// empty(), build what the hooks need — knowing frontier() — and Run
+/// them; then Certify with the search's best_so_far.
+class ProductSearch {
+ public:
+  ProductSearch(const std::vector<std::vector<onto::ConceptId>>& lists,
+                const ExhaustiveOptions& options, onto::BoundOntology* bound,
+                LatticeHandle* lattice)
+      : lists_(lists), options_(options), space_(lists) {
+    if (!empty()) {
+      choice_ = ChooseStrategy(options.strategy, space_,
+                               options.max_candidates, bound, lattice,
+                               &local_lattice_);
+    }
+  }
+
+  /// Some C(a_i) is empty (or the arity is 0): there is no product, Run
+  /// consumes nothing and the strategy is left unresolved.
+  bool empty() const { return !space_.overflow() && space_.total() == 0; }
+  /// The dominance-pruned frontier, not the odometer, walks the product.
+  bool frontier() const { return choice_.use_lattice; }
+  const CandidateSpace& space() const { return space_; }
+
+  /// Walks the product. `pred`, `consume` and `serial_skip` follow the
+  /// ParallelFilterSpace contract (the frontier ignores `serial_skip`);
+  /// `on_pass` and `expand` are the frontier's optional branch-and-bound
+  /// hooks (LatticeFrontierHooks). `exhausted` is the message of the
+  /// pre-emptive ResourceExhausted.
+  template <typename Pred, typename Consume,
+            typename SerialSkip = NoSerialSkip>
+  Status Run(const char* exhausted, Pred&& pred, Consume&& consume,
+             SerialSkip&& serial_skip = SerialSkip(),
+             std::function<void(const std::vector<size_t>&)> on_pass = {},
+             std::function<bool(const std::vector<size_t>&)> expand = {}) {
+    if (empty()) return Status::OK();
+    const bool certified = options_.cert != nullptr;
+    exec::Stop* stop = certified ? &stop_ : nullptr;
+    const bool overflow = space_.overflow();
+    if (frontier()) {
+      LatticeFrontierHooks hooks;
+      hooks.pred = pred;
+      hooks.consume = consume;
+      hooks.on_pass = std::move(on_pass);
+      hooks.expand = std::move(expand);
+      PruneStats ps;
+      Status st =
+          LatticeFilterSpace(space_, *choice_.lattice, lists_,
+                             options_.max_candidates, hooks, &ps,
+                             options_.exec, stop);
+      if (options_.prune_stats != nullptr) {
+        AccumulatePruneStats(options_.prune_stats, ps);
+      }
+      progress_.tested = ps.products_enumerated;
+      progress_.remaining = ps.products_skipped;
+      return st;
+    }
+    if (!certified && (overflow || space_.total() > options_.max_candidates)) {
+      return Status::ResourceExhausted(exhausted);
+    }
+    Status st = ParallelFilterSpace(
+        space_, options_.exec, stop,
+        certified ? options_.max_candidates : SIZE_MAX,
+        std::forward<Pred>(pred), std::forward<Consume>(consume),
+        std::forward<SerialSkip>(serial_skip));
+    size_t total = overflow ? SIZE_MAX : space_.total();
+    progress_.tested = stop_.reason != exec::StopReason::kNone ? stop_.at
+                                                                : total;
+    progress_.remaining =
+        overflow ? SIZE_MAX : total - std::min(progress_.tested, total);
+    return st;
+  }
+
+  /// Fills options.cert (when set) from the walk's stop and progress.
+  void Certify(size_t best_so_far) const {
+    exec::FillCertificate(options_.cert, stop_, progress_, best_so_far);
+  }
+
+ private:
+  const std::vector<std::vector<onto::ConceptId>>& lists_;
+  ExhaustiveOptions options_;
+  CandidateSpace space_;
+  std::unique_ptr<LatticeHandle> local_lattice_;
+  LatticeChoice choice_;
+  exec::Stop stop_;
+  exec::Progress progress_;
+};
 
 /// Sharded first-outcome sweep over [0, n): `body(worker, i)` either
 /// returns std::nullopt ("nothing decided at i, keep scanning") or an

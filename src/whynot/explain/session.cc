@@ -348,15 +348,7 @@ Result<LsExplanation> ExplainSession::Why(const Tuple& present,
 
 Result<std::vector<Explanation>> ExplainSession::ExhaustiveMges(
     const Tuple& missing, const exec::ExecContext* exec) {
-  WHYNOT_RETURN_IF_ERROR(RequireOntology());
-  State& s = *state_;
-  exec::ExecContext ctx =
-      MakeRequestExec(s.options.request_deadline_ms, s.cancel, exec);
-  WHYNOT_RETURN_IF_ERROR(Prepare(missing, /*expect_answer=*/false, &ctx));
-  ExhaustiveOptions opts = s.options.exhaustive;
-  opts.exec = &ctx;
-  return ExhaustiveSearchAllMge(s.bound.get(), s.wni, opts, s.covers.get(),
-                                s.lattice.get());
+  return PrunedMges(missing, exec);
 }
 
 Result<std::vector<Explanation>> ExplainSession::PrunedMges(
@@ -470,10 +462,10 @@ Result<std::vector<Explanation>> ExplainSession::WhyMges(
   exec::ExecContext ctx =
       MakeRequestExec(s.options.request_deadline_ms, s.cancel, exec);
   WHYNOT_RETURN_IF_ERROR(Prepare(present, /*expect_answer=*/true, &ctx));
-  return AllMostGeneralWhyExplanations(
-      s.bound.get(), s.wi, s.options.exhaustive.max_candidates,
-      s.why_covers.get(), s.options.exhaustive.strategy, s.lattice.get(),
-      s.options.exhaustive.prune_stats, &ctx);
+  ExhaustiveOptions opts = s.options.exhaustive;
+  opts.exec = &ctx;
+  return AllMostGeneralWhyExplanations(s.bound.get(), s.wi, opts,
+                                       s.why_covers.get(), s.lattice.get());
 }
 
 }  // namespace whynot::explain

@@ -25,7 +25,7 @@ namespace whynot::explain {
 /// of both the incremental and the enumeration searches so the session's
 /// single shared LubContext serves every derived request.
 struct ExplainSessionOptions {
-  ExhaustiveOptions exhaustive;    // Exhaustive/Pruned/CardMaximal budgets
+  ExhaustiveOptions exhaustive;    // Exhaustive/Pruned/CardMaximal/WhyMges
   ExistenceOptions existence;
   IncrementalOptions incremental;  // WhyNot()/Why(): selections, ⊤ sweep
   EnumerateOptions enumerate;
@@ -175,11 +175,11 @@ class ExplainSession {
 
   // --- External-ontology requests (require an ontology) -------------------
 
-  /// Algorithm 1 (EXHAUSTIVE SEARCH): all most-general explanations.
+  /// Algorithm 1 (EXHAUSTIVE SEARCH): all most-general explanations
+  /// (PrunedSearchAllMge). ExhaustiveMges and PrunedMges are two names
+  /// for the same request.
   Result<std::vector<Explanation>> ExhaustiveMges(
       const Tuple& missing, const exec::ExecContext* exec = nullptr);
-
-  /// The pruned-antichain variant (same result set).
   Result<std::vector<Explanation>> PrunedMges(
       const Tuple& missing, const exec::ExecContext* exec = nullptr);
 

@@ -109,121 +109,65 @@ Result<bool> IsWhyExplanation(onto::BoundOntology* bound,
 }
 
 Result<std::vector<Explanation>> AllMostGeneralWhyExplanations(
-    onto::BoundOntology* bound, const WhyInstance& wi, size_t max_candidates,
-    ConceptAnswerCovers* covers, SearchStrategy strategy,
-    LatticeHandle* lattice, PruneStats* prune_stats,
-    const exec::ExecContext* exec, exec::Certificate* cert) {
-  size_t m = wi.arity();
-  std::vector<std::vector<onto::ConceptId>> lists(m);
-  for (size_t i = 0; i < m; ++i) {
-    ValueId id = bound->pool().Intern(wi.present[i]);
-    lists[i] = bound->ConceptsContaining(id);
-    if (lists[i].empty()) {
-      exec::FillCertificate(cert, exec::Stop{}, exec::Progress{}, 0);
-      return std::vector<Explanation>{};
-    }
-  }
-  std::optional<ConceptAnswerCovers> local;
-  if (covers == nullptr) {
-    local.emplace(bound, InternedUniqueAnswers(bound, wi));
-    covers = &*local;
-  }
-  CandidateSpace space(lists);
+    onto::BoundOntology* bound, const WhyInstance& wi,
+    const ExhaustiveOptions& options, ConceptAnswerCovers* covers,
+    LatticeHandle* lattice) {
   // "product ⊆ Ans" is ≼-downward closed just like avoidance (a smaller
-  // product stays inside Ans), so the strategy dispatch is the
-  // exhaustive search's verbatim.
-  std::unique_ptr<LatticeHandle> local_lattice;
-  LatticeChoice choice = ChooseStrategy(strategy, space, max_candidates, bound,
-                                        lattice, &local_lattice);
-  if (!choice.use_lattice && cert == nullptr &&
-      (space.overflow() || space.total() > max_candidates)) {
-    return Status::ResourceExhausted(
-        "why-explanation enumeration exceeded max_candidates");
-  }
-
-  // The product-containment test — the counting AND with its finite-size
-  // pre-checks, by far the dominant cost — is a pure function of the
-  // candidate, so it shards through the shared candidate filter against a
-  // pre-resolved cover table; the antichain pass replays serially over
-  // the survivors in candidate order. A candidate the filter admits but a
-  // kept explanation dominates is dropped at the replay (domination is
-  // checked before insertion), so the antichain is exactly the serial
-  // reference's. The table resolves covers for *every* list concept up
-  // front — worth it only when workers will hammer it; the serial
-  // odometer path keeps the lazy per-probe covers (most candidates never
-  // get probed past the domination prefilter below). The frontier path
-  // always resolves the table: its predicate shards per wave regardless
-  // of thread count.
-  std::optional<CoverTable> table;
-  if (choice.use_lattice || par::NumThreads() > 1) {
-    table.emplace(covers, lists);
-    table->ResolveSizes(bound, lists);
-  }
-
+  // product stays inside Ans), so the walk is the exhaustive search's.
+  std::vector<std::vector<onto::ConceptId>> lists =
+      CandidateLists(bound, wi.present);
+  ProductSearch search(lists, options, bound, lattice);
   std::vector<Explanation> antichain;
-  Explanation current(m);
-  auto dominated = [&](const Explanation& e) {
-    for (const Explanation& kept : antichain) {
-      if (LessGeneral(*bound, e, kept)) return true;
+  if (!search.empty()) {
+    std::optional<ConceptAnswerCovers> local;
+    if (covers == nullptr) {
+      local.emplace(bound, InternedUniqueAnswers(bound, wi));
+      covers = &*local;
     }
-    return false;
-  };
-  auto pred = [&](const std::vector<size_t>& idx) {
-    if (table.has_value()) return table->ProductInsideAt(idx);
-    for (size_t i = 0; i < m; ++i) current[i] = lists[i][idx[i]];
-    return ProductInsideAnswers(bound, current, covers);
-  };
-  auto consume = [&](const std::vector<size_t>& idx) {
-    for (size_t i = 0; i < m; ++i) current[i] = lists[i][idx[i]];
-    if (dominated(current)) return true;
-    antichain.erase(
-        std::remove_if(antichain.begin(), antichain.end(),
-                       [&](const Explanation& kept) {
-                         return StrictlyLessGeneral(*bound, kept, current);
-                       }),
-        antichain.end());
-    antichain.push_back(current);
-    return true;
-  };
-  const bool certified = cert != nullptr;
-  exec::Stop stop;
-  exec::Progress progress;
-  exec::Stop* stop_p = certified ? &stop : nullptr;
-  if (choice.use_lattice) {
-    LatticeFrontierHooks hooks;
-    hooks.pred = pred;
-    hooks.consume = consume;
-    PruneStats local_ps;
-    PruneStats* ps = certified ? &local_ps : prune_stats;
-    WHYNOT_RETURN_IF_ERROR(LatticeFilterSpace(space, *choice.lattice, lists,
-                                              max_candidates, hooks, ps, exec,
-                                              stop_p));
-    if (certified) {
-      progress.tested = local_ps.products_enumerated;
-      progress.remaining = local_ps.products_skipped;
-      if (prune_stats != nullptr) AccumulatePruneStats(prune_stats, local_ps);
+    // The product-containment test — the counting AND with its
+    // finite-size pre-checks, by far the dominant cost — is a pure
+    // function of the candidate, so it shards through the shared
+    // candidate filter against a pre-resolved cover table; the antichain
+    // pass replays serially over the survivors in candidate order. A
+    // candidate the filter admits but a kept explanation dominates is
+    // dropped at the replay (domination is checked before insertion), so
+    // the antichain is exactly the serial reference's. The table resolves
+    // covers for *every* list concept up front — worth it only when
+    // workers will hammer it; the serial odometer path keeps the lazy
+    // per-probe covers (most candidates never get probed past the
+    // domination prefilter below). The frontier path always resolves the
+    // table: its predicate shards per wave regardless of thread count.
+    std::optional<CoverTable> table;
+    if (search.frontier() || par::NumThreads() > 1) {
+      table.emplace(covers, lists);
+      table->ResolveSizes(bound, lists);
     }
-  } else {
-    WHYNOT_RETURN_IF_ERROR(ParallelFilterSpace(
-        space, exec, stop_p, certified ? max_candidates : SIZE_MAX, pred,
-        consume,
-        // Serial prefilter: the domination check is two subsumption matrix
-        // probes against a short antichain — far cheaper than the counting
-        // containment test it saves (the parallel path filters first and
-        // re-checks domination at the replay above, same output).
+    size_t m = wi.arity();
+    Explanation current(m);
+    WHYNOT_RETURN_IF_ERROR(search.Run(
+        "why-explanation enumeration exceeded max_candidates",
+        [&](const std::vector<size_t>& idx) {
+          if (table.has_value()) return table->ProductInsideAt(idx);
+          for (size_t i = 0; i < m; ++i) current[i] = lists[i][idx[i]];
+          return ProductInsideAnswers(bound, current, covers);
+        },
         [&](const std::vector<size_t>& idx) {
           for (size_t i = 0; i < m; ++i) current[i] = lists[i][idx[i]];
-          return dominated(current);
+          KeepMaximal(*bound, current, &antichain);
+          return true;
+        },
+        // Serial prefilter: the domination check is two subsumption
+        // matrix probes against a short antichain — far cheaper than the
+        // counting containment test it saves (the parallel path filters
+        // first and re-checks domination at the replay above, same
+        // output).
+        [&](const std::vector<size_t>& idx) {
+          for (size_t i = 0; i < m; ++i) current[i] = lists[i][idx[i]];
+          return DominatedByAny(*bound, current, antichain);
         }));
-    if (certified) {
-      size_t total = space.overflow() ? SIZE_MAX : space.total();
-      progress.tested =
-          stop.reason != exec::StopReason::kNone ? stop.at : total;
-      progress.remaining = total - progress.tested;
-    }
+    std::sort(antichain.begin(), antichain.end());
   }
-  std::sort(antichain.begin(), antichain.end());
-  exec::FillCertificate(cert, stop, progress, antichain.size());
+  search.Certify(antichain.size());
   return antichain;
 }
 

@@ -7,6 +7,7 @@
 #include "whynot/common/status.h"
 #include "whynot/concepts/concept_cache.h"
 #include "whynot/concepts/lub.h"
+#include "whynot/explain/exhaustive.h"
 #include "whynot/explain/explanation.h"
 #include "whynot/explain/lattice.h"
 
@@ -56,19 +57,16 @@ Result<bool> IsWhyExplanation(onto::BoundOntology* bound,
 /// the maximal antichain). Same complexity envelope as Theorem 5.2, and
 /// the same `covers` contract as IsWhyExplanation. The containment
 /// condition is ≼-downward closed exactly like avoidance, so the search
-/// dispatches through the same strategy machinery as
-/// ExhaustiveSearchAllMge: `strategy`/`lattice`/`prune_stats` follow the
-/// ExhaustiveOptions contracts, and the frontier path returns the
-/// identical antichain. `exec`/`cert` follow the engine-wide contract
-/// (ExhaustiveOptions): with `cert`, a stop returns the deterministic
-/// partial antichain (Quality::kLowerBound) instead of an error, and
-/// max_candidates becomes a certified budget stop.
+/// walks the product exactly as PrunedSearchAllMge does: `options` and
+/// `lattice` follow the ExhaustiveOptions and PrunedSearchAllMge
+/// contracts, and the frontier path returns the identical antichain. With
+/// `options.cert`, a stop returns the deterministic partial antichain
+/// (Quality::kLowerBound) instead of an error, and max_candidates becomes
+/// a certified budget stop.
 Result<std::vector<Explanation>> AllMostGeneralWhyExplanations(
     onto::BoundOntology* bound, const WhyInstance& wi,
-    size_t max_candidates = 20000000, ConceptAnswerCovers* covers = nullptr,
-    SearchStrategy strategy = SearchStrategy::kAuto,
-    LatticeHandle* lattice = nullptr, PruneStats* prune_stats = nullptr,
-    const exec::ExecContext* exec = nullptr, exec::Certificate* cert = nullptr);
+    const ExhaustiveOptions& options = {},
+    ConceptAnswerCovers* covers = nullptr, LatticeHandle* lattice = nullptr);
 
 // --- Why-explanations w.r.t. the derived ontology OI ----------------------
 

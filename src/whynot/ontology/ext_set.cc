@@ -41,20 +41,6 @@ ExtSet ExtSet::All() {
   return s;
 }
 
-void ExtSet::EnsureBitmap(int32_t universe) {
-  if (all_ || has_bitmap() || ids_.empty()) return;
-  bits_ = DenseBitmap(ids_, universe);
-}
-
-void ExtSet::Freeze(int32_t universe) {
-  // Finite() may already have built a dense mirror over the small id-local
-  // universe; an existing mirror stands.
-  if (all_ || has_bitmap() || !DenseEnough(ids_.size(), WordsFor(universe))) {
-    return;
-  }
-  bits_ = DenseBitmap(ids_, universe);
-}
-
 size_t ExtSet::MemoryBytes() const {
   return sizeof(*this) + ids_.capacity() * sizeof(ValueId) +
          (bits_.MemoryBytes() - sizeof(DenseBitmap));

@@ -73,18 +73,6 @@ class ExtSet {
     return all_ == other.all_ && ids_ == other.ids_;
   }
 
-  /// Force-builds the bitmap mirror sized for `universe` ids (e.g. the
-  /// owning ValuePool's size), bypassing the density heuristic. Used by
-  /// tests and callers that explicitly want the flat dense form. No-op for
-  /// All or if already built.
-  void EnsureBitmap(int32_t universe);
-
-  /// Freeze-time mirror for a long-lived read-mostly set (BoundOntology's
-  /// warm extension table): builds the dense mirror over `universe` where
-  /// the density switch allows one. Sparser sets stay sorted id vectors
-  /// probed by binary search — O(cardinality) bytes instead of O(universe).
-  void Freeze(int32_t universe);
-
   /// Whether the bitmap mirror is present (exposed for tests/benchmarks).
   bool has_bitmap() const { return !bits_.empty(); }
 
@@ -99,8 +87,8 @@ class ExtSet {
 
   bool all_ = false;
   std::vector<ValueId> ids_;
-  DenseBitmap bits_;   // empty unless the density switch (or EnsureBitmap)
-                       // materialized it; always mirrors ids_ when present
+  DenseBitmap bits_;   // empty unless the density switch materialized it;
+                       // always mirrors ids_ when present
 };
 
 /// Interns a list of values into the pool and returns their ExtSet.

@@ -9,14 +9,6 @@
 
 namespace whynot::onto {
 
-namespace {
-
-/// Below this many uncached concepts the per-shard pools plus the merge
-/// pass cost more than the serial loop.
-constexpr size_t kMinConceptsToShard = 4;
-
-}  // namespace
-
 BoundOntology::BoundOntology(const FiniteOntology* ontology,
                              const rel::Instance* instance)
     : ontology_(ontology), instance_(instance) {
@@ -27,7 +19,6 @@ BoundOntology::BoundOntology(const FiniteOntology* ontology,
 const ExtSet& BoundOntology::ExtSlow(ConceptId id) {
   size_t idx = static_cast<size_t>(id);
   cache_[idx] = ontology_->ComputeExt(id, *instance_, &pool_);
-  cache_[idx].Freeze(pool_.size());
   cached_[idx] = true;
   return cache_[idx];
 }
@@ -45,86 +36,11 @@ Status BoundOntology::WarmExtensions(const exec::ExecContext* exec) {
     return Status::ResourceExhausted(
         "extension warm-up failed (injected fault)");
   }
-  if (par::NumThreads() <= 1 || todo.size() < kMinConceptsToShard) {
-    for (size_t k = 0; k < todo.size(); ++k) {
-      if (std::optional<exec::Stop> s = exec::Check(exec, k)) {
-        return exec::StopStatus(*s, "extension warm-up");
-      }
-      Ext(todo[k]);
-    }
-    return Status::OK();
-  }
-  // Serially compute the first concept through the normal path: any
-  // once-per-ontology lazy state a ComputeExt keeps (e.g. the OBDA induced
-  // ontology's saturation cache) is built here on the calling thread,
-  // making the sharded calls below read-only on the ontology side.
-  if (std::optional<exec::Stop> s = exec::Check(exec, 0)) {
-    return exec::StopStatus(*s, "extension warm-up");
-  }
-  Ext(todo.front());
-  todo.erase(todo.begin());
-  if (todo.empty()) return Status::OK();
-
-  // Sharded warm-up. ComputeExt interns into the bound pool, which is
-  // single-threaded, so each shard computes into a concept-local pool and
-  // a serial merge replays the interning in concept order afterwards. The
-  // replay assigns exactly the ids the serial loop would: within one
-  // concept the local pool's id order *is* the first-intern order of the
-  // computation, and Intern is idempotent across concepts. The instance's
-  // lazy caches are forced up front so the parallel ComputeExt calls are
-  // genuinely read-only.
-  instance_->WarmForConcurrentReads();
-  struct Shard {
-    ExtSet ext;
-    ValuePool pool;
-  };
-  std::vector<Shard> shards(todo.size());
-  const FiniteOntology* ontology = ontology_;
-  const rel::Instance* instance = instance_;
-  // An abandoned compute wave has holes, so it is discarded whole below —
-  // already-warmed concepts stay cached and a later call resumes.
-  std::atomic<bool> abandon{false};
-  par::ParallelFor(todo.size(), 1, &abandon, [&](size_t begin, size_t end) {
-    if (exec::ShouldAbandon(exec)) {
-      abandon.store(true, std::memory_order_relaxed);
-      return;
-    }
-    for (size_t k = begin; k < end; ++k) {
-      shards[k].ext = ontology->ComputeExt(todo[k], *instance, &shards[k].pool);
-    }
-  });
-  if (abandon.load(std::memory_order_relaxed)) {
-    exec::Stop s = exec->PollNow(1).value_or(
-        exec::Stop{exec::StopReason::kCancelled, 1});
-    return exec::StopStatus(s, "extension warm-up");
-  }
-  std::vector<ValueId> remap;
-  std::vector<ValueId> ids;
   for (size_t k = 0; k < todo.size(); ++k) {
-    // Merge-order probe: ordinal k+1 continues the serial loop's count
-    // (the first un-warmed concept consumed ordinal 0 above).
-    if (std::optional<exec::Stop> s = exec::Check(exec, k + 1)) {
+    if (std::optional<exec::Stop> s = exec::Check(exec, k)) {
       return exec::StopStatus(*s, "extension warm-up");
     }
-    size_t idx = static_cast<size_t>(todo[k]);
-    ExtSet& ext = shards[k].ext;
-    if (ext.is_all()) {
-      cache_[idx] = ExtSet::All();
-    } else {
-      const ValuePool& local = shards[k].pool;
-      remap.resize(static_cast<size_t>(local.size()));
-      for (ValueId lid = 0; lid < local.size(); ++lid) {
-        remap[static_cast<size_t>(lid)] = pool_.Intern(local.Get(lid));
-      }
-      ids.clear();
-      ids.reserve(ext.ids().size());
-      for (ValueId lid : ext.ids()) ids.push_back(remap[static_cast<size_t>(lid)]);
-      cache_[idx] = ExtSet::Finite(std::move(ids));
-    }
-    // Representation universe = pool size right after this concept's
-    // interning, exactly as the serial ExtSlow would have sized it.
-    cache_[idx].Freeze(pool_.size());
-    cached_[idx] = true;
+    Ext(todo[k]);
   }
   return Status::OK();
 }

@@ -37,14 +37,7 @@ class FiniteOntology {
 
   /// ext(C, I): the extension of concept `id` in `instance`, with constants
   /// interned into `pool`. Must be polynomial-time computable
-  /// (Definition 3.1).
-  ///
-  /// Threading contract (sharded warm-up): after one serial call against
-  /// an instance, further calls against the *same* instance may run
-  /// concurrently (each with its own pool) and must not mutate shared
-  /// state. Once-per-ontology lazy caches are therefore fine — they build
-  /// during the serial first call — and the bound instance's lazy caches
-  /// are pre-warmed by the caller (Instance::WarmForConcurrentReads).
+  /// (Definition 3.1). BoundOntology calls it serially.
   virtual ExtSet ComputeExt(ConceptId id, const rel::Instance& instance,
                             ValuePool* pool) const = 0;
 };
@@ -72,25 +65,22 @@ class BoundOntology {
     return ontology_->ConceptName(id);
   }
 
-  /// Cached ext(C, I). The cached ExtSet carries a DenseBitmap mirror sized
-  /// by the value pool, so repeated membership probes are O(1) word tests.
-  /// Inline fast path: one flag test once the extension is cached.
+  /// Cached ext(C, I). A cached ExtSet dense enough for ExtSet's density
+  /// rule carries a DenseBitmap mirror, so membership probes are O(1) word
+  /// tests; sparser sets are probed by binary search. Inline fast path:
+  /// one flag test once the extension is cached.
   const ExtSet& Ext(ConceptId id) {
     size_t idx = static_cast<size_t>(id);
     if (cached_[idx]) return cache_[idx];
     return ExtSlow(id);
   }
 
-  /// Computes (and bitmaps) every concept extension up front. Called
-  /// implicitly by ConceptsContaining; cheap to call again. With more than
-  /// one pool thread the construction is *sharded* by concept range: each
-  /// shard computes into a concept-local ValuePool and a serial merge
-  /// replays the interning in concept order, so the resulting pool ids,
-  /// extensions, and bitmaps are byte-identical to the serial warm-up.
+  /// Computes every concept extension up front, serially in concept order
+  /// (the pool ids therefore never depend on the thread count). Called
+  /// implicitly by ConceptsContaining; cheap to call again.
   ///
-  /// `exec` (optional) is observed once per un-warmed concept at the
-  /// serial points (the serial warm loop / the sharded path's merge), so a
-  /// stop ordinal is thread-invariant. A stop — or an injected warm
+  /// `exec` (optional) is observed once per un-warmed concept, so a stop
+  /// ordinal is thread-invariant. A stop — or an injected warm
   /// failure (test::FaultInjector::fail_warm) — returns the matching error
   /// status; concepts already warmed stay cached (warm-up is idempotent
   /// and resumable), and there is no partial warm table to certify.

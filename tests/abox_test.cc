@@ -178,7 +178,7 @@ TEST(AboxOntologyTest, WorksAsExternalOntologyForWhyNot) {
       explain::MakeWhyNotInstance(&instance, workload::ConnectedViaQuery(),
                                   {"Amsterdam", "New York"}));
   ASSERT_OK_AND_ASSIGN(std::vector<explain::Explanation> mges,
-                       explain::ExhaustiveSearchAllMge(&bound, wni));
+                       explain::PrunedSearchAllMge(&bound, wni));
   ASSERT_FALSE(mges.empty());
   // The paper's MGE (EU-City, N.A.-City) must be among the outputs.
   bool found = false;

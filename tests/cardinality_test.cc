@@ -90,6 +90,48 @@ TEST_F(CardinalityTest, NoExplanationMeansNullopt) {
   EXPECT_FALSE(greedy.has_value());
 }
 
+/// A candidate list holding an All extension (the materialized ⊤ of
+/// OI[K]) pins ExactCardMaximal to the odometer even under kLattice. With
+/// no answers, (⊤, ⊤) is the one most-general explanation, yet
+/// (π_a(R), ⊤) outranks it by degree (the finite parts decide between
+/// infinite degrees); a frontier walk would stop at (⊤, ⊤) and miss it.
+TEST(CardinalityPinTest, AllCandidatePinsTheLatticeStrategyToTheOdometer) {
+  rel::Schema schema = testutil::SimpleSchema();
+  rel::Instance instance(&schema);
+  ASSERT_OK(instance.AddFact("R", {1, 2}));
+  ASSERT_OK(instance.AddFact("R", {2, 3}));
+  ASSERT_OK(instance.AddFact("R", {3, 1}));
+  ASSERT_OK(instance.AddFact("U", {1}));
+  ASSERT_OK(instance.AddFact("U", {3}));
+  Tuple missing = {Value(1), Value(1)};
+  ls::MaterializeOptions mat;
+  mat.fragment = ls::Fragment::kSelectionFree;
+  mat.mode = ls::SubsumptionMode::kInstance;
+  ASSERT_OK_AND_ASSIGN(auto ontology,
+                       ls::LsOntology::Materialize(&instance, missing, mat));
+  onto::BoundOntology bound(ontology.get(), &instance);
+  for (const std::vector<Tuple>& answers :
+       {std::vector<Tuple>{}, std::vector<Tuple>{{Value(2), Value(3)}}}) {
+    ASSERT_OK_AND_ASSIGN(
+        explain::WhyNotInstance wni,
+        explain::MakeWhyNotInstanceFromAnswers(&instance, answers, missing));
+    explain::ExhaustiveOptions odo;
+    odo.strategy = explain::SearchStrategy::kOdometer;
+    explain::ExhaustiveOptions lat;
+    lat.strategy = explain::SearchStrategy::kLattice;
+    ASSERT_OK_AND_ASSIGN(auto want, explain::ExactCardMaximal(&bound, wni, odo));
+    ASSERT_OK_AND_ASSIGN(auto got, explain::ExactCardMaximal(&bound, wni, lat));
+    ASSERT_TRUE(want.has_value());
+    ASSERT_TRUE(got.has_value());
+    EXPECT_TRUE(want->degree.infinite) << "the All candidate was not used";
+    EXPECT_EQ(got->explanation, want->explanation)
+        << explain::ExplanationToString(bound, got->explanation) << " vs "
+        << explain::ExplanationToString(bound, want->explanation);
+    EXPECT_TRUE(got->degree == want->degree)
+        << got->degree.ToString() << " vs " << want->degree.ToString();
+  }
+}
+
 /// Sweep: greedy ≤ exact on random instances (Proposition 6.4's gap shows
 /// up as strict inequality on some seeds; validity always holds).
 class CardinalitySweepTest : public ::testing::TestWithParam<uint64_t> {};

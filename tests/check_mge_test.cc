@@ -63,7 +63,7 @@ TEST_F(CheckMgeTest, NonExplanationIsNotMge) {
 
 TEST_F(CheckMgeTest, EveryAlgorithm1OutputPassesCheckMge) {
   ASSERT_OK_AND_ASSIGN(std::vector<Explanation> mges,
-                       explain::ExhaustiveSearchAllMge(bound_.get(), *wni_));
+                       explain::PrunedSearchAllMge(bound_.get(), *wni_));
   ASSERT_FALSE(mges.empty());
   for (const Explanation& e : mges) {
     ASSERT_OK_AND_ASSIGN(bool ok,
@@ -104,7 +104,7 @@ TEST_P(CheckMgeSweepTest, AgreesWithExhaustiveSearch) {
   if (!wni_or.ok()) return;
   ASSERT_OK_AND_ASSIGN(
       std::vector<Explanation> mges,
-      explain::ExhaustiveSearchAllMge(&bound, wni_or.value()));
+      explain::PrunedSearchAllMge(&bound, wni_or.value()));
   for (onto::ConceptId c1 = 0; c1 < bound.NumConcepts(); ++c1) {
     for (onto::ConceptId c2 = 0; c2 < bound.NumConcepts(); ++c2) {
       Explanation e = {c1, c2};

@@ -236,7 +236,7 @@ TEST_P(EnumerateCompletenessTest, MatchesExhaustiveOverMaterializedOntology) {
       ls::LsOntology::Materialize(&instance, {missing[0], missing[1]}, mat));
   onto::BoundOntology bound(ontology.get(), &instance);
   ASSERT_OK_AND_ASSIGN(std::vector<explain::Explanation> brute,
-                       explain::ExhaustiveSearchAllMge(&bound, wni));
+                       explain::PrunedSearchAllMge(&bound, wni));
 
   std::set<std::vector<std::pair<bool, std::vector<Value>>>> enum_keys;
   for (const LsExplanation& e : enumerated) {

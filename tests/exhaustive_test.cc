@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "test_util.h"
 
 namespace whynot {
@@ -41,7 +43,7 @@ class ExhaustiveTest : public ::testing::Test {
 
 TEST_F(ExhaustiveTest, Example34MostGeneralExplanations) {
   ASSERT_OK_AND_ASSIGN(std::vector<Explanation> mges,
-                       explain::ExhaustiveSearchAllMge(bound_.get(), *wni_));
+                       explain::PrunedSearchAllMge(bound_.get(), *wni_));
   // The paper's E4 = (European-City, US-City) must be among the MGEs; the
   // data additionally admits (City, East-Coast-City) — no answer tuple ends
   // in New York — which Definition 3.3 also makes maximal.
@@ -91,7 +93,7 @@ TEST_F(ExhaustiveTest, NonExplanationsRejected) {
 
 TEST_F(ExhaustiveTest, OutputsAreExplanationsAndAntichain) {
   ASSERT_OK_AND_ASSIGN(std::vector<Explanation> mges,
-                       explain::ExhaustiveSearchAllMge(bound_.get(), *wni_));
+                       explain::PrunedSearchAllMge(bound_.get(), *wni_));
   for (const Explanation& e : mges) {
     ASSERT_OK_AND_ASSIGN(bool is_expl,
                          explain::IsExplanation(bound_.get(), *wni_, e));
@@ -112,7 +114,7 @@ TEST_F(ExhaustiveTest, CandidateCapReported) {
   // (kAuto would escalate an over-budget space to the frontier instead).
   options.strategy = explain::SearchStrategy::kOdometer;
   Result<std::vector<Explanation>> r =
-      explain::ExhaustiveSearchAllMge(bound_.get(), *wni_, options);
+      explain::PrunedSearchAllMge(bound_.get(), *wni_, options);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
 }
@@ -125,16 +127,46 @@ TEST_F(ExhaustiveTest, NoCandidateConceptMeansNoExplanation) {
                                   workload::ConnectedViaQuery(),
                                   {"Mars", "New York"}));
   ASSERT_OK_AND_ASSIGN(std::vector<Explanation> mges,
-                       explain::ExhaustiveSearchAllMge(bound_.get(), wni));
+                       explain::PrunedSearchAllMge(bound_.get(), wni));
   EXPECT_TRUE(mges.empty());
 }
 
+/// Definition 3.2 read literally over the bound extensions: every a_i lies
+/// in ext(C_i), and no answer tuple lies in the extension product.
+bool LiteralIsExplanation(onto::BoundOntology* bound,
+                          const explain::WhyNotInstance& wni,
+                          const Explanation& e) {
+  auto member = [&](size_t i, const Value& v) {
+    return bound->Ext(e[i]).Contains(bound->pool().Intern(v));
+  };
+  for (size_t i = 0; i < e.size(); ++i) {
+    if (!member(i, wni.missing[i])) return false;
+  }
+  for (const Tuple& t : wni.answers) {
+    bool inside = true;
+    for (size_t i = 0; i < e.size() && inside; ++i) inside = member(i, t[i]);
+    if (inside) return false;
+  }
+  return true;
+}
+
+/// E ≤_O E' of Definition 3.3, pointwise on the ontology's ⊑.
+bool LiteralLeq(const onto::BoundOntology& bound, const Explanation& e,
+                const Explanation& other) {
+  for (size_t i = 0; i < e.size(); ++i) {
+    if (!bound.Subsumes(e[i], other[i])) return false;
+  }
+  return true;
+}
+
 /// Property sweep: on random tree ontologies and random answer sets, the
-/// pruned variant returns exactly the Algorithm 1 result, every output is a
-/// maximal explanation, and every explanation is below some output.
+/// search returns exactly the most-general explanations of Definition 3.3,
+/// read literally over all concept pairs — the explanations no other
+/// explanation strictly exceeds under ≤_O, one per ≤_O-equivalence class —
+/// and every explanation is below some output.
 class ExhaustiveSweepTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ExhaustiveSweepTest, PrunedMatchesExhaustiveAndIsComplete) {
+TEST_P(ExhaustiveSweepTest, PrunedMatchesDefinitionAndIsComplete) {
   uint64_t seed = GetParam();
   workload::Rng rng(seed);
   rel::Schema schema = testutil::SimpleSchema();
@@ -158,25 +190,51 @@ TEST_P(ExhaustiveSweepTest, PrunedMatchesExhaustiveAndIsComplete) {
   if (!wni_or.ok()) return;  // missing happened to be an answer: skip seed
   const explain::WhyNotInstance& wni = wni_or.value();
 
-  ASSERT_OK_AND_ASSIGN(std::vector<Explanation> exhaustive,
-                       explain::ExhaustiveSearchAllMge(&bound, wni));
-  ASSERT_OK_AND_ASSIGN(std::vector<Explanation> pruned,
-                       explain::PrunedSearchAllMge(&bound, wni));
-  EXPECT_EQ(exhaustive, pruned);
-
-  // Completeness: every explanation is ≤ some returned MGE.
+  // The reference: all explanations over all concept pairs, then the
+  // ≤_O-maximal ones.
+  std::vector<Explanation> explanations;
   for (onto::ConceptId c1 = 0; c1 < bound.NumConcepts(); ++c1) {
     for (onto::ConceptId c2 = 0; c2 < bound.NumConcepts(); ++c2) {
       Explanation e = {c1, c2};
-      ASSERT_OK_AND_ASSIGN(bool is_expl,
-                           explain::IsExplanation(&bound, wni, e));
-      if (!is_expl) continue;
-      bool dominated = false;
-      for (const Explanation& mge : exhaustive) {
-        if (explain::LessGeneral(bound, e, mge)) dominated = true;
-      }
-      EXPECT_TRUE(dominated) << "uncovered explanation at seed " << seed;
+      if (LiteralIsExplanation(&bound, wni, e)) explanations.push_back(e);
     }
+  }
+  std::vector<Explanation> maximal;
+  for (const Explanation& e : explanations) {
+    bool exceeded = false;
+    for (const Explanation& other : explanations) {
+      if (LiteralLeq(bound, e, other) && !LiteralLeq(bound, other, e)) {
+        exceeded = true;
+      }
+    }
+    if (!exceeded) maximal.push_back(e);
+  }
+
+  ASSERT_OK_AND_ASSIGN(std::vector<Explanation> pruned,
+                       explain::PrunedSearchAllMge(&bound, wni));
+  // Every output is a most-general explanation, and every equivalence
+  // class of most-general explanations holds exactly one output.
+  for (const Explanation& e : pruned) {
+    EXPECT_TRUE(std::find(maximal.begin(), maximal.end(), e) != maximal.end())
+        << explain::ExplanationToString(bound, e)
+        << " is not most general at seed " << seed;
+  }
+  for (const Explanation& e : maximal) {
+    size_t in_class = 0;
+    for (const Explanation& out : pruned) {
+      if (LiteralLeq(bound, e, out) && LiteralLeq(bound, out, e)) ++in_class;
+    }
+    EXPECT_EQ(in_class, 1u) << explain::ExplanationToString(bound, e)
+                            << " at seed " << seed;
+  }
+
+  // Completeness: every explanation is ≤ some returned MGE.
+  for (const Explanation& e : explanations) {
+    bool dominated = false;
+    for (const Explanation& mge : pruned) {
+      if (LiteralLeq(bound, e, mge)) dominated = true;
+    }
+    EXPECT_TRUE(dominated) << "uncovered explanation at seed " << seed;
   }
 }
 

@@ -130,7 +130,7 @@ TEST_P(ExistenceVsExhaustiveTest, Agree) {
                        explain::ExistsExplanation(&bound, wni_or.value()));
   ASSERT_OK_AND_ASSIGN(
       std::vector<Explanation> mges,
-      explain::ExhaustiveSearchAllMge(&bound, wni_or.value()));
+      explain::PrunedSearchAllMge(&bound, wni_or.value()));
   EXPECT_EQ(exists, !mges.empty()) << "seed " << seed;
 }
 

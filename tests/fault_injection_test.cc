@@ -104,22 +104,22 @@ struct SearchCase {
   Runner run;
 };
 
-/// The six searches of the matrix. Exhaustive is pinned to the odometer
-/// and Pruned to the lattice frontier so both probe schemes (per-candidate
-/// ordinals, per-wave product counts) are exercised; CardMaximal, Exists,
-/// WhyMges, and Enumerate cover the branch-and-bound, backtracking,
-/// dual-antichain, and branch-tree families.
+/// The six searches of the matrix. Algorithm 1 runs once pinned to the
+/// odometer and once to the lattice frontier so both probe schemes
+/// (per-candidate ordinals, per-wave product counts) are exercised;
+/// CardMaximal, Exists, WhyMges, and Enumerate cover the branch-and-bound,
+/// backtracking, dual-antichain, and branch-tree families.
 std::vector<SearchCase> AllSearches() {
   std::vector<SearchCase> cases;
   cases.push_back(
-      {"exhaustive-odometer",
+      {"mges-odometer",
        [](Fixture& f, const exec::ExecContext* exec, exec::Certificate* cert) {
          explain::ExhaustiveOptions o;
          o.strategy = explain::SearchStrategy::kOdometer;
          o.exec = exec;
          o.cert = cert;
          Outcome out;
-         auto r = explain::ExhaustiveSearchAllMge(f.bound.get(), *f.wni, o);
+         auto r = explain::PrunedSearchAllMge(f.bound.get(), *f.wni, o);
          out.code = r.status().code();
          if (r.ok()) {
            for (const Explanation& e : r.value()) {
@@ -130,7 +130,7 @@ std::vector<SearchCase> AllSearches() {
          return out;
        }});
   cases.push_back(
-      {"pruned-lattice",
+      {"mges-lattice",
        [](Fixture& f, const exec::ExecContext* exec, exec::Certificate* cert) {
          explain::ExhaustiveOptions o;
          o.strategy = explain::SearchStrategy::kLattice;
@@ -187,11 +187,13 @@ std::vector<SearchCase> AllSearches() {
   cases.push_back(
       {"why-mges",
        [](Fixture& f, const exec::ExecContext* exec, exec::Certificate* cert) {
+         explain::ExhaustiveOptions o;
+         o.strategy = explain::SearchStrategy::kOdometer;
+         o.exec = exec;
+         o.cert = cert;
          Outcome out;
-         auto r = explain::AllMostGeneralWhyExplanations(
-             f.bound.get(), *f.wi, /*max_candidates=*/20000000,
-             /*covers=*/nullptr, explain::SearchStrategy::kOdometer,
-             /*lattice=*/nullptr, /*prune_stats=*/nullptr, exec, cert);
+         auto r =
+             explain::AllMostGeneralWhyExplanations(f.bound.get(), *f.wi, o);
          out.code = r.status().code();
          if (r.ok()) {
            for (const Explanation& e : r.value()) {
@@ -350,7 +352,7 @@ TEST(FaultInjectionMatrix, BudgetStopsCertifyIdenticallyAcrossThreads) {
       exec::Certificate cert;
       o.cert = &cert;
       Outcome out;
-      auto r = explain::ExhaustiveSearchAllMge(f.bound.get(), *f.wni, o);
+      auto r = explain::PrunedSearchAllMge(f.bound.get(), *f.wni, o);
       out.code = r.status().code();
       ASSERT_EQ(out.code, StatusCode::kOk) << "threads=" << threads;
       for (const Explanation& e : r.value()) {
@@ -363,7 +365,7 @@ TEST(FaultInjectionMatrix, BudgetStopsCertifyIdenticallyAcrossThreads) {
         ex_ref = out;
       } else {
         EXPECT_TRUE(out == *ex_ref)
-            << "exhaustive budget diverged at WHYNOT_THREADS=" << threads
+            << "mges budget diverged at WHYNOT_THREADS=" << threads
             << "\n  " << ex_ref->ToString() << "\n  " << out.ToString();
       }
     }
@@ -396,6 +398,116 @@ TEST(FaultInjectionMatrix, BudgetStopsCertifyIdenticallyAcrossThreads) {
       auto r = explain::EnumerateAllMges(*f.wni, o);
       ASSERT_FALSE(r.ok());
       EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+    }
+  }
+  par::SetNumThreads(0);
+}
+
+// A budget stop on an odometer space whose product (16^16 = 2^64) overflows
+// a word: all three candidate-product searches certify the same prefix
+// count and the same saturated remaining work at every thread count.
+TEST(FaultInjectionMatrix, OverflowingOdometerBudgetSaturatesRemaining) {
+  constexpr size_t kArity = 16;
+  constexpr size_t kBudget = 100;
+  rel::Schema schema = testutil::SimpleSchema();
+  rel::Instance instance(&schema);
+  onto::ExplicitOntology ontology;
+  for (size_t c = 0; c < kArity; ++c) {
+    ontology.SetExtension("C" + std::to_string(c), {Value("a")});
+  }
+  ASSERT_OK(ontology.Finalize());
+  Tuple a(kArity, Value("a"));
+  ASSERT_OK_AND_ASSIGN(
+      explain::WhyNotInstance wni,
+      explain::MakeWhyNotInstanceFromAnswers(
+          &instance, {Tuple(kArity, Value("b"))}, a));
+  explain::WhyInstance wi;
+  wi.instance = &instance;
+  wi.answers = {a};
+  wi.present = a;
+
+  for (int threads : kThreadCounts) {
+    par::SetNumThreads(threads);
+    onto::BoundOntology bound(&ontology, &instance);
+    exec::Certificate cert;
+    explain::ExhaustiveOptions o;
+    o.strategy = explain::SearchStrategy::kOdometer;
+    o.max_candidates = kBudget;
+    o.cert = &cert;
+    auto expect_budget_cert = [&](const char* search) {
+      EXPECT_EQ(cert.stop, exec::StopReason::kBudget) << search;
+      EXPECT_EQ(cert.quality, exec::Quality::kLowerBound) << search;
+      EXPECT_EQ(cert.progress.tested, kBudget) << search;
+      EXPECT_EQ(cert.progress.remaining, SIZE_MAX)
+          << search << " at WHYNOT_THREADS=" << threads;
+    };
+    ASSERT_OK(explain::PrunedSearchAllMge(&bound, wni, o).status());
+    expect_budget_cert("PrunedSearchAllMge");
+    cert = {};
+    ASSERT_OK(explain::ExactCardMaximal(&bound, wni, o).status());
+    expect_budget_cert("ExactCardMaximal");
+    cert = {};
+    ASSERT_OK(explain::AllMostGeneralWhyExplanations(&bound, wi, o).status());
+    expect_budget_cert("AllMostGeneralWhyExplanations");
+  }
+  par::SetNumThreads(0);
+}
+
+// A 17th position whose value no concept contains empties the product even
+// though the first 16 positions already overflow a word: every search
+// returns an empty result, under kAuto and kOdometer, with and without a
+// certificate, and never reads a candidate of the empty list.
+TEST(FaultInjectionMatrix, EmptyListAfterOverflowingPrefixEmptiesTheSpace) {
+  constexpr size_t kArity = 16;
+  rel::Schema schema = testutil::SimpleSchema();
+  rel::Instance instance(&schema);
+  onto::ExplicitOntology ontology;
+  for (size_t c = 0; c < kArity; ++c) {
+    ontology.SetExtension("C" + std::to_string(c), {Value("a")});
+  }
+  ASSERT_OK(ontology.Finalize());
+  Tuple t(kArity, Value("a"));
+  t.push_back(Value("z"));  // in no concept
+  ASSERT_OK_AND_ASSIGN(
+      explain::WhyNotInstance wni,
+      explain::MakeWhyNotInstanceFromAnswers(
+          &instance, {Tuple(kArity + 1, Value("b"))}, t));
+  explain::WhyInstance wi;
+  wi.instance = &instance;
+  wi.answers = {t};
+  wi.present = t;
+
+  for (int threads : kThreadCounts) {
+    par::SetNumThreads(threads);
+    for (explain::SearchStrategy strategy :
+         {explain::SearchStrategy::kAuto, explain::SearchStrategy::kOdometer}) {
+      for (bool certified : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "strategy=" << static_cast<int>(strategy)
+                     << " certified=" << certified
+                     << " WHYNOT_THREADS=" << threads);
+        onto::BoundOntology bound(&ontology, &instance);
+        exec::Certificate cert;
+        explain::ExhaustiveOptions o;
+        o.strategy = strategy;
+        o.max_candidates = 100;
+        if (certified) o.cert = &cert;
+        ASSERT_OK_AND_ASSIGN(std::vector<explain::Explanation> mges,
+                             explain::PrunedSearchAllMge(&bound, wni, o));
+        EXPECT_TRUE(mges.empty());
+        ASSERT_OK_AND_ASSIGN(auto best,
+                             explain::ExactCardMaximal(&bound, wni, o));
+        EXPECT_FALSE(best.has_value());
+        ASSERT_OK_AND_ASSIGN(
+            std::vector<explain::Explanation> whys,
+            explain::AllMostGeneralWhyExplanations(&bound, wi, o));
+        EXPECT_TRUE(whys.empty());
+        if (certified) {
+          EXPECT_EQ(cert.stop, exec::StopReason::kNone);
+          EXPECT_EQ(cert.progress.tested, 0u);
+          EXPECT_EQ(cert.progress.remaining, 0u);
+        }
+      }
     }
   }
   par::SetNumThreads(0);

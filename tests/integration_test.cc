@@ -32,7 +32,7 @@ TEST(IntegrationTest, RunningExampleAcrossAllOntologySources) {
   onto::BoundOntology bound3(fig3.get(), &instance);
   ASSERT_OK(bound3.CheckConsistent());
   ASSERT_OK_AND_ASSIGN(std::vector<Explanation> mges3,
-                       explain::ExhaustiveSearchAllMge(&bound3, wni));
+                       explain::PrunedSearchAllMge(&bound3, wni));
   bool found_e4 = false;
   for (const Explanation& e : mges3) {
     if (explain::ExplanationToString(bound3, e) ==
@@ -50,7 +50,7 @@ TEST(IntegrationTest, RunningExampleAcrossAllOntologySources) {
   obda::ObdaInducedOntology induced(&spec);
   onto::BoundOntology bound4(&induced, &instance);
   ASSERT_OK_AND_ASSIGN(std::vector<Explanation> mges4,
-                       explain::ExhaustiveSearchAllMge(&bound4, wni));
+                       explain::PrunedSearchAllMge(&bound4, wni));
   bool found_e1 = false;
   for (const Explanation& e : mges4) {
     if (explain::ExplanationToString(bound4, e) == "(EU-City, N.A.-City)") {
@@ -76,7 +76,7 @@ TEST(IntegrationTest, RetailScenarioHeadlineResult) {
   onto::BoundOntology bound(s.ontology.get(), s.instance.get());
   ASSERT_OK(bound.CheckConsistent());
   ASSERT_OK_AND_ASSIGN(std::vector<Explanation> mges,
-                       explain::ExhaustiveSearchAllMge(&bound, wni));
+                       explain::PrunedSearchAllMge(&bound, wni));
   ASSERT_EQ(mges.size(), 1u);
   EXPECT_EQ(explain::ExplanationToString(bound, mges[0]),
             "(Bluetooth-Headset, California-Store)");
@@ -91,7 +91,7 @@ TEST(IntegrationTest, RetailScales) {
                                   s.missing));
   onto::BoundOntology bound(s.ontology.get(), s.instance.get());
   ASSERT_OK_AND_ASSIGN(std::vector<Explanation> mges,
-                       explain::ExhaustiveSearchAllMge(&bound, wni));
+                       explain::PrunedSearchAllMge(&bound, wni));
   ASSERT_EQ(mges.size(), 1u);
   EXPECT_EQ(explain::ExplanationToString(bound, mges[0]),
             "(Bluetooth-Headset, California-Store)");
@@ -108,7 +108,7 @@ TEST(IntegrationTest, ScaledWorldExplanations) {
                                   workload::ConnectedViaQuery(),
                                   world.missing_pair));
   ASSERT_OK_AND_ASSIGN(std::vector<Explanation> mges,
-                       explain::ExhaustiveSearchAllMge(&bound, wni));
+                       explain::PrunedSearchAllMge(&bound, wni));
   ASSERT_FALSE(mges.empty());
   for (const Explanation& e : mges) {
     ASSERT_OK_AND_ASSIGN(bool check,

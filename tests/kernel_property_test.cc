@@ -39,6 +39,19 @@ std::vector<ValueId> RandomIds(Rng* rng, int32_t universe, size_t count) {
   return ids;
 }
 
+// A set holding exactly `ids` that keeps a dense mirror however sparse it
+// is in `universe`: the intersection of two dense sets (`ids` plus the ids
+// ≡ 0 mod 64, and `ids` plus the ids ≡ 32 mod 64), since the bitmap-bitmap
+// Intersect keeps its mirror.
+onto::ExtSet SparseMirror(const std::vector<ValueId>& ids, int32_t universe) {
+  std::vector<ValueId> left = ids;
+  std::vector<ValueId> right = ids;
+  for (ValueId id = 0; id < universe; id += 64) left.push_back(id);
+  for (ValueId id = 32; id < universe; id += 64) right.push_back(id);
+  return onto::ExtSet::Finite(std::move(left))
+      .Intersect(onto::ExtSet::Finite(std::move(right)));
+}
+
 // --- scalar reference implementations ------------------------------------
 
 bool RefContains(const std::vector<ValueId>& sorted, ValueId id) {
@@ -60,7 +73,7 @@ std::vector<ValueId> RefIntersect(const std::vector<ValueId>& a,
 TEST(KernelPropertyTest, BitmapExtSetMatchesSortedVectorReference) {
   Rng rng(0xC0FFEE);
   // Sweep universes across the density switch: tiny (always bitmap),
-  // medium, and sparse-in-large (vector-only unless forced).
+  // medium, and sparse-in-large (vector-only unless mirrored).
   const int32_t universes[] = {8, 64, 200, 1024, 5000, 100000};
   for (int32_t universe : universes) {
     for (int round = 0; round < 20; ++round) {
@@ -68,11 +81,11 @@ TEST(KernelPropertyTest, BitmapExtSetMatchesSortedVectorReference) {
       size_t nb = rng.Below(static_cast<uint64_t>(universe) / 2 + 2);
       onto::ExtSet a = onto::ExtSet::Finite(RandomIds(&rng, universe, na));
       onto::ExtSet b = onto::ExtSet::Finite(RandomIds(&rng, universe, nb));
-      // Occasionally force bitmaps the way BoundOntology's extension table
-      // does, so the word-parallel paths are exercised even when sparse.
+      // Occasionally give both sides a mirror however sparse they are, so
+      // the word-parallel paths are exercised on sparse sets too.
       if (round % 3 == 0) {
-        a.EnsureBitmap(universe);
-        b.EnsureBitmap(universe);
+        a = SparseMirror(a.ids(), universe);
+        b = SparseMirror(b.ids(), universe);
       }
       // Also test subset relationships that actually hold, not just
       // random pairs (which are almost never subsets).
@@ -105,9 +118,9 @@ TEST(KernelPropertyTest, MixedRepresentationPairsAgree) {
     onto::ExtSet sparse =
         onto::ExtSet::Finite(RandomIds(&rng, universe, 5));
     ASSERT_FALSE(sparse.has_bitmap());
-    onto::ExtSet dense = sparse;
-    dense.EnsureBitmap(universe);
+    onto::ExtSet dense = SparseMirror(sparse.ids(), universe);
     ASSERT_TRUE(dense.has_bitmap());
+    ASSERT_EQ(dense.ids(), sparse.ids());
     onto::ExtSet other = onto::ExtSet::Finite(RandomIds(&rng, universe, 5));
 
     EXPECT_EQ(dense.SubsetOf(other), RefSubsetOf(dense.ids(), other.ids()));
@@ -122,7 +135,7 @@ TEST(KernelPropertyTest, MixedRepresentationPairsAgree) {
 TEST(KernelPropertyTest, AllSemanticsUnchangedByBitmaps) {
   onto::ExtSet all = onto::ExtSet::All();
   onto::ExtSet fin = onto::ExtSet::Finite({1, 2, 3});
-  fin.EnsureBitmap(64);
+  ASSERT_TRUE(fin.has_bitmap());
   EXPECT_TRUE(fin.SubsetOf(all));
   EXPECT_FALSE(all.SubsetOf(fin));
   EXPECT_EQ(all.Intersect(fin), fin);
@@ -146,26 +159,22 @@ TEST(KernelPropertyTest, DensitySwitchBuildsBitmapOnlyWhenDense) {
 }
 
 TEST(KernelPropertyTest, FreezeLeavesSparseSetsAsIdVectors) {
-  // The warm extension table freezes every set against the pool universe;
-  // a set too sparse for the density rule keeps its sorted id vector, and
-  // every operation still agrees with the reference over it.
+  // A set too sparse for the density rule keeps its sorted id vector —
+  // ExtSet::Finite decides once, over the id-local universe — and every
+  // operation still agrees with the reference over it.
   Rng rng(0xF4EE2E);
   const int32_t universe = 1 << 20;
-  // A frozen dense set (a mirror over the same universe) for mixed pairs.
+  // A dense set (a mirror over the same universe) for mixed pairs.
   std::vector<ValueId> dense_ids;
   for (ValueId i = 0; i < universe; i += 4) dense_ids.push_back(i);
   onto::ExtSet dense = onto::ExtSet::Finite(dense_ids);
-  dense.Freeze(universe);
   ASSERT_TRUE(dense.has_bitmap());
   for (int round = 0; round < 30; ++round) {
     onto::ExtSet a = onto::ExtSet::Finite(RandomIds(&rng, universe, 6));
     onto::ExtSet b = onto::ExtSet::Finite(RandomIds(&rng, universe, 6));
-    a.Freeze(universe);
-    b.Freeze(universe);
     ASSERT_FALSE(a.has_bitmap());
     ASSERT_FALSE(b.has_bitmap());
     onto::ExtSet sub = a.Intersect(b);
-    sub.Freeze(universe);
     for (ValueId id : a.ids()) EXPECT_TRUE(a.Contains(id));
     for (int probe = 0; probe < 50; ++probe) {
       ValueId id =

@@ -3,8 +3,8 @@
 // enumeration order, witnesses, stats, and error outcomes — at
 // WHYNOT_THREADS ∈ {1, 2, 8}. The 1-thread run takes the serial code
 // paths verbatim and serves as the reference; the multi-thread runs
-// exercise the sharded warm-up, the candidate fan-outs, and the
-// deterministic index-ordered merges.
+// exercise the parallel ConceptsContaining and consistency scans, the
+// candidate fan-outs, and the deterministic index-ordered merges.
 
 #include <gtest/gtest.h>
 
@@ -127,14 +127,6 @@ TEST_P(ParallelDeterminismTest, ExternalSearches) {
   ExpectSameAtAllThreadCounts<std::vector<explain::Explanation>>(
       [&] {
         onto::BoundOntology bound(f.ontology.get(), f.instance.get());
-        auto r = explain::ExhaustiveSearchAllMge(&bound, f.wni);
-        EXPECT_TRUE(r.ok());
-        return r.ok() ? r.value() : std::vector<explain::Explanation>{};
-      },
-      "ExhaustiveSearchAllMge");
-  ExpectSameAtAllThreadCounts<std::vector<explain::Explanation>>(
-      [&] {
-        onto::BoundOntology bound(f.ontology.get(), f.instance.get());
         auto r = explain::PrunedSearchAllMge(&bound, f.wni);
         EXPECT_TRUE(r.ok());
         return r.ok() ? r.value() : std::vector<explain::Explanation>{};
@@ -175,7 +167,7 @@ TEST_P(ParallelDeterminismTest, CheckMgeAndWhyExternal) {
   std::vector<explain::Explanation> candidates;
   {
     onto::BoundOntology bound(f.ontology.get(), f.instance.get());
-    auto r = explain::ExhaustiveSearchAllMge(&bound, f.wni);
+    auto r = explain::PrunedSearchAllMge(&bound, f.wni);
     ASSERT_TRUE(r.ok());
     candidates = r.value();
   }
@@ -208,7 +200,9 @@ TEST_P(ParallelDeterminismTest, CheckMgeAndWhyExternal) {
   ExpectSameAtAllThreadCounts<std::vector<explain::Explanation>>(
       [&] {
         onto::BoundOntology bound(f.ontology.get(), f.instance.get());
-        auto r = explain::AllMostGeneralWhyExplanations(&bound, wi, 2000000);
+        explain::ExhaustiveOptions o;
+        o.max_candidates = 2000000;
+        auto r = explain::AllMostGeneralWhyExplanations(&bound, wi, o);
         EXPECT_TRUE(r.ok());
         return r.ok() ? r.value() : std::vector<explain::Explanation>{};
       },
@@ -269,7 +263,7 @@ TEST_P(ParallelDeterminismTest, SessionServedRequests) {
                       std::to_string(stats.nodes_expanded));
 
         auto ext = s.ExhaustiveMges(f.wni.missing);
-        auto want_ext = explain::ExhaustiveSearchAllMge(&bound, f.wni);
+        auto want_ext = explain::PrunedSearchAllMge(&bound, f.wni);
         EXPECT_TRUE(ext.ok() && want_ext.ok());
         if (!ext.ok() || !want_ext.ok()) return out;
         EXPECT_EQ(ext.value(), want_ext.value());

@@ -86,7 +86,7 @@ TEST(SessionExternalTest, RepeatedRequestsMatchOneShot) {
       onto::BoundOntology bound(f.ontology.get(), f.instance.get());
 
       ASSERT_OK_AND_ASSIGN(std::vector<explain::Explanation> want_all,
-                           explain::ExhaustiveSearchAllMge(&bound, wni));
+                           explain::PrunedSearchAllMge(&bound, wni));
       ASSERT_OK_AND_ASSIGN(std::vector<explain::Explanation> got_all,
                            session.ExhaustiveMges(missing));
       EXPECT_EQ(got_all, want_all);

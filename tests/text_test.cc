@@ -311,7 +311,7 @@ Cities(x, z, "USA", w) -> US-City(x)
       explain::WhyNotInstance wni,
       explain::MakeWhyNotInstance(&instance, q, {"Amsterdam", "New York"}));
   ASSERT_OK_AND_ASSIGN(std::vector<explain::Explanation> mges,
-                       explain::ExhaustiveSearchAllMge(&bound, wni));
+                       explain::PrunedSearchAllMge(&bound, wni));
   std::set<std::string> rendered;
   for (const explain::Explanation& e : mges) {
     rendered.insert(explain::ExplanationToString(bound, e));
