@@ -76,6 +76,17 @@ size_t ConceptAnswerCovers::CountCovered(
                       [this](size_t i) { return scratch_rows_[i]; });
 }
 
+bool ConceptAnswerCovers::ProductInside(
+    const std::vector<onto::ConceptId>& e) {
+  return ProductInside(
+      e.size(), num_answers(),
+      [&](size_t i) {
+        const onto::ExtSet& ext = bound_->Ext(e[i]);
+        return ExtSize{ext.is_all(), ext.size()};
+      },
+      [&] { return CountCovered(e); });
+}
+
 size_t ConceptAnswerCovers::MemoryBytes() const {
   size_t bytes = sizeof(*this) + full_.capacity() * sizeof(uint64_t) +
                  scratch_rows_.capacity() * sizeof(const uint64_t*);
@@ -147,6 +158,21 @@ size_t LsAnswerCovers::CountCovered(
   return ConceptAnswerCovers::ProductCount(
       exts.size(), full_.num_words(),
       [this](size_t i) { return scratch_rows_[i]; });
+}
+
+bool LsAnswerCovers::ProductInside(
+    const std::vector<const ls::Extension*>& exts, size_t swap_pos,
+    const ls::Extension* repl) {
+  auto ext_at = [&](size_t i) -> const ls::Extension& {
+    return i == swap_pos ? *repl : *exts[i];
+  };
+  return ConceptAnswerCovers::ProductInside(
+      exts.size(), num_answers(),
+      [&](size_t i) {
+        const ls::Extension& e = ext_at(i);
+        return ExtSize{e.all, e.CardinalityOrInfinite()};
+      },
+      [&] { return CountCovered(exts, swap_pos, repl); });
 }
 
 size_t LsAnswerCovers::MemoryBytes() const {

@@ -37,6 +37,13 @@ namespace whynot::explain {
 /// A cover row is a `const uint64_t*` to num_words() words, owned by the
 /// covers object and stable for its lifetime.
 
+/// One position's extension size, as the counting containment test reads
+/// it: `all` for ⊤-equivalent extensions (size then unused), else |ext|.
+struct ExtSize {
+  bool all = false;
+  size_t size = 0;
+};
+
 /// Covers for an external finite ontology bound to an instance: keyed by
 /// ConceptId. `answers` are id rows interned against bound->pool()
 /// (InternAnswers), captured by value; `bound` must outlive the covers.
@@ -81,6 +88,10 @@ class ConceptAnswerCovers {
 
   /// popcount(⋀_i Cover(e_i, i)) : answers covered componentwise.
   size_t CountCovered(const std::vector<onto::ConceptId>& e);
+
+  /// ext(e_1) × ... × ext(e_m) ⊆ Ans (the static ProductInside below).
+  /// The answers must be duplicate-free.
+  bool ProductInside(const std::vector<onto::ConceptId>& e);
 
   /// ⋀_{i != skip} Cover(e_i, i) — the loop-invariant part of a probe
   /// sweep that varies one position. All ones (over |Ans|) when every
@@ -130,6 +141,32 @@ class ConceptAnswerCovers {
     return count;
   }
 
+  /// "ext(e_1) × ... × ext(e_m) ⊆ Ans" in counting form, the why dual's
+  /// product test: the product tuples are pairwise distinct and Ans must
+  /// be duplicate-free, so the product is inside Ans iff |product| equals
+  /// the number of answers covered componentwise — `count()`, one
+  /// ProductCount. `size_at(i)` yields position i's ExtSize. An empty
+  /// position makes the product empty and vacuously inside; otherwise an
+  /// All position (an infinite product) or a product larger than |Ans|
+  /// can never be covered, and `count()` is not called.
+  template <typename SizeAt, typename Count>
+  static bool ProductInside(size_t m, size_t num_answers, SizeAt size_at,
+                            Count count) {
+    for (size_t i = 0; i < m; ++i) {
+      ExtSize e = size_at(i);
+      if (!e.all && e.size == 0) return true;
+    }
+    size_t product_size = 1;
+    for (size_t i = 0; i < m; ++i) {
+      ExtSize e = size_at(i);
+      if (e.all) return false;
+      // Bail before the product overflows.
+      if (product_size > num_answers / e.size) return false;
+      product_size *= e.size;
+    }
+    return count() == product_size;
+  }
+
   // The pre-resolved per-candidate-list cover table lives in
   // search_core.h (explain::CoverTable), next to the chunked candidate
   // filter that probes it.
@@ -177,6 +214,12 @@ class LsAnswerCovers {
   size_t CountCovered(const std::vector<const ls::Extension*>& exts,
                       size_t swap_pos = SIZE_MAX,
                       const ls::Extension* repl = nullptr);
+
+  /// ext product ⊆ Ans (ConceptAnswerCovers::ProductInside), same swap
+  /// convention. The answers must be duplicate-free.
+  bool ProductInside(const std::vector<const ls::Extension*>& exts,
+                     size_t swap_pos = SIZE_MAX,
+                     const ls::Extension* repl = nullptr);
 
   /// Heap + object bytes across columns and cached cover rows.
   size_t MemoryBytes() const;

@@ -20,10 +20,10 @@ namespace whynot::explain {
 /// positions are shrunk back.
 /// `covers`, when non-null, must be the answer-cover table of
 /// (bound, InternAnswers(bound, wni)) — a prepared ExplainSession's warm
-/// table; results are identical either way. `exec` is observed once per
-/// candidate position, at the same serial point on the serial and sharded
-/// paths; the boolean verdict admits no meaningful partial result, so a
-/// stop always returns the matching error status.
+/// table; results are identical either way. The check is serial. `exec`
+/// is observed once per candidate position; the boolean verdict admits no
+/// meaningful partial result, so a stop always returns the matching error
+/// status.
 Result<bool> CheckMgeExternal(onto::BoundOntology* bound,
                               const WhyNotInstance& wni,
                               const Explanation& candidate,
@@ -38,12 +38,14 @@ Result<bool> CheckMgeExternal(onto::BoundOntology* bound,
 /// lub(ext(Cj,I) ∪ {b}); the candidate is an MGE iff no replacement (and no
 /// generalization to ⊤) keeps the tuple an explanation. PTIME for
 /// selection-free LS and for bounded schema arity, EXPTIME in general.
+/// The check is serial and shared with the why dual (CheckMaximal in
+/// derived_sweep.h).
 /// `cache` / `covers`, when non-null, are a prepared session's warm
 /// extension memo and answer-cover table over (wni.instance, wni.answers).
 /// `concept_cache`, when non-null, is the shared lub/eval cache the
-/// maximality probes run through (published-tier lookups during a sharded
-/// sweep, misses published at its serial end; a session cache carries the
-/// entries to later requests). Each null store gets a per-call local, with
+/// maximality probes run through (misses are published when the check
+/// returns; a session cache carries the entries to later requests). Each
+/// null store — `lub_context` included — gets a per-call local, with
 /// identical verdicts and errors — except that `covers` key rows by
 /// extension address, so passing covers requires passing `cache` and
 /// `concept_cache` too (InvalidArgument otherwise).

@@ -1,0 +1,45 @@
+#include "whynot/explain/derived_sweep.h"
+
+#include "whynot/common/algorithm.h"
+
+namespace whynot::explain {
+
+DerivedStores::DerivedStores(const char* where, const rel::Instance* instance,
+                             const std::vector<Tuple>& answers,
+                             bool dedup_answers, bool with_selections,
+                             ls::LubContext* lub_context,
+                             ls::EvalCache* cache, LsAnswerCovers* covers,
+                             ls::ConceptCache* concept_cache,
+                             ls::ConceptCacheOverlay* session_overlay)
+    : status_(RequireCoverStores(
+          covers, cache != nullptr && concept_cache != nullptr, where)) {
+  if (!status_.ok()) return;
+  if (lub_context == nullptr) lub_context = &local_lub_.emplace(instance);
+  cache_ = cache != nullptr ? cache : &local_cache_.emplace(instance);
+  if (covers == nullptr) {
+    const std::vector<Tuple>* indexed = &answers;
+    if (dedup_answers) {
+      sorted_answers_.emplace(answers);
+      SortUnique(&*sorted_answers_);
+      indexed = &*sorted_answers_;
+    }
+    covers = &local_covers_.emplace(instance, indexed);
+  }
+  covers_ = covers;
+  concept_cache_ = concept_cache != nullptr
+                       ? concept_cache
+                       : &local_concept_cache_.emplace(instance);
+  if (session_overlay != nullptr &&
+      session_overlay->with_selections() == with_selections) {
+    overlay_ = session_overlay;
+  } else {
+    overlay_ = &local_overlay_.emplace(concept_cache_, with_selections,
+                                       lub_context, cache_);
+  }
+}
+
+DerivedStores::~DerivedStores() {
+  if (overlay_ != nullptr) concept_cache_->Publish(overlay_);
+}
+
+}  // namespace whynot::explain

@@ -79,7 +79,6 @@ class NodeEvaluator {
   NodeEvaluator(const WhyNotInstance& wni, const EnumerateOptions& options,
                 ls::LubContext* lub, ls::ConceptCache* cache)
       : wni_(wni),
-        options_(options),
         overlay_(cache, options.with_selections, lub),
         adom_(wni.instance->ActiveDomain()),
         adom_ids_(wni.instance->ActiveDomainIds()),
@@ -142,7 +141,7 @@ class NodeEvaluator {
           state->decisions.push_back(e);
         }
       }
-      if (options_.generalize_to_top && !state->exts[j]->all) {
+      if (!state->exts[j]->all) {
         GroundElement top{static_cast<int>(j), kTopIndex};
         if (excluded.count(top) == 0 && !AnyAnd(rest, full_.data())) {
           state->topped[j] = true;
@@ -173,9 +172,7 @@ class NodeEvaluator {
       if (state.topped[j] || state.exts[j]->all) continue;
       const std::vector<uint64_t>& rest = and_cache_.Rest(j, cover_at);
       if (e.constant_index == kTopIndex) {
-        if (options_.generalize_to_top && !AnyAnd(rest, full_.data())) {
-          return false;
-        }
+        if (!AnyAnd(rest, full_.data())) return false;
         continue;
       }
       size_t bi = static_cast<size_t>(e.constant_index);
@@ -226,7 +223,6 @@ class NodeEvaluator {
   }
 
   const WhyNotInstance& wni_;
-  const EnumerateOptions& options_;
   ls::ConceptCacheOverlay overlay_;
   const std::vector<Value>& adom_;
   const std::vector<ValueId>& adom_ids_;

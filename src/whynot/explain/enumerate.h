@@ -18,11 +18,6 @@ struct EnumerateOptions {
   /// true: enumerate over full LS via lubσ (Lemma 5.2).
   bool with_selections = false;
 
-  /// Allow positions to generalize all the way to ⊤ (see
-  /// IncrementalOptions::generalize_to_top for why this is needed for
-  /// maximality over the full language, which contains ⊤).
-  bool generalize_to_top = true;
-
   /// Stop after this many distinct most-general explanations.
   size_t max_results = 100000;
 

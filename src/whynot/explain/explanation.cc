@@ -1,6 +1,7 @@
 #include "whynot/explain/explanation.h"
 
 #include "whynot/common/strings.h"
+#include "whynot/explain/derived_sweep.h"
 
 namespace whynot::explain {
 
@@ -65,41 +66,16 @@ std::string ExplanationToString(const onto::BoundOntology& bound,
   return "(" + Join(parts, ", ") + ")";
 }
 
-namespace {
-
-bool IsLsExplanationImpl(const WhyNotInstance& wni, const LsExplanation& e,
-                         ls::EvalCache* cache, LsAnswerCovers* covers) {
-  if (e.size() != wni.arity()) return false;
-  const ValuePool& pool = wni.instance->pool();
-  std::vector<const ls::Extension*> exts;
-  exts.reserve(e.size());
-  for (size_t i = 0; i < e.size(); ++i) {
-    const ls::Extension& ext = cache->Eval(e[i]);
-    if (!ext.ContainsInterned(pool.Lookup(wni.missing[i]), wni.missing[i])) {
-      return false;
-    }
-    exts.push_back(&ext);
-  }
-  return !covers->ProductIntersects(exts);
-}
-
-}  // namespace
-
 bool IsLsExplanation(const WhyNotInstance& wni, const LsExplanation& e) {
   ls::EvalCache cache(wni.instance);
   LsAnswerCovers covers(wni.instance, &wni.answers);
-  return IsLsExplanationImpl(wni, e, &cache, &covers);
-}
-
-bool IsLsExplanation(const WhyNotInstance& wni, const LsExplanation& e,
-                     ls::EvalCache* cache) {
-  LsAnswerCovers covers(wni.instance, &wni.answers);
-  return IsLsExplanationImpl(wni, e, cache, &covers);
+  return IsLsExplanation(wni, e, &cache, &covers);
 }
 
 bool IsLsExplanation(const WhyNotInstance& wni, const LsExplanation& e,
                      ls::EvalCache* cache, LsAnswerCovers* covers) {
-  return IsLsExplanationImpl(wni, e, cache, covers);
+  return IsDualExplanation<WhyNotDual>(wni.instance, wni.missing, e, cache,
+                                       covers);
 }
 
 bool LessGeneralI(const rel::Instance& instance, const LsExplanation& e,

@@ -54,13 +54,6 @@ std::string ExplanationToString(const onto::BoundOntology& bound,
 /// Definition 3.2 against the derived ontology OI: extensions are ⟦·⟧ᴵ.
 bool IsLsExplanation(const WhyNotInstance& wni, const LsExplanation& e);
 
-/// As above, with per-conjunct extension memoization (`cache` must be
-/// bound to wni.instance). The greedy searches call this once per
-/// candidate probe; the cache makes each call an intersection of already-
-/// evaluated conjuncts instead of fresh relation scans.
-bool IsLsExplanation(const WhyNotInstance& wni, const LsExplanation& e,
-                     ls::EvalCache* cache);
-
 /// The fully hoisted form: `covers` must be an LsAnswerCovers over
 /// (wni.instance, wni.answers) fed by the same `cache`. The answer-product
 /// condition is then one word-parallel AND over cached cover bitmaps.

@@ -15,20 +15,12 @@ struct IncrementalOptions {
   /// (Lemma 5.2, Theorem 5.4 — EXPTIME, PTIME for bounded schema arity).
   bool with_selections = false;
 
-  /// After the lub-generalization sweep, additionally try generalizing
-  /// each position to ⊤. The paper's pseudocode only generalizes over
-  /// adom(I); when a column covers the whole active domain, ⊤ is still a
-  /// strictly more general concept (its extension is all of Const), so
-  /// this extra step is required for the output to be most general with
-  /// respect to the full language LS, which contains ⊤. Disable to follow
-  /// the paper's pseudocode to the letter.
-  bool generalize_to_top = true;
-
   ls::LubOptions lub;
 
   /// Optional execution control, observed once per generalization
-  /// candidate (position, constant) in the fixed sweep order — the search
-  /// is serial, so probe ordinals are trivially deterministic.
+  /// candidate (position, constant) in the fixed sweep order, then once
+  /// per position's ⊤ step — the search is serial, so probe ordinals are
+  /// trivially deterministic.
   const exec::ExecContext* exec = nullptr;
 
   /// When non-null, a stop returns OK with the tuple generalized so far —
@@ -44,7 +36,11 @@ struct IncrementalOptions {
 /// (Section 5.2). Starts from the tuple of lub({a_j}) (the nominal-pinned,
 /// most specific explanation, which always exists) and greedily grows each
 /// position's support set by active-domain constants while the tuple
-/// remains an explanation.
+/// remains an explanation. The paper's pseudocode only generalizes over
+/// adom(I); a final step then tries ⊤ at each position, which is strictly
+/// more general than any finite extension, so the output is most general
+/// w.r.t. the full language LS, which contains ⊤ (Definition 3.3). The
+/// sweep is the one shared with the why dual (derived_sweep.h).
 Result<LsExplanation> IncrementalSearch(const WhyNotInstance& wni,
                                         const IncrementalOptions& options = {});
 

@@ -34,8 +34,6 @@ namespace whynot::explain {
 ///  * ParallelFilterSpace — the chunked candidate-product shard with
 ///    range-ordered survivor replay (the odometer walk);
 ///  * LatticeFilterSpace — the dominance-pruned frontier walk;
-///  * LexMinSweep — the per-worker first-outcome sweep of the derived MGE
-///    checks (CheckMgeDerived / CheckWhyMgeDerived);
 ///  * CoverTable — pre-resolved cover pointers aligned with per-position
 ///    candidate lists, plus the extension metadata the counting
 ///    (containment) form needs;
@@ -410,64 +408,6 @@ class ProductSearch {
   exec::Progress progress_;
 };
 
-/// Sharded first-outcome sweep over [0, n): `body(worker, i)` either
-/// returns std::nullopt ("nothing decided at i, keep scanning") or an
-/// outcome, and the helper returns the outcome at the *smallest* i —
-/// exactly what a serial loop returning at its first outcome produces,
-/// independent of thread count or block scheduling.
-///
-/// Workers hold the per-thread lazily mutating state (lub contexts, eval
-/// caches, covers); `workers` is sized par::MaxWorkers() by the caller
-/// and filled lazily via `make_worker`, so worker state persists across
-/// consecutive sweeps (the per-position loops of the MGE checks). `body`
-/// must be a pure function of (worker state, i) — worker caches may
-/// memoize but never change results.
-///
-/// Only the parallel scaffolding lives here: callers keep their serial
-/// loops (which reuse the caller's own warm caches) and route through
-/// this when the pool is wide enough.
-/// `exec` (optional) is polled for abandonment at block starts — callers
-/// must re-check their context at the serial point after the sweep and
-/// discard the outcome on a stop, since an abandoned sweep may have
-/// skipped ranges.
-template <typename Worker, typename Outcome>
-std::optional<Outcome> LexMinSweep(
-    size_t n, size_t grain, std::vector<std::unique_ptr<Worker>>* workers,
-    const std::function<std::unique_ptr<Worker>()>& make_worker,
-    const std::function<std::optional<Outcome>(Worker&, size_t)>& body,
-    const exec::ExecContext* exec = nullptr) {
-  std::atomic<size_t> outcome_at{SIZE_MAX};
-  std::mutex mutex;
-  std::optional<Outcome> best;
-  par::ParallelForWorker(n, grain, [&](int w, size_t begin, size_t end) {
-    if (exec::ShouldAbandon(exec)) return;
-    if (begin > outcome_at.load(std::memory_order_relaxed)) return;
-    size_t slot = static_cast<size_t>(w);
-    if ((*workers)[slot] == nullptr) (*workers)[slot] = make_worker();
-    Worker& worker = *(*workers)[slot];
-    for (size_t i = begin; i < end; ++i) {
-      if (i > outcome_at.load(std::memory_order_relaxed)) return;
-      std::optional<Outcome> outcome = body(worker, i);
-      if (!outcome.has_value()) continue;
-      std::lock_guard<std::mutex> lock(mutex);
-      if (i < outcome_at.load(std::memory_order_relaxed)) {
-        outcome_at.store(i, std::memory_order_relaxed);
-        best = std::move(outcome);
-      }
-      return;  // everything past i in this block is dominated
-    }
-  });
-  return best;
-}
-
-/// Outcome of one maximality probe of the derived MGE checks, used with
-/// LexMinSweep: the probe either *broke* maximality (a strictly more
-/// general replacement kept the tuple an explanation) or errored.
-struct ProbeOutcome {
-  bool broken = false;
-  Status error = Status::OK();
-};
-
 /// Pre-resolved cover-pointer table aligned with the per-position
 /// candidate lists of an enumeration, so the per-candidate product test
 /// is one m-way word AND with no cover lookups. Optionally carries the
@@ -504,23 +444,16 @@ class CoverTable {
         table_.size(), nwords_, [&](size_t i) { return table_[i][idx[i]]; });
   }
 
-  /// The why-dual containment test: ext product ⊆ Ans. Mirrors
-  /// ProductInsideAnswers over the pre-resolved metadata — empty position
-  /// makes the product vacuously inside, an All position (or a product
-  /// larger than |Ans|) can never be covered, otherwise the counting AND
-  /// decides. Requires ResolveSizes.
+  /// The why-dual containment test, ext product ⊆ Ans
+  /// (ConceptAnswerCovers::ProductInside over the pre-resolved metadata).
+  /// Requires ResolveSizes.
   bool ProductInsideAt(const std::vector<size_t>& idx) const {
-    size_t m = table_.size();
-    for (size_t i = 0; i < m; ++i) {
-      if (!is_all_[i][idx[i]] && sizes_[i][idx[i]] == 0) return true;
-    }
-    size_t product_size = 1;
-    for (size_t i = 0; i < m; ++i) {
-      if (is_all_[i][idx[i]]) return false;
-      if (product_size > num_answers_ / sizes_[i][idx[i]]) return false;
-      product_size *= sizes_[i][idx[i]];
-    }
-    return ProductCountAt(idx) == product_size;
+    return ConceptAnswerCovers::ProductInside(
+        table_.size(), num_answers_,
+        [&](size_t i) {
+          return ExtSize{is_all_[i][idx[i]] != 0, sizes_[i][idx[i]]};
+        },
+        [&] { return ProductCountAt(idx); });
   }
 
   /// Degree ingredients of the candidate at idx — whether any position's

@@ -61,7 +61,7 @@ struct GradedMges {
 /// query answers, extension warm-up, answer-cover bitmaps, lub canonical
 /// boxes, eval memos. A session binds that state once — Bind evaluates
 /// the query, warms the instance's lazy caches for concurrent reads,
-/// warms every bound-ontology extension (sharded), and constructs the
+/// warms every bound-ontology extension, and constructs the
 /// answer-cover tables — and then serves repeated WhyNot / Why /
 /// EnumerateMges / Cardinality / Existence requests that only vary the
 /// asked-about tuple. Results, enumeration order, and stats are

@@ -1,12 +1,12 @@
 #include "whynot/explain/why_explanation.h"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <utility>
 
 #include "whynot/common/algorithm.h"
 #include "whynot/concepts/ls_eval.h"
+#include "whynot/explain/derived_sweep.h"
 #include "whynot/explain/search_core.h"
 #include "whynot/relational/cq_eval.h"
 
@@ -31,49 +31,6 @@ Result<WhyInstance> MakeWhyInstance(const rel::Instance* instance,
   wi.present = std::move(present);
   return wi;
 }
-
-namespace {
-
-/// The counting formulations below require Ans to be duplicate-free.
-/// MakeWhyInstance guarantees that (rel::Evaluate sort-dedups), but
-/// WhyInstance is a plain struct that callers may fill by hand, so the
-/// answer vectors are defensively sort-deduped where they are built.
-std::vector<Tuple> SortedUniqueAnswers(const WhyInstance& wi) {
-  std::vector<Tuple> answers = wi.answers;
-  SortUnique(&answers);
-  return answers;
-}
-
-/// "product ⊆ Ans" in counting form over the answer-cover kernel: the
-/// product tuples are pairwise distinct and Ans is duplicate-free, so the
-/// product is inside Ans iff |product| equals the number of answers whose
-/// every component lies in the corresponding extension — and that number
-/// is popcount(⋀_i Cover(e_i, i)), one word-parallel AND instead of a
-/// scalar membership pass per (answer, position). An All extension at any
-/// position makes the product infinite, hence never ⊆ the finite answer
-/// set — unless some other position is empty, making the product empty
-/// and vacuously inside.
-///
-/// ext(C1) × ... × ext(Cm) ⊆ Ans over a bound finite ontology.
-bool ProductInsideAnswers(onto::BoundOntology* bound,
-                          const std::vector<onto::ConceptId>& concepts,
-                          ConceptAnswerCovers* covers) {
-  for (onto::ConceptId c : concepts) {
-    const onto::ExtSet& e = bound->Ext(c);
-    if (!e.is_all() && e.size() == 0) return true;  // vacuously inside
-  }
-  size_t product_size = 1;
-  for (onto::ConceptId c : concepts) {
-    const onto::ExtSet& e = bound->Ext(c);
-    if (e.is_all()) return false;
-    // |product| > |Ans| can never be covered; bail before overflow.
-    if (product_size > covers->num_answers() / e.size()) return false;
-    product_size *= e.size();
-  }
-  return covers->CountCovered(concepts) == product_size;
-}
-
-}  // namespace
 
 std::vector<std::vector<ValueId>> InternedUniqueAnswers(
     onto::BoundOntology* bound, const WhyInstance& wi) {
@@ -105,7 +62,7 @@ Result<bool> IsWhyExplanation(onto::BoundOntology* bound,
     local.emplace(bound, InternedUniqueAnswers(bound, wi));
     covers = &*local;
   }
-  return ProductInsideAnswers(bound, e, covers);
+  return covers->ProductInside(e);
 }
 
 Result<std::vector<Explanation>> AllMostGeneralWhyExplanations(
@@ -149,7 +106,7 @@ Result<std::vector<Explanation>> AllMostGeneralWhyExplanations(
         [&](const std::vector<size_t>& idx) {
           if (table.has_value()) return table->ProductInsideAt(idx);
           for (size_t i = 0; i < m; ++i) current[i] = lists[i][idx[i]];
-          return ProductInsideAnswers(bound, current, covers);
+          return covers->ProductInside(current);
         },
         [&](const std::vector<size_t>& idx) {
           for (size_t i = 0; i < m; ++i) current[i] = lists[i][idx[i]];
@@ -173,83 +130,22 @@ Result<std::vector<Explanation>> AllMostGeneralWhyExplanations(
 
 // --- Why-explanations w.r.t. the derived ontology OI ----------------------
 
-namespace {
-
-/// ext(C1) × ... × ext(Cm) ⊆ Ans over LS extensions — the same counting
-/// core over the LS answer-cover kernel. `covers` must be built over the
-/// sort-deduped answer vector; position `swap_pos` (if set) is read from
-/// `repl` instead of exts[swap_pos], the probe form of the greedy search.
-bool LsProductInsideAnswers(LsAnswerCovers* covers,
-                            const std::vector<const ls::Extension*>& exts,
-                            size_t swap_pos = SIZE_MAX,
-                            const ls::Extension* repl = nullptr) {
-  auto ext_at = [&](size_t i) -> const ls::Extension& {
-    return i == swap_pos ? *repl : *exts[i];
-  };
-  for (size_t i = 0; i < exts.size(); ++i) {
-    const ls::Extension& e = ext_at(i);
-    if (!e.all && e.CardinalityOrInfinite() == 0) return true;
-  }
-  size_t product_size = 1;
-  for (size_t i = 0; i < exts.size(); ++i) {
-    const ls::Extension& e = ext_at(i);
-    if (e.all) return false;
-    size_t size = e.CardinalityOrInfinite();
-    if (product_size > covers->num_answers() / size) return false;
-    product_size *= size;
-  }
-  return covers->CountCovered(exts, swap_pos, repl) == product_size;
-}
-
-/// `covers` must be over the sort-deduped answer vector of `wi`.
-bool IsLsWhyExplanationImpl(const WhyInstance& wi, const LsExplanation& e,
-                            LsAnswerCovers* covers, ls::EvalCache* cache) {
-  if (e.size() != wi.arity()) return false;
-  const ValuePool& pool = wi.instance->pool();
-  std::vector<const ls::Extension*> exts;
-  exts.reserve(e.size());
-  for (size_t i = 0; i < e.size(); ++i) {
-    const ls::Extension& ext = cache->Eval(e[i]);
-    if (!ext.ContainsInterned(pool.Lookup(wi.present[i]), wi.present[i])) {
-      return false;
-    }
-    exts.push_back(&ext);
-  }
-  return LsProductInsideAnswers(covers, exts);
-}
-
-/// Per-call fallbacks for the prepared-session cache parameters: the
-/// session passes its warm EvalCache / LsAnswerCovers (over its sorted
-/// answer vector); one-shot calls materialize locals here. `sorted`
-/// stores the defensively sort-deduped answers the local covers index.
-struct WhyScratch {
-  std::optional<std::vector<Tuple>> sorted;
-  std::optional<ls::EvalCache> cache;
-  std::optional<LsAnswerCovers> covers;
-};
-
-void ResolveWhyCaches(const WhyInstance& wi, ls::EvalCache** cache,
-                      LsAnswerCovers** covers, WhyScratch* scratch) {
-  if (*cache == nullptr) {
-    scratch->cache.emplace(wi.instance);
-    *cache = &*scratch->cache;
-  }
-  if (*covers == nullptr) {
-    scratch->sorted.emplace(SortedUniqueAnswers(wi));
-    scratch->covers.emplace(wi.instance, &*scratch->sorted);
-    *covers = &*scratch->covers;
-  }
-}
-
-}  // namespace
-
 Result<bool> IsLsWhyExplanation(const WhyInstance& wi, const LsExplanation& e,
                                 ls::EvalCache* cache, LsAnswerCovers* covers) {
   WHYNOT_RETURN_IF_ERROR(
       RequireCoverStores(covers, cache != nullptr, "IsLsWhyExplanation"));
-  WhyScratch scratch;
-  ResolveWhyCaches(wi, &cache, &covers, &scratch);
-  return IsLsWhyExplanationImpl(wi, e, covers, cache);
+  std::optional<ls::EvalCache> local_cache;
+  if (cache == nullptr) cache = &local_cache.emplace(wi.instance);
+  // The counting form needs Ans duplicate-free. MakeWhyInstance
+  // guarantees that, but WhyInstance is a plain struct callers may fill by
+  // hand, so local covers index a sort-deduped copy.
+  std::optional<std::vector<Tuple>> sorted;
+  std::optional<LsAnswerCovers> local_covers;
+  if (covers == nullptr) {
+    SortUnique(&sorted.emplace(wi.answers));
+    covers = &local_covers.emplace(wi.instance, &*sorted);
+  }
+  return IsDualExplanation<WhyDual>(wi.instance, wi.present, e, cache, covers);
 }
 
 Result<LsExplanation> IncrementalWhySearch(const WhyInstance& wi,
@@ -261,102 +157,11 @@ Result<LsExplanation> IncrementalWhySearch(const WhyInstance& wi,
                                            const exec::ExecContext* exec,
                                            exec::Certificate* cert,
                                            ls::ConceptCacheOverlay* session_overlay) {
-  WHYNOT_RETURN_IF_ERROR(RequireCoverStores(
-      covers, cache != nullptr && concept_cache != nullptr,
-      "IncrementalWhySearch"));
-  std::optional<ls::LubContext> local_ctx;
-  if (lub_context == nullptr) {
-    local_ctx.emplace(wi.instance);
-    lub_context = &*local_ctx;
-  }
-  WhyScratch scratch;
-  ResolveWhyCaches(wi, &cache, &covers, &scratch);
-  std::optional<ls::ConceptCache> local_cc;
-  if (concept_cache == nullptr) {
-    local_cc.emplace(wi.instance);
-    concept_cache = &*local_cc;
-  }
-  size_t m = wi.arity();
-  const ValuePool& pool = wi.instance->pool();
-
-  // The whole greedy sweep is serial, so one overlay over the shared cache
-  // suffices; published on every return path (including certified stops)
-  // so a session cache carries the lubs to later requests. A session's
-  // persistent overlay (warm private maps) is used when it matches this
-  // search's flavor.
-  std::optional<ls::ConceptCacheOverlay> local_overlay;
-  if (session_overlay == nullptr ||
-      session_overlay->with_selections() != with_selections) {
-    local_overlay.emplace(concept_cache, with_selections, lub_context, cache);
-  }
-  ls::ConceptCacheOverlay& overlay =
-      local_overlay.has_value() ? *local_overlay : *session_overlay;
-  ls::ScopedPublish publish(concept_cache, &overlay);
-
-  std::vector<std::vector<Value>> support(m);
-  LsExplanation e(m);
-  std::vector<const ls::Extension*> exts(m);
-  for (size_t j = 0; j < m; ++j) {
-    support[j] = {wi.present[j]};
-    WHYNOT_ASSIGN_OR_RETURN(const ls::ConceptCache::Entry* entry,
-                            overlay.LubAndEval(support[j]));
-    e[j] = entry->concept;
-    exts[j] = entry->ext.get();
-  }
-  // Unlike the why-not case, the nominal-pinned start can already fail:
-  // lub({a_j}) may denote more than {a_j} only through columns, but the
-  // nominal conjunct pins it, so the product here is exactly {a} ⊆ Ans.
-  if (!LsProductInsideAnswers(covers, exts)) {
-    return Status::Internal(
-        "nominal-pinned tuple is not a why-explanation; the product of "
-        "nominals is {a} which must be inside Ans");
-  }
-
-  // One probe per generalization candidate in fixed sweep order, exactly
-  // the IncrementalSearch convention; a stop leaves `e` a sound
-  // why-explanation (every acceptance preserves product ⊆ Ans).
-  size_t probes = 0;
-  std::optional<exec::Stop> halted;
-  const std::vector<Value>& adom = wi.instance->ActiveDomain();
-  const std::vector<ValueId>& adom_ids = wi.instance->ActiveDomainIds();
-  for (size_t j = 0; j < m && !halted.has_value(); ++j) {
-    ValueId present_id = pool.Lookup(wi.present[j]);
-    for (size_t bi = 0; bi < adom.size(); ++bi) {
-      size_t probe = probes++;
-      if (std::optional<exec::Stop> s = exec::Check(exec, probe)) {
-        if (cert == nullptr) {
-          return exec::StopStatus(*s, "incremental why search");
-        }
-        halted = *s;
-        break;
-      }
-      if (exts[j]->ContainsId(adom_ids[bi])) continue;
-      std::vector<Value> extended = support[j];
-      extended.push_back(adom[bi]);
-      // Probe-once candidates take the transient path (no support-tier
-      // record); an acceptance is promoted in place, reusing the lub and
-      // extension the probe just computed, so the session cache carries
-      // it to later requests.
-      WHYNOT_ASSIGN_OR_RETURN(std::shared_ptr<const ls::Extension> cand_ext,
-                              overlay.LubExtTransient(extended));
-      if (cand_ext->ContainsInterned(present_id, wi.present[j]) &&
-          LsProductInsideAnswers(covers, exts, j, cand_ext.get())) {
-        const ls::ConceptCache::Entry* entry = overlay.PromoteLastProbe();
-        support[j] = std::move(extended);
-        e[j] = entry->concept;
-        exts[j] = entry->ext.get();
-      }
-    }
-  }
-  if (cert != nullptr) {
-    size_t total = m * adom.size();
-    exec::Progress progress;
-    progress.tested = halted.has_value() ? halted->at : total;
-    progress.remaining = total - progress.tested;
-    exec::FillCertificate(cert, halted.value_or(exec::Stop{}), progress, 1,
-                          exec::Quality::kHeuristic);
-  }
-  return e;
+  DerivedStores stores("IncrementalWhySearch", wi.instance, wi.answers,
+                       /*dedup_answers=*/true, with_selections, lub_context,
+                       cache, covers, concept_cache, session_overlay);
+  WHYNOT_RETURN_IF_ERROR(stores.status());
+  return GreedySweep<WhyDual>(wi.instance, wi.present, &stores, exec, cert);
 }
 
 Result<bool> CheckWhyMgeDerived(const WhyInstance& wi,
@@ -367,142 +172,12 @@ Result<bool> CheckWhyMgeDerived(const WhyInstance& wi,
                                 LsAnswerCovers* covers,
                                 ls::ConceptCache* concept_cache,
                                 const exec::ExecContext* exec) {
-  WHYNOT_RETURN_IF_ERROR(RequireCoverStores(
-      covers, cache != nullptr && concept_cache != nullptr,
-      "CheckWhyMgeDerived"));
-  WhyScratch scratch;
-  ResolveWhyCaches(wi, &cache, &covers, &scratch);
-  std::optional<ls::ConceptCache> local_cc;
-  if (concept_cache == nullptr) {
-    local_cc.emplace(wi.instance);
-    concept_cache = &*local_cc;
-  }
-  // The parallel workers build their own covers, which must index the
-  // same answer vector the shared `covers` do: the local sort-deduped
-  // copy on the one-shot path, or wi.answers itself when the caller
-  // passed warm covers — the covers contract (see the header) then
-  // guarantees wi.answers is already sorted and duplicate-free, so both
-  // definitions coincide.
-  const std::vector<Tuple>& answers =
-      scratch.sorted.has_value() ? *scratch.sorted : wi.answers;
-  if (!IsLsWhyExplanationImpl(wi, candidate, covers, cache)) return false;
-  std::vector<const ls::Extension*> exts;
-  exts.reserve(candidate.size());
-  for (const ls::LsConcept& c : candidate) {
-    exts.push_back(&cache->Eval(c));
-  }
-  const std::vector<Value>& adom = wi.instance->ActiveDomain();
-  const std::vector<ValueId>& adom_ids = wi.instance->ActiveDomainIds();
-
-  if (par::NumThreads() > 1 && adom.size() >= 4) {
-    // The per-constant probes — lub, eval, counting AND — are independent
-    // reads of a fixed instance, so each position's sweep shards over adom
-    // ranges through the shared lex-min sweep (search_core.h). Workers
-    // keep their own LubContext / EvalCache / covers (all three have lazy
-    // single-threaded caches); the instance itself is pre-warmed. The
-    // serial loop returns at the *smallest* bi that either errors or
-    // breaks maximality, which is exactly the sweep's winning outcome —
-    // identical for every thread count.
-    wi.instance->WarmForConcurrentReads();
-    struct Worker {
-      ls::LubContext lub;
-      ls::EvalCache cache;
-      LsAnswerCovers covers;
-      // The worker's view of the shared concept cache: published-tier
-      // reads during the sweep, misses kept worker-local until the serial
-      // publish below. Declared after lub/cache — it drives both.
-      ls::ConceptCacheOverlay overlay;
-      std::vector<const ls::Extension*> exts;
-      Worker(const rel::Instance* instance, const std::vector<Tuple>* answers,
-             const ls::LubOptions& options, const LsExplanation& candidate,
-             ls::ConceptCache* shared, bool with_selections)
-          : lub(instance, options), cache(instance), covers(instance, answers),
-            overlay(shared, with_selections, &lub, &cache) {
-        exts.reserve(candidate.size());
-        for (const ls::LsConcept& c : candidate) exts.push_back(&cache.Eval(c));
-      }
-    };
-    std::vector<std::unique_ptr<Worker>> workers(
-        static_cast<size_t>(par::MaxWorkers()));
-    auto make_worker = [&]() {
-      return std::make_unique<Worker>(wi.instance, &answers,
-                                      lub_context->options(), candidate,
-                                      concept_cache, with_selections);
-    };
-    for (size_t j = 0; j < candidate.size(); ++j) {
-      // Position-granular probe at the same serial point as the serial
-      // loop below: the sweep's internal schedule is thread-dependent, so
-      // probes must not depend on it. A boolean check has no partial
-      // result — stops are always errors here.
-      if (std::optional<exec::Stop> s = exec::Check(exec, j)) {
-        return exec::StopStatus(*s, "why CHECK-MGE");
-      }
-      std::optional<ProbeOutcome> outcome = LexMinSweep<Worker, ProbeOutcome>(
-          adom.size(), 8, &workers, make_worker,
-          [&](Worker& wk, size_t bi) -> std::optional<ProbeOutcome> {
-            if (wk.exts[j]->ContainsId(adom_ids[bi])) return std::nullopt;
-            std::vector<Value> extended = wk.exts[j]->values();
-            extended.push_back(adom[bi]);
-            // Maximality probes never accept a candidate — transient
-            // path, no support-tier record (the keys are whole extension
-            // value lists, expensive to copy and hash).
-            Result<std::shared_ptr<const ls::Extension>> cand =
-                wk.overlay.LubExtTransient(extended);
-            if (!cand.ok()) return ProbeOutcome{false, cand.status()};
-            if (LsProductInsideAnswers(&wk.covers, wk.exts, j, cand->get())) {
-              return ProbeOutcome{true, Status::OK()};
-            }
-            return std::nullopt;
-          },
-          exec);
-      // Publish-after-sweep: drain the worker overlays in slot order (a
-      // thread-independent linearization) at this serial point, so later
-      // positions — and later requests against a session cache — reuse
-      // the lubs this sweep computed.
-      for (std::unique_ptr<Worker>& wk : workers) {
-        if (wk != nullptr) concept_cache->Publish(&wk->overlay);
-      }
-      // An abandoned sweep may have skipped ranges; resolve the stop
-      // before trusting (or discarding) its outcome.
-      if (exec::ShouldAbandon(exec)) {
-        exec::Stop s = exec->PollNow(j).value_or(
-            exec::Stop{exec::StopReason::kCancelled, j});
-        return exec::StopStatus(s, "why CHECK-MGE");
-      }
-      if (outcome.has_value()) {
-        if (!outcome->error.ok()) return outcome->error;
-        if (outcome->broken) return false;
-      }
-    }
-  } else {
-    // Serial maximality probes through a single overlay over the shared
-    // cache; published on every return path so later requests against a
-    // session cache start warm.
-    ls::ConceptCacheOverlay overlay(concept_cache, with_selections,
-                                    lub_context, cache);
-    ls::ScopedPublish publish(concept_cache, &overlay);
-    for (size_t j = 0; j < candidate.size(); ++j) {
-      if (std::optional<exec::Stop> s = exec::Check(exec, j)) {
-        return exec::StopStatus(*s, "why CHECK-MGE");
-      }
-      for (size_t bi = 0; bi < adom.size(); ++bi) {
-        if (exts[j]->ContainsId(adom_ids[bi])) continue;
-        std::vector<Value> extended = exts[j]->values();
-        extended.push_back(adom[bi]);
-        // Probe-once keys: transient path, no support-tier record — see
-        // the parallel branch above.
-        WHYNOT_ASSIGN_OR_RETURN(std::shared_ptr<const ls::Extension> cand_ext,
-                                overlay.LubExtTransient(extended));
-        // lub(ext ∪ {b}) is strictly more general than the candidate's
-        // position (it contains b); if the tuple stays a why-explanation,
-        // the candidate is not most general.
-        if (LsProductInsideAnswers(covers, exts, j, cand_ext.get())) {
-          return false;
-        }
-      }
-    }
-  }
-  return true;
+  DerivedStores stores("CheckWhyMgeDerived", wi.instance, wi.answers,
+                       /*dedup_answers=*/true, with_selections, lub_context,
+                       cache, covers, concept_cache);
+  WHYNOT_RETURN_IF_ERROR(stores.status());
+  return CheckMaximal<WhyDual>(wi.instance, wi.present, candidate, &stores,
+                               exec);
 }
 
 }  // namespace whynot::explain

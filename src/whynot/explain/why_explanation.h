@@ -91,7 +91,8 @@ Result<bool> IsLsWhyExplanation(const WhyInstance& wi, const LsExplanation& e,
                                 ls::EvalCache* cache = nullptr,
                                 LsAnswerCovers* covers = nullptr);
 
-/// Algorithm 2's scheme applied to the dual problem: start from the
+/// Algorithm 2's scheme applied to the dual problem, through the sweep
+/// IncrementalSearch runs (GreedySweep in derived_sweep.h): start from the
 /// nominal-pinned tuple (whose product is {a} ⊆ Ans) and greedily grow
 /// each position's support with active-domain constants while the product
 /// stays inside the answers. The "stays inside" condition is
@@ -121,13 +122,14 @@ Result<LsExplanation> IncrementalWhySearch(
     ls::ConceptCacheOverlay* session_overlay = nullptr);
 
 /// CHECK-MGE for the dual problem w.r.t. OI: no single-position
-/// lub-generalization keeps the product inside the answers. Same trailing
-/// cache convention as IsLsWhyExplanation, with `concept_cache` the shared
-/// lub/eval cache (published-tier reads during a sharded sweep, misses
-/// published at its serial end). `exec` is observed once per candidate
-/// position (the same serial points on the serial and sharded paths); the
-/// boolean verdict admits no meaningful partial result, so a stop always
-/// returns the matching error status.
+/// lub-generalization keeps the product inside the answers. The check is
+/// serial and shared with CheckMgeDerived (CheckMaximal in
+/// derived_sweep.h). Same trailing cache convention as IsLsWhyExplanation,
+/// with `concept_cache` the shared lub/eval cache (misses published when
+/// the check returns) and a null `lub_context` replaced by a call-local
+/// one. `exec` is observed once per candidate position; the boolean
+/// verdict admits no meaningful partial result, so a stop always returns
+/// the matching error status.
 Result<bool> CheckWhyMgeDerived(const WhyInstance& wi,
                                 const LsExplanation& candidate,
                                 bool with_selections,

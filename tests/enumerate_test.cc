@@ -110,27 +110,6 @@ TEST_F(EnumerateTest, ContainsIncrementalSearchOutput) {
   EXPECT_TRUE(found) << "Algorithm 2's MGE missing from the enumeration";
 }
 
-TEST_F(EnumerateTest, PaperLiteralModeStillYieldsValidExplanations) {
-  // generalize_to_top = false follows Algorithm 2's pseudocode to the
-  // letter (generalization only over adom constants; ⊤ can still appear
-  // when lub finds no qualifying conjunct). Outputs must remain
-  // explanations and pairwise incomparable.
-  EnumerateOptions options;
-  options.generalize_to_top = false;
-  ASSERT_OK_AND_ASSIGN(std::vector<LsExplanation> mges,
-                       EnumerateAllMges(*wni_, options));
-  ASSERT_FALSE(mges.empty());
-  for (const LsExplanation& e : mges) {
-    EXPECT_TRUE(explain::IsLsExplanation(*wni_, e));
-  }
-  for (size_t i = 0; i < mges.size(); ++i) {
-    for (size_t j = 0; j < mges.size(); ++j) {
-      if (i == j) continue;
-      EXPECT_FALSE(explain::StrictlyLessGeneralI(*instance_, mges[i], mges[j]));
-    }
-  }
-}
-
 TEST_F(EnumerateTest, WithSelectionsOutputsPassSelectionAwareCheckMge) {
   EnumerateOptions options;
   options.with_selections = true;

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <optional>
 #include <string>
@@ -104,11 +105,14 @@ struct SearchCase {
   Runner run;
 };
 
-/// The six searches of the matrix. Algorithm 1 runs once pinned to the
+/// The eight searches of the matrix. Algorithm 1 runs once pinned to the
 /// odometer and once to the lattice frontier so both probe schemes
 /// (per-candidate ordinals, per-wave product counts) are exercised;
 /// CardMaximal, Exists, WhyMges, and Enumerate cover the branch-and-bound,
-/// backtracking, dual-antichain, and branch-tree families.
+/// backtracking, dual-antichain, and branch-tree families; the two
+/// incremental searches (Algorithm 2 and its why dual) cover the greedy
+/// lub-generalization sweep over adom(I), one probe per (position,
+/// constant).
 std::vector<SearchCase> AllSearches() {
   std::vector<SearchCase> cases;
   cases.push_back(
@@ -223,6 +227,37 @@ std::vector<SearchCase> AllSearches() {
          if (cert != nullptr) TakeCert(&out, *cert);
          return out;
        }});
+  cases.push_back(
+      {"incremental",
+       [](Fixture& f, const exec::ExecContext* exec, exec::Certificate* cert) {
+         explain::IncrementalOptions o;
+         o.exec = exec;
+         o.cert = cert;
+         Outcome out;
+         auto r = explain::IncrementalSearch(*f.wni, o);
+         out.code = r.status().code();
+         if (r.ok()) {
+           out.items.push_back(
+               explain::LsExplanationToString(f.schema, r.value()));
+         }
+         if (cert != nullptr) TakeCert(&out, *cert);
+         return out;
+       }});
+  cases.push_back(
+      {"incremental-why",
+       [](Fixture& f, const exec::ExecContext* exec, exec::Certificate* cert) {
+         Outcome out;
+         auto r = explain::IncrementalWhySearch(
+             *f.wi, /*with_selections=*/false, nullptr, nullptr, nullptr,
+             nullptr, exec, cert);
+         out.code = r.status().code();
+         if (r.ok()) {
+           out.items.push_back(
+               explain::LsExplanationToString(f.schema, r.value()));
+         }
+         if (cert != nullptr) TakeCert(&out, *cert);
+         return out;
+       }});
   return cases;
 }
 
@@ -332,6 +367,112 @@ TEST(FaultInjectionMatrix, RealExpiredDeadlineStopsEverySearch) {
     ctx.deadline = exec::Deadline::After(0);
     Outcome got = sc.run(f, &ctx, nullptr);
     EXPECT_EQ(got.code, StatusCode::kDeadlineExceeded) << sc.name;
+  }
+  par::SetNumThreads(0);
+}
+
+// The derived-ontology CHECK-MGEs observe their context once per candidate
+// position (probe ordinal = position) and, being boolean checks, report
+// every stop as an error: a trigger at position k < arity stops with the
+// matching status at every thread count, and a trigger past the arity
+// lets the check run to its normal verdict.
+TEST(FaultInjectionMatrix, DerivedCheckMgeStopsPerPosition) {
+  for (int threads : kThreadCounts) {
+    par::SetNumThreads(threads);
+    Fixture f = MakeFixture();
+    explain::LsExplanation nominals = {
+        ls::LsConcept::Nominal(f.wni->missing[0]),
+        ls::LsConcept::Nominal(f.wni->missing[1])};
+    explain::LsExplanation why_nominals = {
+        ls::LsConcept::Nominal(f.wi->present[0]),
+        ls::LsConcept::Nominal(f.wi->present[1])};
+    struct CheckCase {
+      std::string name;
+      size_t arity;
+      std::function<Result<bool>(const exec::ExecContext*)> run;
+    };
+    std::vector<CheckCase> checks;
+    for (bool with_selections : {false, true}) {
+      std::string flavor = with_selections ? " (selections)" : "";
+      explain::IncrementalOptions o;
+      o.with_selections = with_selections;
+      ASSERT_OK_AND_ASSIGN(explain::LsExplanation mge,
+                           explain::IncrementalSearch(*f.wni, o));
+      ASSERT_OK_AND_ASSIGN(
+          explain::LsExplanation why_mge,
+          explain::IncrementalWhySearch(*f.wi, with_selections));
+      checks.push_back(
+          {"CheckMgeDerived" + flavor, f.wni->arity(),
+           [&f, mge, with_selections](const exec::ExecContext* exec) {
+             ls::LubContext ctx(f.instance.get());
+             return explain::CheckMgeDerived(*f.wni, mge, with_selections,
+                                             &ctx, nullptr, nullptr, nullptr,
+                                             exec);
+           }});
+      checks.push_back(
+          {"CheckWhyMgeDerived" + flavor, f.wi->arity(),
+           [&f, why_mge, with_selections](const exec::ExecContext* exec) {
+             ls::LubContext ctx(f.instance.get());
+             return explain::CheckWhyMgeDerived(*f.wi, why_mge,
+                                                with_selections, &ctx, nullptr,
+                                                nullptr, nullptr, exec);
+           }});
+    }
+    // Nominal-pinned candidates: only the past-the-arity triggers apply
+    // (a non-maximal candidate settles before it reaches a later position).
+    checks.push_back({"CheckMgeDerived nominals", 0,
+                      [&](const exec::ExecContext* exec) {
+                        ls::LubContext ctx(f.instance.get());
+                        return explain::CheckMgeDerived(
+                            *f.wni, nominals, false, &ctx, nullptr, nullptr,
+                            nullptr, exec);
+                      }});
+    checks.push_back({"CheckWhyMgeDerived nominals", 0,
+                      [&](const exec::ExecContext* exec) {
+                        ls::LubContext ctx(f.instance.get());
+                        return explain::CheckWhyMgeDerived(
+                            *f.wi, why_nominals, false, &ctx, nullptr,
+                            nullptr, nullptr, exec);
+                      }});
+    for (const CheckCase& c : checks) {
+      // The uninterrupted verdict; an MGE candidate must pass.
+      ASSERT_OK_AND_ASSIGN(bool verdict, c.run(nullptr));
+      if (c.arity > 0) {
+        EXPECT_TRUE(verdict) << c.name;
+      }
+      for (exec::StopReason reason :
+           {exec::StopReason::kCancelled, exec::StopReason::kDeadline}) {
+        StatusCode want = reason == exec::StopReason::kCancelled
+                              ? StatusCode::kCancelled
+                              : StatusCode::kDeadlineExceeded;
+        for (size_t k = 0; k < c.arity; ++k) {
+          test::FaultInjector inj = MakeInjector(reason, k);
+          exec::ExecContext ctx;
+          ctx.fault = &inj;
+          Result<bool> r = c.run(&ctx);
+          EXPECT_EQ(r.status().code(), want)
+              << c.name << " trigger=" << k << " threads=" << threads;
+          EXPECT_EQ(inj.observations(), k + 1)
+              << c.name << " trigger=" << k << " threads=" << threads;
+        }
+        size_t past = std::max<size_t>(c.arity, 2);
+        for (size_t k = past; k < past + 3; ++k) {
+          test::FaultInjector inj = MakeInjector(reason, k);
+          exec::ExecContext ctx;
+          ctx.fault = &inj;
+          Result<bool> r = c.run(&ctx);
+          ASSERT_TRUE(r.ok()) << c.name << " trigger=" << k
+                              << " threads=" << threads << ": "
+                              << r.status().ToString();
+          EXPECT_EQ(r.value(), verdict)
+              << c.name << " trigger=" << k << " threads=" << threads;
+          if (c.arity > 0) {
+            EXPECT_EQ(inj.observations(), c.arity)
+                << c.name << " trigger=" << k << " threads=" << threads;
+          }
+        }
+      }
+    }
   }
   par::SetNumThreads(0);
 }

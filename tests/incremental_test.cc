@@ -135,15 +135,6 @@ TEST_F(IncrementalTest, MissingConstantsOutsideActiveDomain) {
   EXPECT_TRUE(some_non_top);
 }
 
-TEST_F(IncrementalTest, PaperPseudocodeModeStillYieldsExplanation) {
-  IncrementalOptions options;
-  options.generalize_to_top = false;
-  options.with_selections = true;
-  ASSERT_OK_AND_ASSIGN(LsExplanation e,
-                       explain::IncrementalSearch(*wni_, options));
-  EXPECT_TRUE(explain::IsLsExplanation(*wni_, e));
-}
-
 /// Theorem 5.3 cross-check: the incremental output is equivalent (same
 /// per-position extensions) to some most-general explanation of the
 /// materialized OI[K] restricted to selection-free LS.

@@ -369,7 +369,8 @@ TEST_P(ParallelDeterminismTest, DerivedSearches) {
       },
       "CheckMgeDerived");
 
-  // Why duals: incremental search stays serial, the MGE check fans out.
+  // Why duals: the incremental search and the MGE check are both serial;
+  // their outputs must not depend on the pool width around them.
   ExpectSameAtAllThreadCounts<std::string>(
       [&] {
         auto r = explain::IncrementalWhySearch(f.wi, false);

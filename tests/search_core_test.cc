@@ -8,8 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "whynot/common/parallel.h"
@@ -172,38 +170,6 @@ TEST(ParallelFilterTest, OverflowingSpaceFallsBackToOdometerIteration) {
     EXPECT_EQ(collect(threads, 150000), reference) << "threads=" << threads;
   }
   par::SetNumThreads(0);
-}
-
-TEST(LexMinSweepTest, SmallestOutcomeWinsAtEveryThreadCount) {
-  // Outcomes at deterministic positions; the sweep must return the
-  // smallest one, like a serial loop returning at its first outcome.
-  struct Worker {
-    int probes = 0;
-  };
-  auto run = [&](int threads, size_t n, size_t first_outcome) {
-    par::SetNumThreads(threads);
-    std::vector<std::unique_ptr<Worker>> workers(
-        static_cast<size_t>(par::MaxWorkers()));
-    std::optional<size_t> got = LexMinSweep<Worker, size_t>(
-        n, 4, &workers, [] { return std::make_unique<Worker>(); },
-        [&](Worker& w, size_t i) -> std::optional<size_t> {
-          ++w.probes;
-          if (i >= first_outcome && i % 3 == first_outcome % 3) return i;
-          return std::nullopt;
-        });
-    par::SetNumThreads(0);
-    return got;
-  };
-  for (size_t n : {size_t{0}, size_t{5}, size_t{100}, size_t{1000}}) {
-    for (size_t first : {size_t{0}, size_t{7}, size_t{502}, size_t{5000}}) {
-      std::optional<size_t> want =
-          first < n ? std::optional<size_t>(first) : std::nullopt;
-      for (int threads : {1, 2, 8}) {
-        EXPECT_EQ(run(threads, n, first), want)
-            << "n=" << n << " first=" << first << " threads=" << threads;
-      }
-    }
-  }
 }
 
 TEST(GreedyAndCacheTest, RestMatchesNaiveProductAnd) {
