@@ -185,8 +185,9 @@ BENCHMARK(BM_ConceptCacheSession_MixedDerivedTraffic)
     ->RangeMultiplier(2)
     ->Range(4, 16);
 
-// Hit-path microbenchmark: LubAndEval on a fully published tier, the cost
-// every steady-state lookup pays (one SortUnique + one sharded find).
+// Hit-path microbenchmark: LubAndEval of prebuilt support keys (column
+// signatures) on a fully published tier, the cost every steady-state
+// lookup pays (one hash of the signature words).
 void BM_ConceptCacheOverlay_PublishedHit(benchmark::State& state) {
   wn::rel::Schema schema;
   std::vector<std::string> attrs = {"a", "b", "c"};
@@ -204,13 +205,13 @@ void BM_ConceptCacheOverlay_PublishedHit(benchmark::State& state) {
   wn::ls::EvalCache eval(&im);
   wn::ls::ConceptCache cc(&im);
   std::vector<wn::Value> adom = im.ActiveDomain();
-  std::vector<std::vector<wn::Value>> keys;
-  for (size_t k = 0; k + 1 < adom.size() && keys.size() < 64; k += 2) {
-    keys.push_back({adom[k], adom[k + 1]});
-  }
+  std::vector<wn::ls::SupportKey> keys;
   {
     wn::ls::ConceptCacheOverlay warm(&cc, /*with_selections=*/false, &lub,
                                      &eval);
+    for (size_t k = 0; k + 1 < adom.size() && keys.size() < 64; k += 2) {
+      keys.push_back(warm.KeyOf({adom[k], adom[k + 1]}));
+    }
     for (const auto& key : keys) {
       auto r = warm.LubAndEval(key);
       if (!r.ok()) {

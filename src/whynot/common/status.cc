@@ -34,6 +34,12 @@ std::string Status::ToString() const {
   return out;
 }
 
+const Status& ConsumedResultStatus() {
+  static const Status consumed =
+      Status::Internal("Result value consumed by move");
+  return consumed;
+}
+
 std::ostream& operator<<(std::ostream& os, const Status& status) {
   return os << status.ToString();
 }

@@ -83,6 +83,10 @@ class Status {
 
 std::ostream& operator<<(std::ostream& os, const Status& status);
 
+/// What status() reports for a Result whose value was moved out: one
+/// shared kInternal instance.
+const Status& ConsumedResultStatus();
+
 /// Either a value of type `T` or an error `Status`. Never both.
 template <typename T>
 class Result {
@@ -101,9 +105,11 @@ class Result {
 
   /// A Result whose value was consumed by `std::move(r).value()` is no
   /// longer ok(): the moved-from optional stays engaged, but status()
-  /// reports the consumption instead of silently staying OK.
-  bool ok() const { return value_.has_value() && status_.ok(); }
-  const Status& status() const { return status_; }
+  /// reports the consumption (kInternal) instead of silently staying OK.
+  bool ok() const { return value_.has_value() && !consumed_; }
+  const Status& status() const {
+    return consumed_ ? ConsumedResultStatus() : status_;
+  }
 
   /// Requires ok().
   const T& value() const& {
@@ -116,7 +122,10 @@ class Result {
   }
   T&& value() && {
     assert(ok());
-    status_ = Status::Internal("Result value consumed by move");
+    // A flag, not a fresh Status: every WHYNOT_ASSIGN_OR_RETURN consumes
+    // its Result, and building a message string here would allocate each
+    // time.
+    consumed_ = true;
     return std::move(*value_);
   }
 
@@ -128,6 +137,7 @@ class Result {
  private:
   std::optional<T> value_;
   Status status_;
+  bool consumed_ = false;
 };
 
 /// Propagates a non-OK Status out of the enclosing function.

@@ -1,5 +1,6 @@
 #include "whynot/concepts/concept_cache.h"
 
+#include <algorithm>
 #include <functional>
 #include <string>
 
@@ -14,9 +15,11 @@ inline size_t Mix(size_t h, size_t x) {
   return h ^ (x + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
 }
 
-// Approximate heap bytes of a support key (the sorted value vector).
-size_t KeyBytes(const std::vector<Value>& key) {
-  return key.capacity() * sizeof(Value);
+// Approximate heap bytes of a support key (its value and signature
+// vectors).
+size_t KeyBytes(const SupportKey& key) {
+  return key.values.capacity() * sizeof(Value) +
+         key.sig.capacity() * sizeof(uint64_t);
 }
 
 // Approximate heap bytes of a concept's conjunct list (relation-name and
@@ -36,9 +39,12 @@ constexpr size_t kNodeOverhead = 4 * sizeof(void*);
 
 }  // namespace
 
-size_t SupportKeyHash::operator()(const std::vector<Value>& key) const {
-  size_t h = key.size();
-  for (const Value& v : key) h = Mix(h, v.Hash());
+size_t SupportKeyHash::operator()(const SupportKey& key) const {
+  size_t h = key.values.size();
+  for (const Value& v : key.values) h = Mix(h, v.Hash());
+  // Signature bits cluster in the low columns; the multiply spreads them
+  // over the shard and bucket bits.
+  for (uint64_t w : key.sig) h = Mix(h, w * 0x9e3779b97f4a7c15ull);
   return h;
 }
 
@@ -75,8 +81,8 @@ ConceptCache::ConceptCache(const rel::Instance* instance,
       evals_(options.shards) {}
 
 const ConceptCache::Entry* ConceptCache::FindSupport(
-    bool with_selections, const std::vector<Value>& sorted_key) const {
-  return tier(with_selections).Find(sorted_key);
+    bool with_selections, const SupportKey& key) const {
+  return tier(with_selections).Find(key);
 }
 
 std::shared_ptr<const Extension> ConceptCache::FindEval(
@@ -111,7 +117,7 @@ void ConceptCache::Publish(ConceptCacheOverlay* overlay) {
   }
   SupportTier& support = tier(overlay->with_selections_);
   for (const auto* node : overlay->pending_support_) {
-    const std::vector<Value>& key = node->first;
+    const SupportKey& key = node->first;
     const std::shared_ptr<const Entry>& entry = node->second;
     entry->ext->Freeze();
     size_t entry_bytes = KeyBytes(key) + ConceptBytes(entry->concept) +
@@ -159,12 +165,56 @@ ConceptCacheOverlay::ConceptCacheOverlay(ConceptCache* shared,
   }
 }
 
-Result<LsConcept> ConceptCacheOverlay::LubOfSorted(
-    const std::vector<Value>& sorted_key) {
+SupportKey ConceptCacheOverlay::KeyOf(const std::vector<Value>& x) const {
+  std::vector<Value> sorted_x = x;
+  SortUnique(&sorted_x);
+  SupportKey key;
   if (with_selections_) {
-    return lub_->LubWithSelectionsSorted(sorted_key);
+    key.values = std::move(sorted_x);
+    return key;
   }
-  return lub_->LubSelectionFreeSorted(sorted_key);
+  key.sig = lub_->SignatureOf(sorted_x);
+  if (sorted_x.size() == 1) key.values = std::move(sorted_x);
+  return key;
+}
+
+SupportKey ConceptCacheOverlay::KeyOfExtension(const Extension& ext) const {
+  if (with_selections_) return SupportKey{ext.values(), {}};
+  SupportKey key;
+  const size_t words = lub_->SignatureWords();
+  // A member outside the pool holds no column: the signature is empty.
+  key.sig.assign(words, ext.extras().empty() ? ~uint64_t{0} : 0);
+  for (ValueId id : ext.ids()) {
+    const uint64_t* sv = lub_->Signature(id);
+    for (size_t w = 0; w < words; ++w) key.sig[w] &= sv[w];
+  }
+  if (ext.ids().size() + ext.extras().size() == 1) {
+    key.values = {ext.ids().empty() ? ext.extras().front()
+                                    : ext.pool()->Get(ext.ids().front())};
+  }
+  return key;
+}
+
+void ConceptCacheOverlay::Extend(const SupportKey& x, const Value& b,
+                                 ValueId b_id, SupportKey* out) const {
+  if (with_selections_) {
+    out->values = x.values;
+    auto pos = std::lower_bound(out->values.begin(), out->values.end(), b);
+    if (pos == out->values.end() || *pos != b) out->values.insert(pos, b);
+    out->sig.clear();
+    return;
+  }
+  // |X ∪ {b}| ≥ 2 since b ∉ X: no nominal, sig(X) ∧ sig(b).
+  out->values.clear();
+  const uint64_t* sb = lub_->Signature(b_id);
+  out->sig.resize(x.sig.size());
+  for (size_t w = 0; w < x.sig.size(); ++w) out->sig[w] = x.sig[w] & sb[w];
+}
+
+Result<LsConcept> ConceptCacheOverlay::LubOfKey(const SupportKey& key) {
+  if (with_selections_) return lub_->LubWithSelectionsSorted(key.values);
+  return lub_->LubOfSignature(
+      key.sig.data(), key.values.empty() ? nullptr : &key.values.front());
 }
 
 const ConceptCacheOverlay::LocalEvalMap::value_type*
@@ -197,62 +247,52 @@ ConceptCacheOverlay::EvalThroughTiers(const LsConcept& concept_expr) {
 }
 
 Result<const ConceptCache::Entry*> ConceptCacheOverlay::LubAndEval(
-    const std::vector<Value>& x) {
-  std::vector<Value> key = x;
-  SortUnique(&key);
-
-  // One hash for probe and claim: try_emplace either finds the local
-  // entry or inserts the slot the miss path below fills in.
-  auto [it, inserted] = local_.try_emplace(std::move(key));
-  if (!inserted) {
+    const SupportKey& key) {
+  // Hits dominate (sweep candidates recur across nodes and requests), so
+  // a hit costs one hash and no key copy; a miss copies the key once.
+  auto it = local_.find(key);
+  if (it != local_.end()) {
     ++stats_.local_hits;
     return it->second.get();
   }
-  const std::vector<Value>& sorted_key = it->first;
   // The emptiness probe keeps a cold cache's miss path near-free: size_
   // only moves at serial points, so during a wave it reads a constant,
   // and skipping the lookup saves hashing the key against the tier.
+  std::shared_ptr<const ConceptCache::Entry> entry;
   if (!shared_->tier(with_selections_).empty()) {
-    if (auto e = shared_->tier(with_selections_).FindShared(sorted_key)) {
-      ++stats_.shared_hits;
-      // Memoized locally (repeat probes become one-hash local hits); the
-      // address handed out stays the published one, so identity keying
-      // is unaffected.
-      it->second = std::move(e);
-      return it->second.get();
-    }
+    entry = shared_->tier(with_selections_).FindShared(key);
   }
-  ++stats_.misses;
-
-  Result<LsConcept> lub = LubOfSorted(sorted_key);
-  if (!lub.ok()) {
-    // Box-cap errors pass through uncached: drop the claimed slot.
-    local_.erase(it);
-    return lub.status();
+  bool computed = entry == nullptr;
+  if (computed) {
+    ++stats_.misses;
+    // Box-cap errors pass through uncached.
+    WHYNOT_ASSIGN_OR_RETURN(LsConcept concept_expr, LubOfKey(key));
+    std::shared_ptr<const Extension> ext =
+        EvalThroughTiers(concept_expr)->second;
+    entry = std::make_shared<const ConceptCache::Entry>(
+        ConceptCache::Entry{std::move(concept_expr), std::move(ext)});
+  } else {
+    // Memoized locally (repeat probes become one-hash local hits); the
+    // address handed out stays the published one, so identity keying
+    // is unaffected.
+    ++stats_.shared_hits;
   }
-  LsConcept concept_expr = std::move(lub).value();
-  std::shared_ptr<const Extension> ext =
-      EvalThroughTiers(concept_expr)->second;
-  it->second = std::make_shared<const ConceptCache::Entry>(
-      ConceptCache::Entry{std::move(concept_expr), std::move(ext)});
-  pending_support_.push_back(&*it);
+  it = local_.emplace(key, std::move(entry)).first;
+  if (computed) pending_support_.push_back(&*it);
   return it->second.get();
 }
 
 Result<std::shared_ptr<const Extension>> ConceptCacheOverlay::LubExtTransient(
-    const std::vector<Value>& x) {
-  // Canonicalizing into the scratch buffer is cost-parity with the
-  // defensive copy + sort the general lub entry points would pay anyway
-  // (the buffer makes it allocation-free after warm-up), and it leaves
-  // the sorted key at hand for PromoteLastProbe. This path runs once per
-  // sweep candidate.
-  scratch_key_.assign(x.begin(), x.end());
-  SortUnique(&scratch_key_);
+    const SupportKey& key) {
   last_local_ = nullptr;
   last_shared_ = nullptr;
   last_eval_node_ = nullptr;
+  if (!with_selections_) {
+    WHYNOT_ASSIGN_OR_RETURN(last_local_, LubAndEval(key));
+    return last_local_->ext;
+  }
   if (!local_.empty()) {
-    auto it = local_.find(scratch_key_);
+    auto it = local_.find(key);
     if (it != local_.end()) {
       ++stats_.local_hits;
       last_local_ = it->second.get();
@@ -260,27 +300,26 @@ Result<std::shared_ptr<const Extension>> ConceptCacheOverlay::LubExtTransient(
     }
   }
   if (!shared_->tier(with_selections_).empty()) {
-    if (auto e = shared_->tier(with_selections_).FindShared(scratch_key_)) {
+    if (auto e = shared_->tier(with_selections_).FindShared(key)) {
       ++stats_.shared_hits;
       last_shared_ = std::move(e);
       return last_shared_->ext;
     }
   }
   ++stats_.misses;
-  Result<LsConcept> lub = LubOfSorted(scratch_key_);
+  Result<LsConcept> lub = LubOfKey(key);
   if (!lub.ok()) return lub.status();
   last_eval_node_ = EvalThroughTiers(std::move(lub).value());
   return last_eval_node_->second;
 }
 
-const ConceptCache::Entry* ConceptCacheOverlay::PromoteLastProbe() {
+const ConceptCache::Entry* ConceptCacheOverlay::PromoteLastProbe(
+    const SupportKey& key) {
   // Already in the local support map: nothing to record.
   if (last_local_ != nullptr) return last_local_;
-  // scratch_key_ still holds the probe's canonical key (no overlay call
-  // may intervene, per the contract). The entry value matches what a
-  // fresh LubAndEval of the same key would build: same concept value,
-  // same eval-tier extension address.
-  auto [it, inserted] = local_.try_emplace(scratch_key_);
+  // The entry value matches what a fresh LubAndEval of the same key would
+  // build: same concept value, same eval-tier extension address.
+  auto [it, inserted] = local_.try_emplace(key);
   if (inserted) {
     if (last_shared_ != nullptr) {
       // Memoize the published entry locally, keeping its address.

@@ -2,6 +2,7 @@
 #define WHYNOT_CONCEPTS_CONCEPT_CACHE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -48,8 +49,29 @@ struct ConceptCacheStats {
 
 class ConceptCacheOverlay;
 
+/// The key of the support tier: what lub(X) depends on, in the form each
+/// lub flavor needs. With selections (lubσ, Lemma 5.2) that is X itself.
+/// Selection-free, lub(X) is determined by X's column signature
+/// (LubContext::Signature) and, while |X| = 1, by X's one value (the
+/// nominal) — so every support with one signature shares one entry, and a
+/// probe hashes a few signature words instead of boxed values. Keys are
+/// built and extended by an overlay of the matching flavor (KeyOf,
+/// KeyOfExtension, Extend).
+struct SupportKey {
+  /// With selections: X, sort-deduplicated. Selection-free: {x} when
+  /// X = {x}, empty otherwise.
+  std::vector<Value> values;
+  /// Selection-free: sig(X), LubContext::SignatureWords() words. Empty
+  /// with selections.
+  std::vector<uint64_t> sig;
+
+  bool operator==(const SupportKey& o) const {
+    return sig == o.sig && values == o.values;
+  }
+};
+
 struct SupportKeyHash {
-  size_t operator()(const std::vector<Value>& key) const;
+  size_t operator()(const SupportKey& key) const;
 };
 
 struct ConceptHash {
@@ -63,9 +85,9 @@ struct ConceptHash {
 /// Two tiers, both publish-after-wave (see ShardedPublishCache for the
 /// protocol):
 ///
-///  * the *support* tier maps a sort-deduplicated support set X to
-///    (lub(X), ⟦lub(X)⟧ᴵ), one instance per lub flavor (selection-free /
-///    with-selections) so keys stay plain value vectors;
+///  * the *support* tier maps the SupportKey of a support set X to
+///    (lub(X), ⟦lub(X)⟧ᴵ), one instance per lub flavor: the column
+///    signature of X selection-free, X itself with selections;
 ///  * the *eval* tier maps an LsConcept to its extension, shared by every
 ///    support key whose lub lands on the same concept — distinct support
 ///    sets of one lub class reuse one Extension object.
@@ -98,8 +120,7 @@ class ConceptCache {
   const ConceptCacheOptions& options() const { return options_; }
 
   /// Published support-tier lookup (wave-safe). Null on miss.
-  const Entry* FindSupport(bool with_selections,
-                           const std::vector<Value>& sorted_key) const;
+  const Entry* FindSupport(bool with_selections, const SupportKey& key) const;
 
   /// Published eval-tier lookup (wave-safe; the refcount bump is atomic).
   std::shared_ptr<const Extension> FindEval(
@@ -129,8 +150,7 @@ class ConceptCache {
  private:
   friend class ConceptCacheOverlay;
 
-  using SupportTier = ShardedPublishCache<std::vector<Value>, Entry,
-                                          SupportKeyHash>;
+  using SupportTier = ShardedPublishCache<SupportKey, Entry, SupportKeyHash>;
 
   SupportTier& tier(bool with_selections) {
     return with_selections ? support_sel_ : support_free_;
@@ -168,33 +188,45 @@ class ConceptCacheOverlay {
   ConceptCacheOverlay(ConceptCache* shared, bool with_selections,
                       LubContext* lub, EvalCache* conjunct_eval = nullptr);
 
+  /// The key of a non-empty support set X in this overlay's flavor.
+  SupportKey KeyOf(const std::vector<Value>& x) const;
+  /// The key of X = ⟦C⟧ᴵ for a finite, non-empty extension — selection-
+  /// free without materializing ext.values().
+  SupportKey KeyOfExtension(const Extension& ext) const;
+  /// Writes the key of X ∪ {b} into `out` (a reused buffer: no allocation
+  /// once warm), for b ∉ X with pool id `b_id` (-1 outside the pool).
+  /// Selection-free this is one AND of signature words.
+  void Extend(const SupportKey& x, const Value& b, ValueId b_id,
+              SupportKey* out) const;
+
   /// Memoized lub + evaluation of a support set. The returned entry is
   /// valid for the overlay's lifetime (or the shared cache's, for
   /// published hits). Lub errors (box-cap ResourceExhausted) pass through
   /// uncached.
-  Result<const ConceptCache::Entry*> LubAndEval(const std::vector<Value>& x);
+  Result<const ConceptCache::Entry*> LubAndEval(const SupportKey& key);
 
-  /// Probe-only variant for generalization sweeps whose candidate keys
-  /// are looked up exactly once (the greedy sweeps test support ∪ {b} for
-  /// every b and keep almost none): serves from the local / published
-  /// tiers when they could hit, otherwise computes the lub fresh —
-  /// memoizing only the concept-keyed eval tier. No support-tier record
-  /// is created, so a rejected candidate leaves no allocation behind and
-  /// never bloats the published tier with probe-once keys. The returned
-  /// extension is overlay-lifetime-stable (owned by an eval tier), which
-  /// the cover-bitmap identity keying requires; callers that *accept* a
-  /// candidate promote it with PromoteLastProbe().
+  /// Probe variant for generalization sweeps, which test X ∪ {b} for every
+  /// b and keep almost none. With selections the boxed keys are probed
+  /// once each, so this serves from the local / published tiers when they
+  /// could hit, otherwise computes the lub fresh — memoizing only the
+  /// concept-keyed eval tier. No support-tier record is created, so a
+  /// rejected candidate leaves no allocation behind and never bloats the
+  /// published tier with probe-once keys. Selection-free keys are
+  /// signatures, which recur across probes, so there this is LubAndEval.
+  /// The returned extension is overlay-lifetime-stable (owned by a tier),
+  /// which the cover-bitmap identity keying requires; callers that
+  /// *accept* a candidate promote it with PromoteLastProbe().
   Result<std::shared_ptr<const Extension>> LubExtTransient(
-      const std::vector<Value>& x);
+      const SupportKey& key);
 
-  /// Records the candidate probed by the immediately preceding
+  /// Records the candidate `key` probed by the immediately preceding
   /// *successful* LubExtTransient in the support tier, reusing the lub
   /// and extension that probe already computed (the sweeps accept a
   /// candidate right after probing it, and recomputing the lub on accept
   /// is measurable on small instances). Returns the same entry LubAndEval
   /// would: identical concept value, identical extension address. Must
   /// not be called after a failed probe or any intervening overlay call.
-  const ConceptCache::Entry* PromoteLastProbe();
+  const ConceptCache::Entry* PromoteLastProbe(const SupportKey& key);
 
   bool with_selections() const { return with_selections_; }
   /// Entries computed since the last Publish (tests).
@@ -206,16 +238,15 @@ class ConceptCacheOverlay {
   friend class ConceptCache;
 
   using LocalSupportMap =
-      std::unordered_map<std::vector<Value>,
+      std::unordered_map<SupportKey,
                          std::shared_ptr<const ConceptCache::Entry>,
                          SupportKeyHash>;
   using LocalEvalMap =
       std::unordered_map<LsConcept, std::shared_ptr<const Extension>,
                         ConceptHash>;
 
-  /// The lub of a canonical (sorted, deduplicated) key, flavor fixed at
-  /// construction.
-  Result<LsConcept> LubOfSorted(const std::vector<Value>& sorted_key);
+  /// The lub of a support key, flavor fixed at construction.
+  Result<LsConcept> LubOfKey(const SupportKey& key);
 
   /// Overlay-lifetime-stable extension of `concept_expr` through the
   /// local and published eval tiers, computing + recording on miss.
@@ -231,12 +262,9 @@ class ConceptCacheOverlay {
   std::optional<EvalCache> own_eval_;
   LocalSupportMap local_;
   LocalEvalMap local_evals_;
-  // Reused canonical-key buffer of the transient probe (single-threaded
-  // overlay; keeps that path allocation-free).
-  std::vector<Value> scratch_key_;
   // Where the last LubExtTransient was served from, for PromoteLastProbe:
   // exactly one is set after a successful probe (local support entry /
-  // published support entry / freshly computed eval node + scratch_key_).
+  // published support entry / freshly computed eval node).
   const ConceptCache::Entry* last_local_ = nullptr;
   std::shared_ptr<const ConceptCache::Entry> last_shared_;
   const LocalEvalMap::value_type* last_eval_node_ = nullptr;

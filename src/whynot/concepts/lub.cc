@@ -16,7 +16,12 @@ LubContext::LubContext(const rel::Instance* instance, LubOptions options)
   rel_index_.reserve(relations.size());
   for (size_t i = 0; i < relations.size(); ++i) {
     rel_index_.emplace(relations[i].name(), i);
+    for (size_t a = 0; a < relations[i].arity(); ++a) {
+      sig_columns_.push_back({i, static_cast<int>(a)});
+    }
   }
+  sig_words_ = (sig_columns_.size() + 63) / 64;
+  empty_sig_.assign(sig_words_, 0);
   boxes_.resize(relations.size());
   columns_.resize(relations.size());
   id_columns_.resize(relations.size());
@@ -41,11 +46,9 @@ void LubContext::BuildColumns(size_t rel_idx) const {
     if (rel == nullptr || rel->empty()) continue;
     // The columnar store already keeps the distinct column; re-order it
     // by the pool's rank index instead of rescanning and re-sorting
-    // boxed Values. The id mirror (rank order + membership bitmap) is
-    // what the lub loops probe; the boxed copy only feeds selection
-    // constants.
+    // boxed Values. The rank-ordered ids are what the box enumeration
+    // probes; the boxed copy only feeds selection constants.
     std::vector<ValueId> ids = rel->Index(a).keys;
-    id_cols[a].distinct = DenseBitmap(ids);
     std::sort(ids.begin(), ids.end(), [&pool](ValueId x, ValueId y) {
       return pool.Rank(x) < pool.Rank(y);
     });
@@ -69,55 +72,65 @@ const std::vector<LubContext::IdColumn>& LubContext::IdColumnsFor(
   return id_columns_[rel_idx];
 }
 
-LsConcept LubContext::LubSelectionFree(const std::vector<Value>& x) const {
-  std::vector<Value> sorted_x = x;
-  SortUnique(&sorted_x);
-  return LubSelectionFreeSorted(sorted_x);
-}
-
-LsConcept LubContext::LubSelectionFreeSorted(
-    const std::vector<Value>& sorted_x) const {
-  std::vector<Conjunct> conjuncts;
-  if (sorted_x.size() == 1) {
-    conjuncts.push_back(Conjunct::Nominal(sorted_x.front()));
-  }
-  // Id space: a value outside the pool occurs in no column, so only the
-  // nominal (if any) can qualify; otherwise every containment probe is an
-  // O(1) bitmap test per element of X.
+void LubContext::BuildSignatures() const {
   const ValuePool& pool = instance_->pool();
-  std::vector<ValueId> x_ids;
-  x_ids.reserve(sorted_x.size());
-  bool all_interned = true;
-  for (const Value& v : sorted_x) {
-    ValueId id = pool.Lookup(v);
-    if (id < 0) {
-      all_interned = false;
-      break;
-    }
-    x_ids.push_back(id);
-  }
-  if (all_interned) {
-    const auto& relations = instance_->schema().relations();
-    for (size_t r = 0; r < relations.size(); ++r) {
-      const rel::RelationDef& def = relations[r];
-      const std::vector<IdColumn>& cols = IdColumnsFor(r);
-      for (size_t a = 0; a < def.arity(); ++a) {
-        const DenseBitmap& distinct = cols[a].distinct;
-        bool inside = true;
-        for (ValueId id : x_ids) {
-          if (!distinct.Test(id)) {
-            inside = false;
-            break;
-          }
-        }
-        if (inside) {
-          conjuncts.push_back(
-              Conjunct::Projection(def.name(), static_cast<int>(a)));
-        }
+  const auto& relations = instance_->schema().relations();
+  sig_table_.assign(static_cast<size_t>(pool.size()) * sig_words_, 0);
+  for (size_t c = 0; c < sig_columns_.size(); ++c) {
+    const SigColumn& col = sig_columns_[c];
+    const rel::StoredRelation* rel =
+        instance_->Find(relations[col.rel_idx].name());
+    if (rel == nullptr || rel->empty()) continue;
+    const uint64_t bit = uint64_t{1} << (c % 64);
+    const std::vector<uint64_t>& words =
+        rel->Index(static_cast<size_t>(col.attr)).distinct.words();
+    for (size_t w = 0; w < words.size(); ++w) {
+      uint64_t bits = words[w];
+      while (bits != 0) {
+        size_t id = (w << 6) + static_cast<size_t>(__builtin_ctzll(bits));
+        bits &= bits - 1;
+        sig_table_[id * sig_words_ + c / 64] |= bit;
       }
     }
   }
+  sig_built_ = true;
+}
+
+LsConcept LubContext::LubOfSignature(const uint64_t* sig,
+                                     const Value* nominal) const {
+  std::vector<Conjunct> conjuncts;
+  if (nominal != nullptr) conjuncts.push_back(Conjunct::Nominal(*nominal));
+  const auto& relations = instance_->schema().relations();
+  for (size_t w = 0; w < sig_words_; ++w) {
+    uint64_t bits = sig[w];
+    while (bits != 0) {
+      const SigColumn& col =
+          sig_columns_[(w << 6) + static_cast<size_t>(__builtin_ctzll(bits))];
+      bits &= bits - 1;
+      conjuncts.push_back(
+          Conjunct::Projection(relations[col.rel_idx].name(), col.attr));
+    }
+  }
   return LsConcept(std::move(conjuncts));
+}
+
+std::vector<uint64_t> LubContext::SignatureOf(
+    const std::vector<Value>& x) const {
+  std::vector<uint64_t> sig(sig_words_, ~uint64_t{0});
+  const ValuePool& pool = instance_->pool();
+  for (const Value& v : x) {
+    const uint64_t* sv = Signature(pool.Lookup(v));
+    for (size_t w = 0; w < sig_words_; ++w) sig[w] &= sv[w];
+  }
+  return sig;
+}
+
+LsConcept LubContext::LubSelectionFree(const std::vector<Value>& x) const {
+  std::vector<Value> sorted_x = x;
+  SortUnique(&sorted_x);
+  // A value outside the pool empties sig(X), leaving at most the nominal.
+  return LubOfSignature(SignatureOf(sorted_x).data(),
+                        sorted_x.size() == 1 ? &sorted_x.front() : nullptr);
 }
 
 Status LubContext::BuildBoxes(size_t rel_idx, RelationBoxes* out) const {

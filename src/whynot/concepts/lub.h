@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "whynot/common/dense_bitmap.h"
 #include "whynot/common/status.h"
 #include "whynot/common/value.h"
 #include "whynot/concepts/ls_concept.h"
@@ -49,7 +48,8 @@ class LubContext {
   /// lub_I(X) in selection-free LS (Lemma 5.1, PTIME): the conjunction of
   /// every selection-free conjunct whose extension contains X (the nominal
   /// {x} when X = {x}, and every π_A(R) whose column contains X). Returns ⊤
-  /// when no conjunct qualifies. X must be non-empty.
+  /// when no conjunct qualifies. X must be non-empty. Computed as
+  /// LubOfSignature of X's column signature.
   LsConcept LubSelectionFree(const std::vector<Value>& x) const;
 
   /// lubσ_I(X) in full LS (Lemma 5.2): additionally intersects all valid
@@ -58,12 +58,40 @@ class LubContext {
   /// into ResourceExhausted.
   Result<LsConcept> LubWithSelections(const std::vector<Value>& x);
 
-  /// Variants for callers that already hold X sort-deduplicated (the
+  /// Variant for callers that already hold X sort-deduplicated (the
   /// concept cache probes with canonical keys): skips the defensive
-  /// copy + sort the general entry points pay. Results are bit-identical
-  /// to the unsorted entry points — lub is a function of the set.
-  LsConcept LubSelectionFreeSorted(const std::vector<Value>& sorted_x) const;
+  /// copy + sort the general entry point pays. Results are bit-identical
+  /// to LubWithSelections — lub is a function of the set.
   Result<LsConcept> LubWithSelectionsSorted(const std::vector<Value>& sorted_x);
+
+  /// Column signatures, the selection-free lub's key. Columns are numbered
+  /// relation by relation in schema order, attribute by attribute — the
+  /// order LubSelectionFree emits its projections in — and sig(v) is the
+  /// set of columns whose distinct projection holds v, a bitset of
+  /// SignatureWords() words. A value outside the pool (or interned after
+  /// the table was built) has the empty signature. Over selection-free LS,
+  /// lub(X) for |X| ≥ 2 is the conjunction of the projections in
+  /// sig(X) = ∧_{x ∈ X} sig(x) (the formal-concept intent of X), so it
+  /// depends on X only through sig(X); a singleton adds its nominal.
+  /// The table is built on first use from the column indexes' distinct
+  /// bitmaps.
+  size_t SignatureWords() const { return sig_words_; }
+  /// sig(v) for a pool id (-1 for values outside the pool): a pointer to
+  /// SignatureWords() words, valid for the context's lifetime.
+  const uint64_t* Signature(ValueId id) const {
+    if (!sig_built_) BuildSignatures();
+    size_t row = static_cast<size_t>(id) * sig_words_;
+    if (id < 0 || row >= sig_table_.size()) return empty_sig_.data();
+    return sig_table_.data() + row;
+  }
+  /// sig(X) = ∧_{x ∈ X} sig(x) of a non-empty X.
+  std::vector<uint64_t> SignatureOf(const std::vector<Value>& x) const;
+  /// The selection-free lub of any X with signature `sig` (SignatureWords()
+  /// words): the nominal {*nominal} when X = {*nominal}, then π_A(R) for
+  /// every column in `sig`, in column order — bit-identical to
+  /// LubSelectionFree(X).
+  LsConcept LubOfSignature(const uint64_t* sig,
+                           const Value* nominal = nullptr) const;
 
   /// Number of canonical boxes enumerated for `relation` (0 before first
   /// use); exposed for the Lemma 5.2 benchmarks.
@@ -92,12 +120,14 @@ class LubContext {
     Status build_status;
     std::vector<Box> boxes;
   };
-  /// Id-space mirror of one distinct column: the ids in rank order plus
-  /// their membership bitmap (the word-parallel containment probe of
-  /// LubSelectionFree).
+  /// Id-space mirror of one distinct column: the ids in rank order.
   struct IdColumn {
     std::vector<ValueId> rank_sorted;
-    DenseBitmap distinct;
+  };
+  /// Column c of the signature numbering: relation index and attribute.
+  struct SigColumn {
+    size_t rel_idx;
+    int attr;
   };
 
   /// Dense index of `relation` in the schema's relation list, or SIZE_MAX.
@@ -117,6 +147,8 @@ class LubContext {
   const std::vector<IdColumn>& IdColumnsFor(size_t rel_idx) const;
   /// Cold path of ColumnsFor: materializes the columns from the store.
   void BuildColumns(size_t rel_idx) const;
+  /// Cold path of Signature: fills the table.
+  void BuildSignatures() const;
 
   const rel::Instance* instance_;
   LubOptions options_;
@@ -125,6 +157,13 @@ class LubContext {
   mutable std::vector<std::vector<std::vector<Value>>> columns_;
   mutable std::vector<std::vector<IdColumn>> id_columns_;
   mutable std::vector<bool> columns_built_;
+  // Signature table: SignatureWords() words per pool id, row-major.
+  std::vector<SigColumn> sig_columns_;
+  size_t sig_words_ = 0;
+  mutable std::vector<uint64_t> sig_table_;
+  mutable bool sig_built_ = false;
+  // The all-zero signature served to ids outside the table.
+  std::vector<uint64_t> empty_sig_;
 };
 
 }  // namespace whynot::ls

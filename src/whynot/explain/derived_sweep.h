@@ -158,13 +158,15 @@ Result<LsExplanation> GreedySweep(const rel::Instance* instance,
   // Lines 2-3: support sets X_j = {t_j}; first candidate (lub(X_1), ...,
   // lub(X_m)). Extensions are held as pointers to overlay entries (stable
   // for the overlay's lifetime) so the cover bitmaps cache by identity.
-  std::vector<std::vector<Value>> support(m);
+  // Each X_j is carried as its support key (selection-free: its running
+  // column signature), so a probe extends it by one AND.
+  std::vector<ls::SupportKey> support(m);
   LsExplanation e(m);
   std::vector<const ls::Extension*> exts(m);
   std::vector<ValueId> ids(m);
   bool start_ok = true;
   for (size_t j = 0; j < m; ++j) {
-    support[j] = {tuple[j]};
+    support[j] = overlay.KeyOf({tuple[j]});
     WHYNOT_ASSIGN_OR_RETURN(const ls::ConceptCache::Entry* entry,
                             overlay.LubAndEval(support[j]));
     e[j] = entry->concept;
@@ -191,24 +193,27 @@ Result<LsExplanation> GreedySweep(const rel::Instance* instance,
   // Lines 4-11: every position, every uncovered active-domain constant.
   const std::vector<Value>& adom = instance->ActiveDomain();
   const std::vector<ValueId>& adom_ids = instance->ActiveDomainIds();
+  ls::SupportKey extended;  // reused candidate-key buffer
   for (size_t j = 0; j < m && !halted.has_value(); ++j) {
     for (size_t bi = 0; bi < adom.size(); ++bi) {
       WHYNOT_RETURN_IF_ERROR(check());
       if (halted.has_value()) break;
+      // b ∈ ext(lub(X_j)) ⊇ X_j leaves the lub unchanged; every other b is
+      // outside X_j, as Extend requires.
       if (exts[j]->ContainsId(adom_ids[bi])) continue;
-      std::vector<Value> extended = support[j];
-      extended.push_back(adom[bi]);
-      // Probe-once candidates take the transient path (no support-tier
+      overlay.Extend(support[j], adom[bi], adom_ids[bi], &extended);
+      // Candidates take the probe path (with selections: no support-tier
       // record — the sweep rejects almost all of them); an accepted one is
       // promoted in place, reusing the lub and extension just computed.
       WHYNOT_ASSIGN_OR_RETURN(std::shared_ptr<const ls::Extension> cand,
                               overlay.LubExtTransient(extended));
       if (cand->ContainsInterned(ids[j], tuple[j]) &&
           Dual::Holds(covers, exts, j, cand.get())) {
-        const ls::ConceptCache::Entry* entry = overlay.PromoteLastProbe();
+        const ls::ConceptCache::Entry* entry =
+            overlay.PromoteLastProbe(extended);
         e[j] = entry->concept;
         exts[j] = entry->ext.get();
-        support[j] = std::move(extended);
+        std::swap(support[j], extended);
       }
     }
   }
@@ -250,10 +255,13 @@ Result<LsExplanation> GreedySweep(const rel::Instance* instance,
 /// is downward closed.
 ///
 /// The probes run serially through the stores' overlay in fixed (j, b)
-/// order, on the transient lub path: maximality probes never accept, so
-/// each key is looked up once. `exec` is observed once per position
-/// (probe ordinal j); the boolean verdict has no meaningful partial
-/// result, so a stop is always the matching error status.
+/// order, on the probe lub path: maximality probes never accept, so each
+/// boxed (with-selections) key is looked up once. The base support
+/// ext(C_j) is keyed once per position (selection-free: its column
+/// signature), and each probe extends that key by b. `exec` is observed
+/// once per position (probe ordinal j); the boolean verdict has no
+/// meaningful partial result, so a stop is always the matching error
+/// status.
 template <typename Dual>
 Result<bool> CheckMaximal(const rel::Instance* instance, const Tuple& tuple,
                           const LsExplanation& candidate,
@@ -270,6 +278,7 @@ Result<bool> CheckMaximal(const rel::Instance* instance, const Tuple& tuple,
   const std::vector<Value>& adom = instance->ActiveDomain();
   const std::vector<ValueId>& adom_ids = instance->ActiveDomainIds();
   const ls::Extension top_ext = ls::Extension::All();
+  ls::SupportKey extended;  // reused candidate-key buffer
   for (size_t j = 0; j < candidate.size(); ++j) {
     if (std::optional<exec::Stop> s = exec::Check(exec, j)) {
       return exec::StopStatus(*s, Dual::kCheck);
@@ -278,14 +287,12 @@ Result<bool> CheckMaximal(const rel::Instance* instance, const Tuple& tuple,
     if (Dual::kTopStep && Dual::Holds(covers, exts, j, &top_ext)) {
       return false;
     }
-    // t_j ∈ ext(C_j), so the lub keys (sort-deduplicated supports) are
-    // ext(C_j) ∪ {b}.
-    const std::vector<Value>& support = exts[j]->values();
+    // t_j ∈ ext(C_j), so the lub supports are ext(C_j) ∪ {b}.
+    const ls::SupportKey support = overlay.KeyOfExtension(*exts[j]);
     const ValueId id = pool.Lookup(tuple[j]);
     for (size_t bi = 0; bi < adom.size(); ++bi) {
       if (exts[j]->ContainsId(adom_ids[bi])) continue;
-      std::vector<Value> extended = support;
-      extended.push_back(adom[bi]);
+      overlay.Extend(support, adom[bi], adom_ids[bi], &extended);
       WHYNOT_ASSIGN_OR_RETURN(std::shared_ptr<const ls::Extension> cand,
                               overlay.LubExtTransient(extended));
       if (cand->ContainsInterned(id, tuple[j]) &&

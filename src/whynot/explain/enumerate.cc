@@ -46,8 +46,8 @@ using ExclusionSet = std::set<GroundElement>;
 // nodes) or its shared ⊤ extension, so the answer-cover kernel can key
 // cover bitmaps by identity across nodes.
 struct GreedyState {
-  std::vector<std::vector<Value>> support;  // constants fed to lub
-  std::vector<bool> topped;                 // position generalized to ⊤
+  std::vector<ls::SupportKey> support;  // keys of the sets fed to lub
+  std::vector<bool> topped;             // position generalized to ⊤
   LsExplanation concepts;
   std::vector<const ls::Extension*> exts;
   std::vector<GroundElement> decisions;
@@ -100,7 +100,7 @@ class NodeEvaluator {
     state->concepts.resize(m);
     state->exts.resize(m);
     for (size_t j = 0; j < m; ++j) {
-      state->support[j] = {wni_.missing[j]};
+      state->support[j] = overlay_.KeyOf({wni_.missing[j]});
       WHYNOT_ASSIGN_OR_RETURN(auto ce, LubAndEval(state->support[j]));
       state->concepts[j] = *ce.first;
       state->exts[j] = ce.second;
@@ -130,12 +130,13 @@ class NodeEvaluator {
         if (excluded.count(e) > 0) continue;
         // Inside the current lub extension: adding b leaves the lub
         // unchanged (Lemma 5.1/5.2 minimality), so nothing to decide.
+        // Outside it, b ∉ X_j, as Extend requires.
         if (state->exts[j]->ContainsId(adom_ids_[bi])) continue;
-        std::vector<Value> extended = state->support[j];
-        extended.push_back(adom_[bi]);
-        WHYNOT_ASSIGN_OR_RETURN(auto cand, LubAndEval(extended));
+        overlay_.Extend(state->support[j], adom_[bi], adom_ids_[bi],
+                        &extended_);
+        WHYNOT_ASSIGN_OR_RETURN(auto cand, LubAndEval(extended_));
         if (!AnyAnd(rest, CoverRow(*cand.second, j))) {
-          state->support[j] = std::move(extended);
+          std::swap(state->support[j], extended_);
           state->concepts[j] = *cand.first;
           state->exts[j] = cand.second;
           state->decisions.push_back(e);
@@ -177,14 +178,14 @@ class NodeEvaluator {
       }
       size_t bi = static_cast<size_t>(e.constant_index);
       if (state.exts[j]->ContainsId(adom_ids_[bi])) continue;  // absorbed
-      std::vector<Value> extended = state.support[j];
-      extended.push_back(adom_[bi]);
-      // Verification probes never accept, so these keys are probed once:
-      // the transient path serves warm tiers without recording a
-      // support-tier entry (the greedy sweep's candidates, which recur
-      // across sibling nodes and requests, stay on the caching path).
+      overlay_.Extend(state.support[j], adom_[bi], adom_ids_[bi], &extended_);
+      // Verification probes never accept, so boxed (with-selections) keys
+      // are probed once: the probe path serves warm tiers without
+      // recording a support-tier entry (the greedy sweep's candidates,
+      // which recur across sibling nodes and requests, stay on the
+      // caching path).
       WHYNOT_ASSIGN_OR_RETURN(std::shared_ptr<const ls::Extension> cand,
-                              overlay_.LubExtTransient(extended));
+                              overlay_.LubExtTransient(extended_));
       if (!AnyAnd(rest, CoverRow(*cand, j))) return false;
     }
     return true;
@@ -202,9 +203,9 @@ class NodeEvaluator {
   // (shared_ptr-owned entries), which the answer-cover kernel keys its
   // bitmaps by.
   Result<std::pair<const ls::LsConcept*, const ls::Extension*>> LubAndEval(
-      const std::vector<Value>& x) {
+      const ls::SupportKey& key) {
     WHYNOT_ASSIGN_OR_RETURN(const ls::ConceptCache::Entry* entry,
-                            overlay_.LubAndEval(x));
+                            overlay_.LubAndEval(key));
     return std::make_pair<const ls::LsConcept*, const ls::Extension*>(
         &entry->concept, entry->ext.get());
   }
@@ -231,6 +232,7 @@ class NodeEvaluator {
   std::vector<uint64_t> full_;  // all answers alive, trailing bits zero
   GreedyAndCache and_cache_;
   const ls::Extension top_ext_;
+  ls::SupportKey extended_;  // reused candidate-key buffer
 };
 
 /// Everything the deterministic merge needs from one evaluated node; a

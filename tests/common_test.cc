@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "test_util.h"
 #include "whynot/common/status.h"
@@ -114,6 +115,21 @@ TEST(ResultTest, ValueAndStatus) {
   Result<int> err(Status::NotFound("gone"));
   ASSERT_FALSE(err.ok());
   EXPECT_EQ(err.status().code(), StatusCode::kNotFound);
+}
+
+TEST(ResultTest, MovedOutResultReportsInternal) {
+  Result<std::string> r(std::string("a value longer than the SSO buffer"));
+  ASSERT_TRUE(r.ok());
+  std::string taken = std::move(r).value();
+  EXPECT_EQ(taken, "a value longer than the SSO buffer");
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInternal);
+  EXPECT_FALSE(r.status().message().empty());
+  // Every consumed Result reports the same shared status object: marking
+  // the consumption allocates nothing.
+  Result<int> other(3);
+  (void)std::move(other).value();
+  EXPECT_EQ(&other.status(), &r.status());
 }
 
 TEST(ResultTest, AssignOrReturnMacro) {

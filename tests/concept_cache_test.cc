@@ -187,9 +187,8 @@ TEST(ConceptCacheTest, MissThenLocalHitThenPublishedHit) {
   UnitFixture f = MakeUnitFixture();
   ls::ConceptCache cache(f.instance.get());
   ls::LubContext lub(f.instance.get());
-  std::vector<Value> x = {Value(1), Value(2)};
-
   ls::ConceptCacheOverlay a(&cache, /*with_selections=*/false, &lub);
+  ls::SupportKey x = a.KeyOf({Value(1), Value(2)});
   ASSERT_OK_AND_ASSIGN(const ls::ConceptCache::Entry* first, a.LubAndEval(x));
   ASSERT_OK_AND_ASSIGN(const ls::ConceptCache::Entry* again, a.LubAndEval(x));
   EXPECT_EQ(first, again);  // one address per key per overlay
@@ -215,11 +214,13 @@ TEST(ConceptCacheTest, TransientProbesServeTiersWithoutRecording) {
   UnitFixture f = MakeUnitFixture();
   ls::ConceptCache cache(f.instance.get());
   ls::LubContext lub(f.instance.get());
-  std::vector<Value> x = {Value(1), Value(2)};
 
   // Cold transient probe: computes the lub and records only the
-  // concept-keyed eval tier — never a support entry.
-  ls::ConceptCacheOverlay a(&cache, /*with_selections=*/false, &lub);
+  // concept-keyed eval tier — never a support entry. (With selections:
+  // the selection-free flavor keys by signature, and memoizes every
+  // probe; see SelectionFreeSupportsShareOneEntryPerSignature.)
+  ls::ConceptCacheOverlay a(&cache, /*with_selections=*/true, &lub);
+  ls::SupportKey x = a.KeyOf({Value(1), Value(2)});
   ASSERT_OK_AND_ASSIGN(std::shared_ptr<const ls::Extension> cold,
                        a.LubExtTransient(x));
   size_t pending_after_first = a.pending();
@@ -232,17 +233,17 @@ TEST(ConceptCacheTest, TransientProbesServeTiersWithoutRecording) {
   EXPECT_EQ(cold.get(), again.get());
   EXPECT_EQ(a.pending(), pending_after_first);  // nothing new recorded
   cache.Publish(&a);
-  EXPECT_EQ(cache.FindSupport(false, x), nullptr);  // no support entry
+  EXPECT_EQ(cache.FindSupport(true, x), nullptr);  // no support entry
   EXPECT_EQ(cache.stats().misses, 2u);
 
   // A full LubAndEval of the same key shares the published evaluation
   // (same extension object), and once it publishes the support entry a
   // fresh overlay's transient probe serves it from the published tier.
-  ls::ConceptCacheOverlay b(&cache, /*with_selections=*/false, &lub);
+  ls::ConceptCacheOverlay b(&cache, /*with_selections=*/true, &lub);
   ASSERT_OK_AND_ASSIGN(const ls::ConceptCache::Entry* entry, b.LubAndEval(x));
   EXPECT_EQ(entry->ext.get(), cold.get());
   cache.Publish(&b);
-  ls::ConceptCacheOverlay c(&cache, /*with_selections=*/false, &lub);
+  ls::ConceptCacheOverlay c(&cache, /*with_selections=*/true, &lub);
   ASSERT_OK_AND_ASSIGN(std::shared_ptr<const ls::Extension> warm,
                        c.LubExtTransient(x));
   EXPECT_EQ(warm.get(), entry->ext.get());
@@ -250,19 +251,56 @@ TEST(ConceptCacheTest, TransientProbesServeTiersWithoutRecording) {
   EXPECT_GT(cache.stats().shared_hits, 0u);
 }
 
+TEST(ConceptCacheTest, SelectionFreeSupportsShareOneEntryPerSignature) {
+  UnitFixture f = MakeUnitFixture();
+  ls::ConceptCache cache(f.instance.get());
+  ls::LubContext lub(f.instance.get());
+  const ValuePool& pool = f.instance->pool();
+
+  // 0, 1 and 2 occur in R.0, R.1 and U.0 alike, so every pair of them has
+  // one signature, one key and one lub; 3 misses R.1.
+  ls::ConceptCacheOverlay a(&cache, /*with_selections=*/false, &lub);
+  ls::SupportKey k01 = a.KeyOf({Value(0), Value(1)});
+  EXPECT_EQ(a.KeyOf({Value(2), Value(1)}), k01);
+  EXPECT_FALSE(a.KeyOf({Value(0), Value(3)}) == k01);
+  // A singleton keeps its nominal; extending it lands on the pair's key.
+  ls::SupportKey single = a.KeyOf({Value(0)});
+  EXPECT_FALSE(single == k01);
+  ls::SupportKey extended;
+  a.Extend(single, Value(1), pool.Lookup(Value(1)), &extended);
+  EXPECT_EQ(extended, k01);
+
+  ASSERT_OK_AND_ASSIGN(const ls::ConceptCache::Entry* entry,
+                       a.LubAndEval(k01));
+  EXPECT_EQ(entry->concept, lub.LubSelectionFree({Value(1), Value(2)}));
+  // A selection-free probe records its key, so a second support with the
+  // same signature is a local hit on the same entry.
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const ls::Extension> probed,
+                       a.LubExtTransient(a.KeyOf({Value(1), Value(2)})));
+  EXPECT_EQ(probed.get(), entry->ext.get());
+  // A value outside the pool empties the signature: the lub is ⊤.
+  ASSERT_OK_AND_ASSIGN(const ls::ConceptCache::Entry* top,
+                       a.LubAndEval(a.KeyOf({Value(1), Value("nowhere")})));
+  EXPECT_TRUE(top->concept.IsTop());
+  cache.Publish(&a);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().local_hits, 1u);
+  EXPECT_EQ(cache.FindSupport(false, k01), entry);
+}
+
 TEST(ConceptCacheTest, PromoteLastProbeMatchesLubAndEval) {
   UnitFixture f = MakeUnitFixture();
   ls::ConceptCache cache(f.instance.get());
   ls::LubContext lub(f.instance.get());
-  std::vector<Value> x = {Value(1), Value(2)};
 
   // Promoting a cold probe records the support entry without recomputing:
   // the entry's extension is the very object the probe returned, and its
   // concept equals what an independent LubAndEval derives.
   ls::ConceptCacheOverlay a(&cache, /*with_selections=*/false, &lub);
+  ls::SupportKey x = a.KeyOf({Value(1), Value(2)});
   ASSERT_OK_AND_ASSIGN(std::shared_ptr<const ls::Extension> probed,
                        a.LubExtTransient(x));
-  const ls::ConceptCache::Entry* promoted = a.PromoteLastProbe();
+  const ls::ConceptCache::Entry* promoted = a.PromoteLastProbe(x);
   ASSERT_NE(promoted, nullptr);
   EXPECT_EQ(promoted->ext.get(), probed.get());
   cache.Publish(&a);
@@ -285,7 +323,7 @@ TEST(ConceptCacheTest, PromoteLastProbeMatchesLubAndEval) {
   ASSERT_OK_AND_ASSIGN(std::shared_ptr<const ls::Extension> warm,
                        c.LubExtTransient(x));
   EXPECT_EQ(warm.get(), promoted->ext.get());
-  EXPECT_EQ(c.PromoteLastProbe(), promoted);
+  EXPECT_EQ(c.PromoteLastProbe(x), promoted);
   EXPECT_EQ(c.pending(), 0u);
 
   // Promoting a probe that hit the local support map is a no-op returning
@@ -293,7 +331,7 @@ TEST(ConceptCacheTest, PromoteLastProbeMatchesLubAndEval) {
   ASSERT_OK_AND_ASSIGN(std::shared_ptr<const ls::Extension> local_hit,
                        c.LubExtTransient(x));
   EXPECT_EQ(local_hit.get(), promoted->ext.get());
-  EXPECT_EQ(c.PromoteLastProbe(), promoted);
+  EXPECT_EQ(c.PromoteLastProbe(x), promoted);
   cache.Publish(&b);
   cache.Publish(&c);
 }
@@ -303,13 +341,13 @@ TEST(ConceptCacheTest, FirstPublishWins) {
   ls::ConceptCache cache(f.instance.get());
   ls::LubContext lub_a(f.instance.get());
   ls::LubContext lub_b(f.instance.get());
-  std::vector<Value> x = {Value(0), Value(3)};
-
   // Two overlays miss on the same key during one "wave"; the first one
   // published in slot order wins, the second is dropped (not an eviction —
   // the key is already present).
   ls::ConceptCacheOverlay a(&cache, false, &lub_a);
   ls::ConceptCacheOverlay b(&cache, false, &lub_b);
+  ls::SupportKey x = a.KeyOf({Value(0), Value(3)});
+  EXPECT_EQ(b.KeyOf({Value(0), Value(3)}), x);  // contexts agree on keys
   ASSERT_OK_AND_ASSIGN(const ls::ConceptCache::Entry* ea, a.LubAndEval(x));
   ASSERT_OK_AND_ASSIGN(const ls::ConceptCache::Entry* eb, b.LubAndEval(x));
   EXPECT_NE(ea, eb);
@@ -331,12 +369,13 @@ TEST(ConceptCacheTest, SelectionFlavorsAreDistinctTiers) {
   std::vector<Value> x = {Value(1), Value(2)};
 
   ls::ConceptCacheOverlay free_overlay(&cache, false, &lub);
+  ls::ConceptCacheOverlay sel_overlay(&cache, true, &lub);
   ASSERT_OK_AND_ASSIGN(const ls::ConceptCache::Entry* e_free,
-                       free_overlay.LubAndEval(x));
+                       free_overlay.LubAndEval(free_overlay.KeyOf(x)));
   cache.Publish(&free_overlay);
   // The with-selections tier must not serve the selection-free entry.
-  EXPECT_EQ(cache.FindSupport(true, x), nullptr);
-  EXPECT_EQ(cache.FindSupport(false, x), e_free);
+  EXPECT_EQ(cache.FindSupport(true, sel_overlay.KeyOf(x)), nullptr);
+  EXPECT_EQ(cache.FindSupport(false, free_overlay.KeyOf(x)), e_free);
 }
 
 TEST(ConceptCacheTest, CapacityRejectionCountsEvictions) {
@@ -346,7 +385,7 @@ TEST(ConceptCacheTest, CapacityRejectionCountsEvictions) {
   ls::ConceptCache cache(f.instance.get(), options);
   ls::LubContext lub(f.instance.get());
   ls::ConceptCacheOverlay a(&cache, false, &lub);
-  std::vector<Value> x = {Value(0), Value(1)};
+  ls::SupportKey x = a.KeyOf({Value(0), Value(1)});
   ASSERT_OK_AND_ASSIGN(const ls::ConceptCache::Entry* entry, a.LubAndEval(x));
   cache.Publish(&a);
   EXPECT_EQ(cache.size(), 0u);
@@ -362,7 +401,7 @@ TEST(ConceptCacheTest, ClearDropsEntriesKeepsCounters) {
   ls::ConceptCache cache(f.instance.get());
   ls::LubContext lub(f.instance.get());
   ls::ConceptCacheOverlay a(&cache, false, &lub);
-  std::vector<Value> x = {Value(2), Value(3)};
+  ls::SupportKey x = a.KeyOf({Value(2), Value(3)});
   ASSERT_OK_AND_ASSIGN(const ls::ConceptCache::Entry* entry, a.LubAndEval(x));
   (void)entry;
   cache.Publish(&a);
@@ -384,8 +423,7 @@ TEST(ConceptCacheTest, MemoryBytesGrowsWithPublishedEntries) {
   size_t empty_bytes = cache.MemoryBytes();
   ls::ConceptCacheOverlay a(&cache, false, &lub);
   for (int v = 0; v < 4; ++v) {
-    std::vector<Value> x = {Value(v), Value((v + 1) % 4)};
-    ASSERT_TRUE(a.LubAndEval(x).ok());
+    ASSERT_TRUE(a.LubAndEval(a.KeyOf({Value(v), Value((v + 1) % 4)})).ok());
   }
   cache.Publish(&a);
   EXPECT_GT(cache.MemoryBytes(), empty_bytes);

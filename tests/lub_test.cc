@@ -320,6 +320,135 @@ TEST_P(RunLengthOracleTest, LubWithSelectionsMatchesBruteForceMinimality) {
   }
 }
 
+// --- Selection-free lub by column signature --------------------------------
+
+/// Lemma 5.1 read literally off the facts: the nominal when |X| = 1, then
+/// π_A(R) for every (relation, attribute) whose rows hold every value of X.
+LsConcept LiteralLubSelectionFree(const rel::Instance& instance,
+                                  std::vector<Value> x) {
+  SortUnique(&x);
+  std::vector<ls::Conjunct> conjuncts;
+  if (x.size() == 1) conjuncts.push_back(ls::Conjunct::Nominal(x.front()));
+  for (const rel::RelationDef& def : instance.schema().relations()) {
+    const std::vector<Tuple>& rows = instance.Relation(def.name());
+    for (size_t a = 0; a < def.arity(); ++a) {
+      bool holds_all = true;
+      for (const Value& v : x) {
+        holds_all &= std::any_of(rows.begin(), rows.end(),
+                                 [&](const Tuple& t) { return t[a] == v; });
+      }
+      if (holds_all) {
+        conjuncts.push_back(
+            ls::Conjunct::Projection(def.name(), static_cast<int>(a)));
+      }
+    }
+  }
+  return LsConcept(std::move(conjuncts));
+}
+
+/// The lub from the signature table: sig(X) = ∧ sig(x), the nominal while
+/// |X| = 1.
+LsConcept SignatureLub(const LubContext& ctx, std::vector<Value> x) {
+  SortUnique(&x);
+  std::vector<uint64_t> sig(ctx.SignatureWords(), ~uint64_t{0});
+  for (const Value& v : x) {
+    const uint64_t* sv = ctx.Signature(ctx.instance().pool().Lookup(v));
+    for (size_t w = 0; w < sig.size(); ++w) sig[w] &= sv[w];
+  }
+  return ctx.LubOfSignature(sig.data(),
+                            x.size() == 1 ? &x.front() : nullptr);
+}
+
+/// Random supports of 1-4 values drawn from adom(I) plus two values
+/// outside the pool; checks the signature lub against LubSelectionFree and
+/// the literal reading, concept and extension.
+void ExpectSignatureLubsMatch(const rel::Instance& instance, uint64_t seed,
+                              int trials) {
+  LubContext ctx(&instance);
+  std::vector<Value> draw = instance.ActiveDomain();
+  draw.push_back(Value(100000));
+  draw.push_back(Value("outside"));
+  workload::Rng rng(seed);
+  for (int trial = 0; trial < trials; ++trial) {
+    std::vector<Value> x;
+    size_t size = 1 + rng.Below(4);
+    for (size_t i = 0; i < size; ++i) x.push_back(draw[rng.Below(draw.size())]);
+    LsConcept want = LiteralLubSelectionFree(instance, x);
+    LsConcept got = SignatureLub(ctx, x);
+    EXPECT_EQ(got, want) << "X = " << TupleToString(x);
+    EXPECT_EQ(ctx.LubSelectionFree(x), want) << "X = " << TupleToString(x);
+    EXPECT_EQ(ls::Eval(got, instance), ls::Eval(want, instance))
+        << "X = " << TupleToString(x);
+  }
+}
+
+class SignatureLubTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SignatureLubTest, MatchesLiteralLubOnRandomInstances) {
+  ASSERT_OK_AND_ASSIGN(rel::Schema schema,
+                       workload::RandomSchema(3, {2, 3, 1}));
+  ASSERT_OK_AND_ASSIGN(
+      rel::Instance instance,
+      workload::RandomInstance(&schema, /*rows_per_relation=*/12,
+                               /*domain=*/10, GetParam()));
+  ExpectSignatureLubsMatch(instance, GetParam() ^ 0x51600ull, 200);
+}
+
+TEST_P(SignatureLubTest, EmptyRelationsHoldNoColumn) {
+  // R1 never gets a fact (no stored relation at all); R2 is cleared after
+  // its facts went in (a stored relation with no rows).
+  ASSERT_OK_AND_ASSIGN(rel::Schema schema, workload::RandomSchema(3, {2}));
+  ASSERT_OK_AND_ASSIGN(
+      rel::Instance filled,
+      workload::RandomInstance(&schema, /*rows_per_relation=*/10,
+                               /*domain=*/8, GetParam()));
+  rel::Instance instance(&schema);
+  for (const char* name : {"R0", "R2"}) {
+    for (const Tuple& t : filled.Relation(name)) {
+      ASSERT_OK(instance.AddFact(name, t));
+    }
+  }
+  instance.ClearRelation("R2");
+  ExpectSignatureLubsMatch(instance, GetParam() ^ 0xe3e3ull, 100);
+}
+
+TEST_P(SignatureLubTest, MoreThanSixtyFourColumns) {
+  // 30 ternary relations: 90 columns, two signature words.
+  ASSERT_OK_AND_ASSIGN(rel::Schema schema, workload::RandomSchema(30, {3}));
+  ASSERT_OK_AND_ASSIGN(
+      rel::Instance instance,
+      workload::RandomInstance(&schema, /*rows_per_relation=*/4,
+                               /*domain=*/12, GetParam()));
+  LubContext ctx(&instance);
+  EXPECT_EQ(ctx.SignatureWords(), 2u);
+  ExpectSignatureLubsMatch(instance, GetParam() ^ 0x6464ull, 200);
+}
+
+TEST_P(SignatureLubTest, FreshContextSeesValuesAddedToAColumn) {
+  ASSERT_OK_AND_ASSIGN(rel::Schema schema, workload::RandomSchema(2, {2}));
+  ASSERT_OK_AND_ASSIGN(
+      rel::Instance instance,
+      workload::RandomInstance(&schema, /*rows_per_relation=*/8,
+                               /*domain=*/6, GetParam()));
+  const Value old_value = instance.ActiveDomain().front();
+  const Value new_value(777);
+  LubContext before(&instance);
+  const std::vector<Value> pair = {old_value, new_value};
+  EXPECT_TRUE(before.LubSelectionFree(pair).IsTop());
+  // The write puts a new value into R1's first column and the old value
+  // into R1's second: both signatures change.
+  ASSERT_OK(instance.AddFact("R1", {new_value, old_value}));
+  LubContext after(&instance);
+  EXPECT_EQ(SignatureLub(after, pair),
+            LiteralLubSelectionFree(instance, pair));
+  EXPECT_FALSE(SignatureLub(after, {new_value}) ==
+               LsConcept::Nominal(new_value));
+  ExpectSignatureLubsMatch(instance, GetParam() ^ 0xadd0ull, 100);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SignatureLubTest,
+                         ::testing::Values(1ull, 29ull, 404ull, 9001ull));
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RunLengthOracleTest,
                          ::testing::Values(3ull, 71ull, 512ull, 8191ull));
 

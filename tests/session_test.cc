@@ -317,5 +317,88 @@ TEST(SessionInvalidationTest, AddFactRebuildsDeterministically) {
   par::SetNumThreads(0);
 }
 
+std::string Serialize(const explain::LsExplanation& e) {
+  std::string s;
+  for (const ls::LsConcept& c : e) s += c.ToString() + "|";
+  return s;
+}
+
+/// Every derived request type against `session`, serialized: WhyNot, the
+/// MGE antichain with its deterministic stats, CHECK-MGE of each MGE, and
+/// Why of the first answer.
+std::string DerivedRequestMix(explain::ExplainSession* session,
+                              const Tuple& missing) {
+  std::string out;
+  auto incr = session->WhyNot(missing);
+  EXPECT_TRUE(incr.ok()) << incr.status().ToString();
+  if (incr.ok()) out += "I:" + Serialize(incr.value()) + ";";
+  explain::EnumerateStats stats;
+  auto mges = session->EnumerateMges(missing, &stats);
+  EXPECT_TRUE(mges.ok()) << mges.status().ToString();
+  if (!mges.ok()) return out + "enumerate failed";
+  for (const explain::LsExplanation& e : mges.value()) {
+    out += "E:" + Serialize(e) + ";";
+    auto chk = session->CheckMgeDerived(missing, e);
+    EXPECT_TRUE(chk.ok()) << chk.status().ToString();
+    out += chk.ok() && chk.value() ? "1;" : "0;";
+  }
+  out += "#" + std::to_string(stats.nodes_expanded) + "/" +
+         std::to_string(stats.duplicate_outputs) + "/" +
+         std::to_string(stats.visited_hits) + "/" +
+         std::to_string(stats.max_delay) + ";";
+  auto why = session->Why(session->answers().front());
+  EXPECT_TRUE(why.ok()) << why.status().ToString();
+  if (why.ok()) out += "W:" + Serialize(why.value()) + ";";
+  return out;
+}
+
+TEST(SessionInvalidationTest, SignatureChangingWritesMatchFreshBinding) {
+  ASSERT_OK_AND_ASSIGN(rel::Schema schema, workload::RandomSchema(2, {2}));
+  ASSERT_OK_AND_ASSIGN(
+      rel::Instance base,
+      workload::RandomInstance(&schema, /*rows_per_relation=*/8,
+                               /*domain=*/6, /*seed=*/17));
+  const std::vector<Value>& adom = base.ActiveDomain();
+  std::vector<Tuple> answers = {{adom[0], adom[1]}, {adom[1], adom[2]},
+                                {adom[2], adom[2]}};
+  const Tuple missing = {adom[0], adom[2]};
+  // Writes that put values into columns that did not hold them, so the
+  // column signatures the selection-free lub keys by change under a warm
+  // session: new constants 40 and 41, and each active-domain value
+  // entering both columns of R0 and R1. One write is a no-op duplicate.
+  std::vector<std::pair<std::string, Tuple>> writes = {
+      {"R0", {Value(40), adom[0]}},
+      {"R1", {adom[2], Value(41)}},
+      {"R1", {adom[2], Value(41)}},
+  };
+  for (const Value& v : adom) writes.push_back({"R0", {v, v}});
+  for (const Value& v : adom) writes.push_back({"R1", {v, v}});
+  for (int threads : {1, 8}) {
+    par::SetNumThreads(threads);
+    for (bool with_selections : {false, true}) {
+      explain::ExplainSessionOptions options;
+      options.incremental.with_selections = with_selections;
+      options.enumerate.with_selections = with_selections;
+      rel::Instance instance(base);
+      ASSERT_OK_AND_ASSIGN(explain::ExplainSession session,
+                           explain::ExplainSession::BindWithAnswers(
+                               &instance, answers, nullptr, options));
+      DerivedRequestMix(&session, missing);  // warm every cache tier
+      for (const auto& [relation, fact] : writes) {
+        ASSERT_OK(instance.AddFact(relation, fact));
+        ASSERT_OK_AND_ASSIGN(explain::ExplainSession fresh,
+                             explain::ExplainSession::BindWithAnswers(
+                                 &instance, answers, nullptr, options));
+        std::string want = DerivedRequestMix(&fresh, missing);
+        EXPECT_NE(want.find("E:"), std::string::npos);  // MGEs to compare
+        EXPECT_EQ(DerivedRequestMix(&session, missing), want)
+            << relation << TupleToString(fact) << " with_selections="
+            << with_selections << " threads=" << threads;
+      }
+    }
+  }
+  par::SetNumThreads(0);
+}
+
 }  // namespace
 }  // namespace whynot
