@@ -313,7 +313,8 @@ Result<std::vector<LsExplanation>> ExplainSession::EnumerateMges(
   EnumerateOptions opts = s.options.enumerate;
   opts.exec = &ctx;
   return EnumerateAllMges(s.wni, opts, stats, s.lub.get(),
-                          s.concept_cache.get());
+                          s.concept_cache.get(), s.cache.get(),
+                          s.ls_covers.get());
 }
 
 Result<bool> ExplainSession::CheckMgeDerived(const Tuple& missing,

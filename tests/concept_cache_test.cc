@@ -464,8 +464,8 @@ TEST(ConceptCacheTest, EnumerateStatsReportCacheTraffic) {
   par::SetNumThreads(1);
   explain::EnumerateStats stats;
   ASSERT_TRUE(explain::EnumerateAllMges(f.wni, {}, &stats).ok());
-  // A run-local cache still counts misses/publishes; with one overlay and
-  // one wave structure every repeated support set is a local or shared hit.
+  // A run-local cache still counts misses/publishes; with one overlay
+  // every repeated support set is a local or shared hit.
   EXPECT_GT(stats.cache_misses, 0u);
   EXPECT_GT(stats.cache_publishes, 0u);
   par::SetNumThreads(0);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -150,6 +151,30 @@ TEST_F(EnumerateTest, StatsArePopulated) {
   EXPECT_GE(stats.max_delay, 1u);
 }
 
+TEST_F(EnumerateTest, CallerOwnedStoresMatchCallLocalOnes) {
+  ASSERT_OK_AND_ASSIGN(std::vector<LsExplanation> want,
+                       EnumerateAllMges(*wni_));
+  ls::LubContext lub(instance_.get());
+  ls::EvalCache cache(instance_.get());
+  explain::LsAnswerCovers covers(instance_.get(), &wni_->answers);
+  ls::ConceptCache concept_cache(instance_.get());
+  // The second call finds every cover row and lub the first one built.
+  for (int round = 0; round < 2; ++round) {
+    ASSERT_OK_AND_ASSIGN(std::vector<LsExplanation> got,
+                         EnumerateAllMges(*wni_, {}, nullptr, &lub,
+                                          &concept_cache, &cache, &covers));
+    EXPECT_EQ(got, want) << "round " << round;
+  }
+}
+
+TEST_F(EnumerateTest, CallerOwnedCoversNeedCallerOwnedStores) {
+  explain::LsAnswerCovers covers(instance_.get(), &wni_->answers);
+  auto result = EnumerateAllMges(*wni_, {}, nullptr, nullptr, nullptr,
+                                 nullptr, &covers);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(EnumerateEdgeTest, EmptyAnswersYieldSingleAllTopMge) {
   rel::Schema schema = testutil::SimpleSchema();
   rel::Instance instance(&schema);
@@ -171,57 +196,78 @@ TEST(EnumerateEdgeTest, EmptyAnswersYieldSingleAllTopMge) {
   }
 }
 
-// --- Completeness sweep: enumeration output == brute force over the
+// --- Completeness sweeps: enumeration output == brute force over the
 // --- materialized selection-free OI[K] fed to Algorithm 1.
-class EnumerateCompletenessTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(EnumerateCompletenessTest, MatchesExhaustiveOverMaterializedOntology) {
-  uint64_t seed = GetParam();
-  ASSERT_OK_AND_ASSIGN(rel::Schema schema, workload::RandomSchema(2, {2, 1}));
+using ClassKeys = std::set<std::vector<std::pair<bool, std::vector<Value>>>>;
+
+// q(x0, .., x_{m-1}) :- R0(x0, .., x_{m-1}).
+rel::UnionQuery BaseRelationQuery(size_t arity) {
+  rel::ConjunctiveQuery cq;
+  std::vector<rel::Term> args;
+  for (size_t i = 0; i < arity; ++i) {
+    cq.head.push_back("x" + std::to_string(i));
+    args.push_back(V(cq.head.back()));
+  }
+  cq.atoms = {A("R0", args)};
+  return Q1(cq);
+}
+
+// Random instance of RandomSchema(2, arities) (R0 has arity arities[0]),
+// 6 rows per relation over {0..4}. Prefers a missing tuple inside adom^m
+// (so every position explores the full concept lattice); falls back to
+// fresh values when R0 happens to be complete over the domain. Checks that
+// the enumeration is duplicate-free and matches the brute force.
+void ExpectEnumerationMatchesMaterialized(const std::vector<int>& arities,
+                                          uint64_t seed) {
+  const size_t m = static_cast<size_t>(arities[0]);
+  ASSERT_OK_AND_ASSIGN(rel::Schema schema, workload::RandomSchema(2, arities));
   ASSERT_OK_AND_ASSIGN(rel::Instance instance,
                        workload::RandomInstance(&schema, 6, 5, seed));
-
-  // Query: q(x, y) :- R0(x, y). Prefer a missing tuple inside adom × adom
-  // (so both positions explore the full concept lattice); fall back to a
-  // fresh pair when R0 happens to be complete over the domain.
-  rel::ConjunctiveQuery cq;
-  cq.head = {"x", "y"};
-  cq.atoms = {A("R0", {V("x"), V("y")})};
-  Tuple missing = {Value(91), Value(92)};
-  for (int64_t x = 0; x < 5 && missing[0] == Value(91); ++x) {
-    for (int64_t y = 0; y < 5; ++y) {
-      if (!instance.Contains("R0", {Value(x), Value(y)})) {
-        missing = {Value(x), Value(y)};
-        break;
-      }
+  Tuple missing;
+  for (size_t i = 0; i < m; ++i) missing.push_back(Value(int64_t(91 + i)));
+  // Lexicographic order over {0..4}^m, the last position fastest.
+  size_t total = 1;
+  for (size_t i = 0; i < m; ++i) total *= 5;
+  for (size_t code = 0; code < total; ++code) {
+    Tuple t(m, Value(int64_t{0}));
+    for (size_t i = 0, c = code; i < m; ++i, c /= 5) {
+      t[m - 1 - i] = Value(static_cast<int64_t>(c % 5));
+    }
+    if (!instance.Contains("R0", t)) {
+      missing = t;
+      break;
     }
   }
   ASSERT_OK_AND_ASSIGN(
       explain::WhyNotInstance wni,
-      explain::MakeWhyNotInstance(&instance, Q1(cq), missing));
+      explain::MakeWhyNotInstance(&instance, BaseRelationQuery(m), missing));
 
+  EnumerateStats stats;
   ASSERT_OK_AND_ASSIGN(std::vector<LsExplanation> enumerated,
-                       EnumerateAllMges(wni));
+                       EnumerateAllMges(wni, {}, &stats));
+  EXPECT_EQ(stats.duplicate_outputs, 0u) << "seed " << seed;
+  EXPECT_EQ(stats.visited_hits, 0u) << "seed " << seed;
 
   // Brute force: materialize the selection-free fragment over
-  // K = adom ∪ {91, 92} (includes ⊤ and all conjunct intersections modulo
+  // K = adom ∪ missing (includes ⊤ and all conjunct intersections modulo
   // extension equivalence) and run Algorithm 1 for all MGEs.
   ls::MaterializeOptions mat;
   mat.fragment = ls::Fragment::kSelectionFree;
   mat.mode = ls::SubsumptionMode::kInstance;
   mat.max_concepts = 8192;
-  ASSERT_OK_AND_ASSIGN(
-      auto ontology,
-      ls::LsOntology::Materialize(&instance, {missing[0], missing[1]}, mat));
+  ASSERT_OK_AND_ASSIGN(auto ontology,
+                       ls::LsOntology::Materialize(&instance, missing, mat));
   onto::BoundOntology bound(ontology.get(), &instance);
   ASSERT_OK_AND_ASSIGN(std::vector<explain::Explanation> brute,
                        explain::PrunedSearchAllMge(&bound, wni));
 
-  std::set<std::vector<std::pair<bool, std::vector<Value>>>> enum_keys;
+  ClassKeys enum_keys;
   for (const LsExplanation& e : enumerated) {
-    enum_keys.insert(ExtKey(e, instance));
+    EXPECT_TRUE(enum_keys.insert(ExtKey(e, instance)).second)
+        << "seed " << seed << ": an MGE class was reported twice";
   }
-  std::set<std::vector<std::pair<bool, std::vector<Value>>>> brute_keys;
+  ClassKeys brute_keys;
   for (const explain::Explanation& e : brute) {
     LsExplanation ls_e;
     for (onto::ConceptId id : e) ls_e.push_back(ontology->Concept(id));
@@ -232,8 +278,127 @@ TEST_P(EnumerateCompletenessTest, MatchesExhaustiveOverMaterializedOntology) {
       << " classes, brute force " << brute_keys.size();
 }
 
+class EnumerateCompletenessTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(EnumerateCompletenessTest, MatchesExhaustiveOverMaterializedOntology) {
+  ExpectEnumerationMatchesMaterialized({2, 1}, GetParam());
+}
+
+TEST_P(EnumerateCompletenessTest,
+       TernaryMatchesExhaustiveOverMaterializedOntology) {
+  ExpectEnumerationMatchesMaterialized({3, 2, 1}, GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, EnumerateCompletenessTest,
                          ::testing::Range<uint64_t>(1, 25));
+
+// A ternary instance on which exclusion branching that treats an excluded
+// constant as a single element (rather than part of its lub closure) ran
+// past 200,000 nodes; partition branching finishes in about a thousand.
+TEST(EnumerateRegressionTest, TernaryInstanceFinishesWithinNodeBudget) {
+  ASSERT_OK_AND_ASSIGN(rel::Schema schema,
+                       workload::RandomSchema(2, {3, 2, 1}));
+  ASSERT_OK_AND_ASSIGN(rel::Instance instance,
+                       workload::RandomInstance(&schema, 20, 12, /*seed=*/8));
+  ASSERT_OK_AND_ASSIGN(
+      explain::WhyNotInstance wni,
+      explain::MakeWhyNotInstance(&instance, BaseRelationQuery(3),
+                                  {Value(2), Value(7), Value(0)}));
+  EnumerateOptions options;
+  options.max_nodes = 20000;
+  EnumerateStats stats;
+  ASSERT_OK_AND_ASSIGN(std::vector<LsExplanation> mges,
+                       EnumerateAllMges(wni, options, &stats));
+  ASSERT_FALSE(mges.empty());
+  EXPECT_EQ(stats.duplicate_outputs, 0u);
+  ls::LubContext ctx(&instance);
+  for (const LsExplanation& e : mges) {
+    ASSERT_OK_AND_ASSIGN(
+        bool is_mge,
+        explain::CheckMgeDerived(wni, e, /*with_selections=*/false, &ctx));
+    EXPECT_TRUE(is_mge);
+  }
+  for (size_t i = 0; i < mges.size(); ++i) {
+    for (size_t j = 0; j < mges.size(); ++j) {
+      if (i == j) continue;
+      EXPECT_FALSE(explain::StrictlyLessGeneralI(instance, mges[i], mges[j]))
+          << "output " << i << " strictly below output " << j;
+    }
+  }
+}
+
+// Retail-shaped rows: products in categories, stores in cities and
+// regions, every headset unstocked in every California store and one in
+// six of the other (product, store) pairs unstocked. The question asks
+// why a headset is not stocked in a California store. Excluding one
+// headset must exclude the whole headset class, so the enumeration
+// settles in a handful of nodes.
+TEST(EnumerateRetailTest, HeadsetHoleSettlesInFewNodes) {
+  const std::vector<std::string> categories = {"headset", "speaker",
+                                               "laptop"};
+  const std::vector<std::pair<std::string, std::string>> cities = {
+      {"San Francisco", "California"},
+      {"Oakland", "California"},
+      {"Seattle", "Washington"}};
+  rel::Schema schema;
+  ASSERT_OK(schema.AddRelation("Products", {"pid", "category"}));
+  ASSERT_OK(schema.AddRelation("Stores", {"sid", "city", "region"}));
+  ASSERT_OK(schema.AddRelation("Stock", {"pid", "sid"}));
+  for (const std::string& cat : categories) {
+    ASSERT_OK(schema.AddRelation("Cat_" + cat, {"id"}));
+  }
+  ASSERT_OK(schema.AddRelation("Region_California", {"id"}));
+  ASSERT_OK(schema.AddRelation("Region_Washington", {"id"}));
+  rel::Instance instance(&schema);
+  std::vector<std::pair<Value, bool>> products;  // (pid, is headset)
+  for (const std::string& cat : categories) {
+    for (int i = 0; i < 12; ++i) {
+      Value pid("P-" + cat + "-" + std::to_string(i));
+      ASSERT_OK(instance.AddFact("Products", {pid, Value(cat)}));
+      ASSERT_OK(instance.AddFact("Cat_" + cat, {pid}));
+      products.emplace_back(pid, cat == "headset");
+    }
+  }
+  std::vector<std::pair<Value, bool>> stores;  // (sid, in California)
+  for (const auto& [city, region] : cities) {
+    for (int i = 0; i < 8; ++i) {
+      Value sid("S-" + city + "-" + std::to_string(i));
+      ASSERT_OK(
+          instance.AddFact("Stores", {sid, Value(city), Value(region)}));
+      ASSERT_OK(instance.AddFact("Region_" + region, {sid}));
+      stores.emplace_back(sid, region == "California");
+    }
+  }
+  size_t other = 0;
+  for (const auto& [pid, headset] : products) {
+    for (const auto& [sid, california] : stores) {
+      if (headset && california) continue;
+      if (other++ % 6 == 5) continue;
+      ASSERT_OK(instance.AddFact("Stock", {pid, sid}));
+    }
+  }
+  rel::ConjunctiveQuery cq;
+  cq.head = {"p", "s"};
+  cq.atoms = {A("Stock", {V("p"), V("s")})};
+  ASSERT_OK_AND_ASSIGN(
+      explain::WhyNotInstance wni,
+      explain::MakeWhyNotInstance(&instance, Q1(cq),
+                                  {Value("P-headset-3"),
+                                   Value("S-Oakland-2")}));
+  EnumerateStats stats;
+  ASSERT_OK_AND_ASSIGN(std::vector<LsExplanation> mges,
+                       EnumerateAllMges(wni, {}, &stats));
+  ASSERT_FALSE(mges.empty());
+  EXPECT_LE(stats.nodes_expanded, 10u);
+  EXPECT_EQ(stats.duplicate_outputs, 0u);
+  ls::LubContext ctx(&instance);
+  for (const LsExplanation& e : mges) {
+    ASSERT_OK_AND_ASSIGN(
+        bool is_mge,
+        explain::CheckMgeDerived(wni, e, /*with_selections=*/false, &ctx));
+    EXPECT_TRUE(is_mge) << explain::LsExplanationToString(schema, e);
+  }
+}
 
 }  // namespace
 }  // namespace whynot

@@ -323,7 +323,7 @@ DerivedFixture MakeDerivedFixture(uint64_t seed) {
 TEST_P(ParallelDeterminismTest, DerivedSearches) {
   DerivedFixture f = MakeDerivedFixture(GetParam());
   // EnumerateAllMges: outputs *and* stats (node accounting, delays) must
-  // replay identically through the wave-parallel frontier.
+  // be identical at every thread count (the enumeration runs serially).
   ExpectSameAtAllThreadCounts<std::string>(
       [&] {
         explain::EnumerateStats stats;
