@@ -2,6 +2,8 @@
 #define WHYNOT_COMMON_ALGORITHM_H_
 
 #include <algorithm>
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 namespace whynot {
@@ -12,6 +14,28 @@ template <typename T>
 void SortUnique(std::vector<T>* v) {
   std::sort(v->begin(), v->end());
   v->erase(std::unique(v->begin(), v->end()), v->end());
+}
+
+/// Grows `v` by `added.size()` elements that land at the final positions
+/// `added` (ascending, each below the new size); inserted element `a` is
+/// `make(a)`. The old elements keep their order: one backward pass moves
+/// each one after the first insertion point once, and leaves the prefix
+/// before it untouched — the in-place form of merging a few sorted rows
+/// into a long sorted vector.
+template <typename T, typename Make>
+void InsertAtPositions(std::vector<T>* v, const std::vector<size_t>& added,
+                       Make make) {
+  size_t src = v->size();
+  size_t a = added.size();
+  v->resize(src + a);
+  for (size_t i = v->size(); a > 0;) {
+    --i;
+    if (added[a - 1] == i) {
+      (*v)[i] = make(--a);
+    } else {
+      (*v)[i] = std::move((*v)[--src]);
+    }
+  }
 }
 
 }  // namespace whynot

@@ -1,6 +1,9 @@
 #include "whynot/explain/answer_cover.h"
 
 #include <algorithm>
+#include <cassert>
+
+#include "whynot/common/algorithm.h"
 
 namespace whynot::explain {
 
@@ -115,6 +118,65 @@ LsAnswerCovers::LsAnswerCovers(const rel::Instance* instance,
       columns_[pos].push_back(pool_->Lookup(ans[pos]));
     }
   }
+}
+
+std::vector<size_t> LsAnswerCovers::MergeAnswers(
+    const std::vector<std::vector<ValueId>>& delta,
+    std::vector<Tuple>* answers) {
+  assert(answers == answers_);
+  covers_.clear();
+  std::vector<size_t> added;
+  if (delta.empty()) return added;
+  const size_t width = delta.front().size();
+  const size_t old_size = answers->size();
+  columns_.resize(width);
+  // Old answer a before delta row d, in the Value order of the ranks.
+  auto less = [&](size_t a, const std::vector<ValueId>& d) {
+    for (size_t pos = 0; pos < width; ++pos) {
+      ValueId id = columns_[pos][a];
+      if (id != d[pos]) return pool_->Rank(id) < pool_->Rank(d[pos]);
+    }
+    return false;
+  };
+  // Each delta row's lower bound among the old answers; the rows are
+  // sorted, so the bounds never go back. A row found there is an answer
+  // already; a new one lands at its bound plus the new rows before it.
+  std::vector<const std::vector<ValueId>*> fresh;
+  size_t lo = 0;
+  for (const std::vector<ValueId>& row : delta) {
+    size_t hi = old_size;
+    while (lo < hi) {
+      size_t mid = lo + (hi - lo) / 2;
+      if (less(mid, row)) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    bool present = lo < old_size;
+    for (size_t pos = 0; present && pos < width; ++pos) {
+      present = columns_[pos][lo] == row[pos];
+    }
+    if (present) continue;
+    added.push_back(lo + fresh.size());
+    fresh.push_back(&row);
+  }
+  InsertAtPositions(answers, added, [&](size_t a) {
+    Tuple t;
+    t.reserve(width);
+    for (ValueId id : *fresh[a]) t.push_back(pool_->Get(id));
+    return t;
+  });
+  for (size_t pos = 0; pos < width; ++pos) {
+    // Exact growth: copying ids is cheap, and the columns stay as tight
+    // as the constructor's. The boxed answers grow geometrically instead,
+    // since relocating every tuple per merge is not.
+    columns_[pos].reserve(columns_[pos].size() + added.size());
+    InsertAtPositions(&columns_[pos], added,
+                      [&](size_t a) { return (*fresh[a])[pos]; });
+  }
+  full_ = DenseBitmap::AllSet(static_cast<int32_t>(answers->size()));
+  return added;
 }
 
 const uint64_t* LsAnswerCovers::Cover(const ls::Extension& ext, size_t pos) {

@@ -192,13 +192,30 @@ class ConceptAnswerCovers {
 /// Extensions passed to Cover must be stable for the covers' lifetime —
 /// references into an ls::EvalCache (node-based maps) or locals owned by
 /// the search; All() extensions are recognized by flag, not address.
-/// `instance` and `answers` must outlive the covers and stay fixed.
+/// `instance` and `answers` must outlive the covers and stay fixed, except
+/// through MergeAnswers.
 class LsAnswerCovers {
  public:
   LsAnswerCovers(const rel::Instance* instance,
                  const std::vector<Tuple>* answers);
 
   size_t num_answers() const { return answers_->size(); }
+
+  /// Merges `delta` — rows of instance-pool ids, sorted and duplicate-free
+  /// in the Value order, as rel::EvaluateIds returns them — into
+  /// `answers`, which must be the vector these covers index, and into the
+  /// id columns. Each delta row is placed by binary search over the id
+  /// columns' ranks; one backward pass per vector then moves the old
+  /// entries past the first insertion and boxes only the new rows
+  /// (InsertAtPositions). Requires every current answer to be interned
+  /// (answers evaluated over the instance are). A row already present is
+  /// skipped, so merging the same delta twice is a no-op. Returns the
+  /// positions the new answers took in the merged vector, ascending.
+  /// Every cached cover row is dropped, merged or not: rows are keyed by
+  /// extension address, and a re-warm frees the extensions.
+  std::vector<size_t> MergeAnswers(
+      const std::vector<std::vector<ValueId>>& delta,
+      std::vector<Tuple>* answers);
 
   /// Cover(ext, pos), built on first use (identity-cached).
   const uint64_t* Cover(const ls::Extension& ext, size_t pos);

@@ -18,6 +18,13 @@ struct ExplainSession::State {
   rel::UnionQuery query;
   bool has_query = false;
   uint64_t version = 0;
+  // What Ans was last brought up to date against (query-bound sessions):
+  // the instance's non-append generation and the row counts of the
+  // query's relations. A re-warm at the same generation evaluates only
+  // the rows past `marks`.
+  uint64_t generation = 0;
+  rel::RowMarks marks;
+  RewarmCounts rewarms;
 
   /// The canonical answer vector lives in wni.answers; requests only swap
   /// the asked-about tuple, so Ans is never copied per request. wi keeps
@@ -130,32 +137,58 @@ Result<ExplainSession> ExplainSession::BindWithAnswers(
       MakeState(instance, ontology, std::move(options));
   state->has_query = false;
   state->wni.answers = std::move(answers);
+  state->wi.answers = state->wni.answers;
   ExplainSession session(std::move(state));
   WHYNOT_RETURN_IF_ERROR(session.Rewarm());
   return session;
 }
 
+Status ExplainSession::UpdateAnswers() {
+  State& s = *state_;
+  // A non-append write (or the first warm) restarts from empty marks: the
+  // delta since nothing is the full answer set.
+  if (s.ls_covers == nullptr || s.generation != s.instance->generation()) {
+    s.wni.answers.clear();
+    s.wi.answers.clear();
+    s.marks.clear();
+    s.ls_covers = std::make_unique<LsAnswerCovers>(s.instance, &s.wni.answers);
+    ++s.rewarms.full;
+  } else {
+    ++s.rewarms.delta;
+  }
+  WHYNOT_ASSIGN_OR_RETURN(std::vector<std::vector<ValueId>> delta,
+                          rel::EvaluateIds(s.query, *s.instance, s.marks));
+  // The merge skips answers already present, and the dual's copy takes
+  // the same new rows at the same positions, so a retry after a re-warm
+  // that failed past this point (the marks stay behind) is a no-op here.
+  std::vector<size_t> added = s.ls_covers->MergeAnswers(delta, &s.wni.answers);
+  InsertAtPositions(&s.wi.answers, added,
+                    [&](size_t a) { return s.wni.answers[added[a]]; });
+  return Status::OK();
+}
+
 Status ExplainSession::Rewarm(const exec::ExecContext* exec) {
   State& s = *state_;
-  if (s.has_query) {
-    WHYNOT_ASSIGN_OR_RETURN(std::vector<Tuple> answers,
-                            rel::Evaluate(s.query, *s.instance));
-    s.wni.answers = std::move(answers);  // sorted, duplicate-free
-  }
   s.wni.instance = s.instance;
   s.wi.instance = s.instance;
-  s.wi.answers = s.wni.answers;
+  if (s.has_query) {
+    WHYNOT_RETURN_IF_ERROR(UpdateAnswers());
+  } else {
+    // Fixed answers, but values the instance did not hold may have been
+    // interned since: the covers re-resolve their ids.
+    s.ls_covers = std::make_unique<LsAnswerCovers>(s.instance, &s.wni.answers);
+  }
 
   // Force every lazy instance cache so request-time access — including
-  // pool-worker reads inside the parallel searches — is read-only.
+  // pool-worker reads inside the parallel searches — is read-only. After
+  // the evaluation above, which builds column indexes on this thread.
   s.instance->WarmForConcurrentReads();
 
-  // Derived-ontology state. Build order matters: the covers index the
-  // answer vector assigned above (its address inside this State is
-  // stable; contents were just refreshed).
+  // Derived-ontology state, rebuilt from the instance. The covers' cached
+  // rows were dropped above: they are keyed by the addresses of the
+  // extensions the old EvalCache owned.
   s.lub = std::make_unique<ls::LubContext>(s.instance, s.options.lub);
   s.cache = std::make_unique<ls::EvalCache>(s.instance);
-  s.ls_covers = std::make_unique<LsAnswerCovers>(s.instance, &s.wni.answers);
   if (s.concept_cache == nullptr) {
     s.concept_cache = std::make_unique<ls::ConceptCache>(
         s.instance, s.options.concept_cache);
@@ -185,6 +218,10 @@ Status ExplainSession::Rewarm(const exec::ExecContext* exec) {
     s.lattice = std::make_unique<LatticeHandle>(s.bound.get());
   }
   s.version = s.instance->version();
+  if (s.has_query) {
+    s.generation = s.instance->generation();
+    s.marks = rel::MarkRows(s.query, *s.instance);
+  }
   return Status::OK();
 }
 
@@ -247,6 +284,10 @@ bool ExplainSession::has_ontology() const {
 }
 
 uint64_t ExplainSession::warmed_version() const { return state_->version; }
+
+ExplainSession::RewarmCounts ExplainSession::rewarm_counts() const {
+  return state_->rewarms;
+}
 
 onto::BoundOntology* ExplainSession::bound_ontology() {
   return state_->bound.get();

@@ -70,11 +70,21 @@ struct GradedMges {
 /// answers) binding, so warm-vs-cold only changes time.
 ///
 /// Invalidation: the session records rel::Instance::version() at warm
-/// time. A mutation (AddFact / ClearRelation) bumps the counter, and the
-/// next request deterministically rebuilds everything — re-evaluating the
-/// query when the session was bound from one — instead of serving stale
-/// extensions. Mutating the instance *during* a request is not supported
-/// (same contract as the one-shot searches).
+/// time, and the next request after any mutation re-warms before it
+/// serves. A session bound from a query also records the instance's
+/// non-append generation() and the row count of each relation the query
+/// reads. While the generation stays put the instance has only grown, and
+/// CQs are monotone, so the re-warm evaluates q(I) semi-naively over the
+/// appended rows alone (rel::EvaluateIds with RowMarks) and merges that
+/// delta into Ans and the LS answer covers' id columns; a write to a
+/// relation the query does not read adds nothing. ClearRelation and
+/// instance assignment move the generation, and the re-warm evaluates
+/// q(I) in full, as Bind does. Everything else warm — the eval memo, lub
+/// state, concept cache, cover rows, and the external ontology's
+/// extensions and covers — is rebuilt on every re-warm. Either way the
+/// session then matches a fresh Bind bit for bit: answers, outputs, their
+/// order and stats. Mutating the instance *during* a request is not
+/// supported (same contract as the one-shot searches).
 ///
 /// Threading: requests dispatch into the same parallel searches as the
 /// one-shot calls. The session itself is single-threaded — serve
@@ -105,6 +115,16 @@ class ExplainSession {
   bool has_ontology() const;
   /// The instance version the warm state was built against (tests).
   uint64_t warmed_version() const;
+  /// How the re-warms of a query-bound session brought Ans up to date
+  /// (tests): `full` counts evaluations of q(I) from scratch (Bind, and
+  /// the first request after a non-append write), `delta` those over only
+  /// the rows appended since the previous warm. Sessions bound with fixed
+  /// answers count neither.
+  struct RewarmCounts {
+    size_t full = 0;
+    size_t delta = 0;
+  };
+  RewarmCounts rewarm_counts() const;
   /// The warm bound ontology (null without an external ontology). Exposed
   /// for rendering — concept names, DOT export; invalidated by the next
   /// request after an instance mutation.
@@ -234,6 +254,10 @@ class ExplainSession {
   /// by the extension warm-up (WarmExtensions), so a request's deadline
   /// covers the rewarm it triggers.
   Status Rewarm(const exec::ExecContext* exec = nullptr);
+  /// Brings Ans (both answer vectors and the LS covers' id columns) up to
+  /// date for a query-bound session: the delta since the recorded row
+  /// marks, or the full answer set when the generation moved.
+  Status UpdateAnswers();
   /// Rewarm iff the instance version moved since the last warm-up.
   Status RewarmIfStale(const exec::ExecContext* exec = nullptr);
   /// RewarmIfStale, then validates and installs the request tuple

@@ -19,19 +19,51 @@ class Evaluator {
   Evaluator(const ConjunctiveQuery& query, const Instance& instance)
       : query_(query), instance_(instance), pool_(instance.pool()) {
     Compile();
-    if (feasible_) OrderAtoms();
   }
 
-  /// Runs the backtracking join. If `first_only`, stops after one match.
-  /// Appends head projections of matches to `out` (unsorted, may contain
-  /// duplicates).
-  bool Run(bool first_only, std::vector<std::vector<ValueId>>* out) {
-    found_ = false;
+  /// True iff some assignment over all rows satisfies the body.
+  bool HasMatch() {
     if (!feasible_) return false;
-    first_only_ = first_only;
-    out_ = out;
+    first_only_ = true;
+    OrderAtoms(nullptr);
     Descend(0);
     return found_;
+  }
+
+  /// Appends the head projection of every derivation that reads at least
+  /// one row at or past its relation's mark in `since` to `out` (flat,
+  /// one id per head variable per match; unsorted, may repeat); returns
+  /// the number of matches. One pass per atom j with new rows: atoms before j read
+  /// their old rows, atom j its new rows, atoms after j all rows. With
+  /// every mark 0 only the first pass runs, over all rows. A body without
+  /// atoms reads no rows: its one derivation counts as new only for the
+  /// full evaluation (`since` empty).
+  size_t RunDelta(const RowMarks& since, std::vector<ValueId>* out) {
+    if (!feasible_) return 0;
+    out_ = out;
+    if (atoms_.empty()) {
+      if (since.empty()) Descend(0);
+      return matches_;
+    }
+    std::vector<size_t> marks(atoms_.size());
+    for (size_t j = 0; j < atoms_.size(); ++j) {
+      auto it = since.find(query_.atoms[j].relation);
+      marks[j] = it == since.end()
+                     ? 0
+                     : std::min(it->second, atoms_[j].rel->num_rows());
+    }
+    for (size_t j = 0; j < atoms_.size(); ++j) {
+      if (marks[j] < atoms_[j].rel->num_rows()) {
+        for (size_t i = 0; i < atoms_.size(); ++i) {
+          atoms_[i].lo = 0;
+          atoms_[i].hi = i < j ? marks[i] : atoms_[i].rel->num_rows();
+        }
+        RunPass(j, marks[j]);
+      }
+      // Every later pass reads atom j's old rows: none left.
+      if (marks[j] == 0) break;
+    }
+    return matches_;
   }
 
  private:
@@ -47,6 +79,9 @@ class Evaluator {
     // Large enough that posting lists and semi-join bitmaps pay for their
     // construction; small relations are scanned directly.
     bool indexed = false;
+    // The row window [lo, hi) the current pass reads.
+    size_t lo = 0;
+    size_t hi = 0;
   };
 
   /// Per-variable join state, consolidated so setup is one allocation.
@@ -87,6 +122,7 @@ class Evaluator {
         return;
       }
       ca.indexed = ca.rel->num_rows() >= StoredRelation::kIndexMinRows;
+      ca.hi = ca.rel->num_rows();
       ca.terms.reserve(atom.args.size());
       for (const Term& term : atom.args) {
         CompiledTerm ct;
@@ -139,13 +175,31 @@ class Evaluator {
     }
   }
 
-  void OrderAtoms() {
+  /// One backtracking join over the atoms' current windows. A delta
+  /// atom that reads only a suffix of its rows (`delta_lo` > 0) is placed
+  /// first, so the pass starts from the few new rows and probes the rest.
+  void RunPass(size_t delta_atom, size_t delta_lo) {
+    atoms_[delta_atom].lo = delta_lo;
+    OrderAtoms(delta_lo > 0 ? &atoms_[delta_atom] : nullptr);
+    Descend(0);
+  }
+
+  void OrderAtoms(const CompiledAtom* first) {
     // Greedy: repeatedly pick the unplaced atom sharing the most variables
     // with already-bound ones (ties: more constants, then original order).
+    ordered_.clear();
     std::vector<const CompiledAtom*> remaining;
     remaining.reserve(atoms_.size());
-    for (const CompiledAtom& a : atoms_) remaining.push_back(&a);
+    for (const CompiledAtom& a : atoms_) {
+      if (&a != first) remaining.push_back(&a);
+    }
     std::vector<bool> bound(var_names_.size(), false);
+    if (first != nullptr) {
+      for (const CompiledTerm& t : first->terms) {
+        if (t.is_var) bound[static_cast<size_t>(t.var)] = true;
+      }
+      ordered_.push_back(first);
+    }
     while (!remaining.empty()) {
       size_t best = 0;
       int best_score = -1;
@@ -213,22 +267,22 @@ class Evaluator {
     if (found_ && first_only_) return;
     if (atom_idx == ordered_.size()) {
       found_ = true;
+      ++matches_;
       if (out_ != nullptr) {
-        std::vector<ValueId> head;
-        head.reserve(head_vars_.size());
         for (int v : head_vars_) {
-          head.push_back(vars_[static_cast<size_t>(v)].binding);
+          out_->push_back(vars_[static_cast<size_t>(v)].binding);
         }
-        out_->push_back(std::move(head));
       }
       return;
     }
     const CompiledAtom& atom = *ordered_[atom_idx];
+    const bool windowed = atom.lo > 0 || atom.hi < atom.rel->num_rows();
 
     // Access path: probe the sorted posting list of the most selective
-    // bound position (constant or already-bound variable); fall back to a
-    // column-order scan when nothing is bound or the relation is too
-    // small to be worth indexing.
+    // bound position (constant or already-bound variable), narrowed to the
+    // atom's row window (posting lists hold row ids ascending); fall back
+    // to a scan of the window when nothing is bound, the relation is too
+    // small to be worth indexing, or the window is the smaller range.
     const uint32_t* begin = nullptr;
     const uint32_t* end = nullptr;
     bool have_posting = false;
@@ -243,12 +297,20 @@ class Evaluator {
           if (id < 0) continue;
         }
         auto [b, e] = atom.rel->RowsEqual(pos, id);
+        if (windowed) {
+          b = std::lower_bound(b, e, static_cast<uint32_t>(atom.lo));
+          e = std::lower_bound(b, e, static_cast<uint32_t>(atom.hi));
+        }
         if (!have_posting || e - b < end - begin) {
           begin = b;
           end = e;
           have_posting = true;
         }
         if (begin == end) break;  // provably empty
+      }
+      if (have_posting &&
+          static_cast<size_t>(end - begin) > atom.hi - atom.lo) {
+        have_posting = false;
       }
     }
 
@@ -269,8 +331,7 @@ class Evaluator {
         if (found_ && first_only_) return;
       }
     } else {
-      size_t n = atom.rel->num_rows();
-      for (size_t row = 0; row < n; ++row) {
+      for (size_t row = atom.lo; row < atom.hi; ++row) {
         try_row(row);
         if (found_ && first_only_) return;
       }
@@ -293,25 +354,56 @@ class Evaluator {
   std::vector<std::pair<int, const StoredRelation::ColumnIndex*>> filters_;
   std::vector<int> bind_stack_;  // vars bound, in bind order
 
-  std::vector<std::vector<ValueId>>* out_ = nullptr;
+  std::vector<ValueId>* out_ = nullptr;
+  size_t matches_ = 0;
   bool found_ = false;
   bool first_only_ = false;
 };
 
-/// Sorts id rows lexicographically in the Value total order (via the
-/// pool's rank index) and deduplicates.
-void SortDedupIds(const ValuePool& pool,
-                  std::vector<std::vector<ValueId>>* rows) {
-  std::sort(rows->begin(), rows->end(),
-            [&pool](const std::vector<ValueId>& a,
-                    const std::vector<ValueId>& b) {
-              size_t n = std::min(a.size(), b.size());
-              for (size_t i = 0; i < n; ++i) {
-                if (a[i] != b[i]) return pool.Rank(a[i]) < pool.Rank(b[i]);
-              }
-              return a.size() < b.size();
-            });
-  rows->erase(std::unique(rows->begin(), rows->end()), rows->end());
+/// The distinct rows of `flat` (`width` ids per row, `matches` rows),
+/// sorted lexicographically in the Value total order. Each id is
+/// translated to its pool rank once, so the sort compares flat rank keys
+/// instead of looking ranks up twice per comparison.
+std::vector<std::vector<ValueId>> SortDedupIds(const ValuePool& pool,
+                                               size_t width, size_t matches,
+                                               const std::vector<ValueId>& flat) {
+  // A Boolean head: one empty answer iff anything matched.
+  if (width == 0) {
+    return std::vector<std::vector<ValueId>>(matches > 0 ? 1 : 0);
+  }
+  std::vector<int32_t> ranks(flat.size());
+  for (size_t i = 0; i < flat.size(); ++i) ranks[i] = pool.Rank(flat[i]);
+  std::vector<uint32_t> order(matches);
+  for (size_t r = 0; r < matches; ++r) order[r] = static_cast<uint32_t>(r);
+  const int32_t* key = ranks.data();
+  auto row_less = [key, width](uint32_t a, uint32_t b) {
+    return std::lexicographical_compare(key + a * width, key + (a + 1) * width,
+                                        key + b * width, key + (b + 1) * width);
+  };
+  std::sort(order.begin(), order.end(), row_less);
+  std::vector<std::vector<ValueId>> out;
+  out.reserve(matches);
+  for (size_t k = 0; k < matches; ++k) {
+    if (k > 0 && !row_less(order[k - 1], order[k])) continue;  // duplicate
+    const ValueId* row = flat.data() + order[k] * width;
+    out.emplace_back(row, row + width);
+  }
+  return out;
+}
+
+/// Δ of `disjuncts` since `since` (the full answer set for empty marks),
+/// sorted and deduplicated. The one evaluation every entry point shares.
+std::vector<std::vector<ValueId>> EvaluateDisjuncts(
+    const std::vector<const ConjunctiveQuery*>& disjuncts,
+    const Instance& instance, const RowMarks& since) {
+  std::vector<ValueId> flat;
+  size_t matches = 0;
+  size_t width = disjuncts.empty() ? 0 : disjuncts.front()->head.size();
+  for (const ConjunctiveQuery* cq : disjuncts) {
+    Evaluator eval(*cq, instance);
+    matches += eval.RunDelta(since, &flat);
+  }
+  return SortDedupIds(instance.pool(), width, matches, flat);
 }
 
 std::vector<Tuple> IdsToTuples(const ValuePool& pool,
@@ -332,23 +424,26 @@ std::vector<Tuple> IdsToTuples(const ValuePool& pool,
 Result<std::vector<std::vector<ValueId>>> EvaluateIds(
     const ConjunctiveQuery& query, const Instance& instance) {
   WHYNOT_RETURN_IF_ERROR(query.Validate(instance.schema()));
-  std::vector<std::vector<ValueId>> out;
-  Evaluator eval(query, instance);
-  eval.Run(/*first_only=*/false, &out);
-  SortDedupIds(instance.pool(), &out);
-  return out;
+  return EvaluateDisjuncts({&query}, instance, {});
+}
+
+RowMarks MarkRows(const UnionQuery& query, const Instance& instance) {
+  RowMarks marks;
+  for (const ConjunctiveQuery& cq : query.disjuncts) {
+    for (const Atom& atom : cq.atoms) {
+      const StoredRelation* rel = instance.Find(atom.relation);
+      marks[atom.relation] = rel == nullptr ? 0 : rel->num_rows();
+    }
+  }
+  return marks;
 }
 
 Result<std::vector<std::vector<ValueId>>> EvaluateIds(
-    const UnionQuery& query, const Instance& instance) {
+    const UnionQuery& query, const Instance& instance, const RowMarks& since) {
   WHYNOT_RETURN_IF_ERROR(query.Validate(instance.schema()));
-  std::vector<std::vector<ValueId>> out;
-  for (const ConjunctiveQuery& cq : query.disjuncts) {
-    Evaluator eval(cq, instance);
-    eval.Run(/*first_only=*/false, &out);
-  }
-  SortDedupIds(instance.pool(), &out);
-  return out;
+  std::vector<const ConjunctiveQuery*> disjuncts;
+  for (const ConjunctiveQuery& cq : query.disjuncts) disjuncts.push_back(&cq);
+  return EvaluateDisjuncts(disjuncts, instance, since);
 }
 
 Result<std::vector<Tuple>> Evaluate(const ConjunctiveQuery& query,
@@ -369,7 +464,7 @@ Result<bool> HasMatch(const ConjunctiveQuery& query,
                       const Instance& instance) {
   WHYNOT_RETURN_IF_ERROR(query.Validate(instance.schema()));
   Evaluator eval(query, instance);
-  return eval.Run(/*first_only=*/true, nullptr);
+  return eval.HasMatch();
 }
 
 }  // namespace whynot::rel

@@ -1,6 +1,8 @@
 #ifndef WHYNOT_RELATIONAL_CQ_EVAL_H_
 #define WHYNOT_RELATIONAL_CQ_EVAL_H_
 
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "whynot/common/status.h"
@@ -37,9 +39,31 @@ Result<std::vector<Tuple>> Evaluate(const UnionQuery& query,
 Result<std::vector<std::vector<ValueId>>> EvaluateIds(
     const ConjunctiveQuery& query, const Instance& instance);
 
-/// Id-space evaluation of a union of conjunctive queries.
-Result<std::vector<std::vector<ValueId>>> EvaluateIds(const UnionQuery& query,
-                                                      const Instance& instance);
+/// Row count per relation name, taken at one observation of an instance:
+/// rows [0, mark) are "old", the rows past it were appended since. A
+/// relation absent from the map reads as mark 0 (all of its rows new).
+using RowMarks = std::unordered_map<std::string, size_t>;
+
+/// The current row count of every relation `query` reads (0 for a
+/// relation that holds no fact yet).
+RowMarks MarkRows(const UnionQuery& query, const Instance& instance);
+
+/// Id-space evaluation of a union of conjunctive queries, semi-naive over
+/// the rows appended since `since`: returns, sorted and deduplicated like
+/// EvaluateIds, every answer with at least one derivation that uses a row
+/// at or past its relation's mark. For a CQ with atoms 1..k that is
+/// Δ = ∪_j (atoms before j over their old rows) ⋈ (atom j over its new
+/// rows) ⋈ (atoms after j over all rows), which finds each new
+/// derivation once, at its first atom that reads a new row. CQs are
+/// monotone, so q(I) = q(I_old) ∪ Δ. With `since` empty (every mark 0) Δ
+/// is the full answer set q(I), through the same join.
+///
+/// Precondition: `since` was taken from this instance at the current
+/// generation() — only appends happened in between. The answers Δ shares
+/// with q(I_old) are not filtered out; merging callers skip them.
+Result<std::vector<std::vector<ValueId>>> EvaluateIds(
+    const UnionQuery& query, const Instance& instance,
+    const RowMarks& since = {});
 
 /// True iff the Boolean query (head ignored) has at least one satisfying
 /// assignment.

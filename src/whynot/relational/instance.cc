@@ -179,6 +179,7 @@ Instance::Instance(const Instance& other)
       store_index_(other.store_index_),
       refcount_(other.refcount_),
       version_(other.version_),
+      generation_(other.generation_),
       adom_dirty_(true) {}
 
 Instance& Instance::operator=(const Instance& other) {
@@ -191,6 +192,7 @@ Instance& Instance::operator=(Instance&& other) noexcept {
   // The new version must differ from anything an observer of *this may
   // have recorded AND reflect the source's mutation history.
   uint64_t bumped = std::max(version_, other.version_) + 1;
+  uint64_t generation = std::max(generation_, other.generation_) + 1;
   schema_ = other.schema_;
   pool_ = std::move(other.pool_);
   store_ = std::move(other.store_);
@@ -201,6 +203,7 @@ Instance& Instance::operator=(Instance&& other) noexcept {
   adom_dirty_ = other.adom_dirty_;
   scratch_row_ = std::move(other.scratch_row_);
   version_ = bumped;
+  generation_ = generation;
   return *this;
 }
 
@@ -330,7 +333,10 @@ void Instance::ClearRelation(const std::string& relation) {
   auto it = store_index_.find(relation);
   if (it == store_index_.end()) return;
   StoredRelation& rel = store_[it->second];
-  if (!rel.empty()) ++version_;
+  if (!rel.empty()) {
+    ++version_;
+    ++generation_;
+  }
   for (const std::vector<ValueId>& col : rel.columns_) {
     for (ValueId id : col) DropRef(id);
   }

@@ -145,8 +145,9 @@ class Instance {
   Instance(const Instance& other);
   Instance& operator=(const Instance& other);
   Instance(Instance&&) = default;
-  /// Not defaulted: assignment replaces the fact set, so the version must
-  /// move past both operands' counters (see version()).
+  /// Not defaulted: assignment replaces the fact set, so the version and
+  /// the generation must move past both operands' counters (see
+  /// version(), generation()).
   Instance& operator=(Instance&& other) noexcept;
 
   const Schema& schema() const { return *schema_; }
@@ -166,9 +167,22 @@ class Instance {
   /// so replacing an instance's contents never reuses a version an
   /// observer recorded against the old contents. Warm caches keyed to an
   /// instance (ExplainSession's covers, extensions, lub state) record the
-  /// version at warm time and rebuild deterministically when it moves,
-  /// instead of serving stale extensions.
+  /// version at warm time and re-warm deterministically when it moves,
+  /// instead of serving stale extensions; generation() then tells them
+  /// whether the move was appends only, which they may fold in as a
+  /// delta (ExplainSession does so for its answer set).
   uint64_t version() const { return version_; }
+
+  /// Non-append generation: bumped by every mutation that is *not* an
+  /// append — clearing a non-empty relation, copy/move assignment (set
+  /// past both operands' generations, like version()). While it stays
+  /// put, every relation's rows [0, n) at one observation are rows
+  /// [0, n) at any later one, and ValueIds keep their values, so an
+  /// observer that recorded row counts (rel::RowMarks, cq_eval.h) can
+  /// treat the rows past them as exactly what was added. Row counts alone
+  /// cannot tell a clear followed by a refill, or a replaced object, from
+  /// appends; the generation can.
+  uint64_t generation() const { return generation_; }
 
   /// Inserts the fact R(t). Fails if R is unknown or the arity mismatches.
   /// Duplicate facts are silently ignored (set semantics).
@@ -198,7 +212,7 @@ class Instance {
   /// Number of facts across all relations.
   size_t NumFacts() const;
 
-  /// Removes all tuples of `relation`.
+  /// Removes all tuples of `relation`; bumps generation() when it held any.
   void ClearRelation(const std::string& relation);
 
   /// The active domain adom(I): all constants occurring in facts, sorted
@@ -246,6 +260,7 @@ class Instance {
   // the ids with positive count, kept as a cached sorted snapshot.
   std::vector<int64_t> refcount_;
   uint64_t version_ = 0;
+  uint64_t generation_ = 0;
   mutable std::vector<Value> adom_values_;
   mutable std::vector<ValueId> adom_ids_;
   mutable bool adom_dirty_ = false;

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "test_util.h"
+#include "whynot/common/algorithm.h"
 #include "whynot/common/status.h"
 #include "whynot/common/strings.h"
 #include "whynot/common/value.h"
@@ -92,6 +93,28 @@ TEST(TupleTest, ToStringAndHash) {
   EXPECT_EQ(TupleToString(t), "(a, 1)");
   Tuple u = {Value("a"), Value(1)};
   EXPECT_EQ(TupleHash()(t), TupleHash()(u));
+}
+
+TEST(AlgorithmTest, InsertAtPositionsMergesIntoSortedVector) {
+  std::vector<std::string> inserted;
+  auto make = [&](size_t a) { return inserted[a]; };
+  std::vector<std::string> v = {"b", "d", "f"};
+  // New rows a, c, g: they land at 0, 2 (after b) and 5 (after f).
+  inserted = {"a", "c", "g"};
+  InsertAtPositions(&v, {0, 2, 5}, make);
+  EXPECT_EQ(v, (std::vector<std::string>{"a", "b", "c", "d", "f", "g"}));
+  // Adjacent insertions, and nothing inserted.
+  inserted = {"e1", "e2"};
+  InsertAtPositions(&v, {4, 5}, make);
+  EXPECT_EQ(v, (std::vector<std::string>{"a", "b", "c", "d", "e1", "e2",
+                                         "f", "g"}));
+  InsertAtPositions(&v, {}, make);
+  EXPECT_EQ(v.size(), 8u);
+  // Into an empty vector every position is new.
+  std::vector<std::string> empty;
+  inserted = {"x", "y"};
+  InsertAtPositions(&empty, {0, 1}, make);
+  EXPECT_EQ(empty, (std::vector<std::string>{"x", "y"}));
 }
 
 TEST(StatusTest, OkAndErrors) {

@@ -748,9 +748,38 @@ TEST(SessionExecTest, RewarmUnderInjectedWarmFaultFailsThenRecovers) {
   Result<std::vector<Explanation>> r = session.ExhaustiveMges(missing, &ctx);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  // More writes land before the retry; the failed rewarm had already
+  // merged the first write's answers. Kyoto→Berlin with Rome→Kyoto adds
+  // (Rome, Berlin), a path through two new rows. Amsterdam→Amsterdam
+  // adds (Amsterdam, Berlin), which completes Dutch-City ×
+  // European-City ⊆ Ans: a why-explanation only the updated Ans has.
+  ASSERT_OK(instance.AddFact("Train-Connections",
+                             {Value("Kyoto"), Value("Berlin")}));
+  ASSERT_OK(instance.AddFact("Train-Connections",
+                             {Value("Amsterdam"), Value("Amsterdam")}));
   // Without the fault the rewarm completes and the request serves the
-  // mutated instance.
-  EXPECT_TRUE(session.ExhaustiveMges(missing).ok());
+  // mutated instance exactly as a fresh binding does.
+  ASSERT_OK_AND_ASSIGN(std::vector<Explanation> recovered,
+                       session.ExhaustiveMges(missing));
+  ASSERT_OK_AND_ASSIGN(
+      explain::ExplainSession fresh,
+      explain::ExplainSession::Bind(&instance, workload::ConnectedViaQuery(),
+                                    f.ontology.get()));
+  ASSERT_OK_AND_ASSIGN(std::vector<Explanation> want,
+                       fresh.ExhaustiveMges(missing));
+  EXPECT_EQ(session.answers(), fresh.answers());
+  const Tuple through_both = {Value("Rome"), Value("Berlin")};
+  EXPECT_TRUE(std::binary_search(session.answers().begin(),
+                                 session.answers().end(), through_both));
+  EXPECT_EQ(recovered, want);
+  // The dual reads its own copy of Ans, which must have taken the new
+  // answers too.
+  const Tuple present = {Value("Amsterdam"), Value("Berlin")};
+  ASSERT_OK_AND_ASSIGN(std::vector<Explanation> why, session.WhyMges(present));
+  ASSERT_OK_AND_ASSIGN(std::vector<Explanation> want_why,
+                       fresh.WhyMges(present));
+  EXPECT_FALSE(want_why.empty());
+  EXPECT_EQ(why, want_why);
 }
 
 TEST(SessionExecTest, DegradationLadderExactWhenUninterrupted) {

@@ -400,5 +400,118 @@ TEST(SessionInvalidationTest, SignatureChangingWritesMatchFreshBinding) {
   par::SetNumThreads(0);
 }
 
+/// The first pair over values 0..9 that is not an answer (the request
+/// tuple for a session over `answers`); empty if every pair is one.
+Tuple FirstNonAnswer(const std::vector<Tuple>& answers) {
+  for (int64_t x = 0; x < 10; ++x) {
+    for (int64_t y = 0; y < 10; ++y) {
+      Tuple t = {Value(x), Value(y)};
+      if (!std::binary_search(answers.begin(), answers.end(), t)) return t;
+    }
+  }
+  return {};
+}
+
+TEST(SessionInvalidationTest, RandomWritesMatchFreshBinding) {
+  rel::Schema schema;
+  ASSERT_OK(schema.AddRelation("R0", {"a", "b"}));
+  ASSERT_OK(schema.AddRelation("R1", {"a", "b"}));
+  ASSERT_OK(schema.AddRelation("Log", {"a"}));  // no query reads it
+  // q(x, y) :- R0(x, z), R0(z, y)  ∪  q(x, y) :- R1(x, y). R1 is never
+  // cleared, so Ans stays non-empty for the Why request.
+  rel::ConjunctiveQuery path;
+  path.head = {"x", "y"};
+  path.atoms = {testutil::A("R0", {testutil::V("x"), testutil::V("z")}),
+                testutil::A("R0", {testutil::V("z"), testutil::V("y")})};
+  rel::ConjunctiveQuery edge;
+  edge.head = {"x", "y"};
+  edge.atoms = {testutil::A("R1", {testutil::V("x"), testutil::V("y")})};
+  rel::UnionQuery query;
+  query.disjuncts = {path, edge};
+
+  enum Write { kAppendR0, kAppendR1, kAppendLog, kDuplicate, kClear, kAssign };
+  for (uint64_t seed : {1, 2, 3}) {
+    Rng rng(seed);
+    auto value = [&] { return Value(static_cast<int64_t>(rng.Below(8))); };
+    rel::Instance base(&schema);
+    for (int r = 0; r < 10; ++r) ASSERT_OK(base.AddFact("R0", {value(), value()}));
+    for (int r = 0; r < 4; ++r) ASSERT_OK(base.AddFact("R1", {value(), value()}));
+    // k writes: every kind once, then random kinds, in a seeded order.
+    std::vector<Write> writes = {kAppendR0, kAppendR1, kAppendLog,
+                                 kDuplicate, kClear, kAssign};
+    while (writes.size() < 16) writes.push_back(static_cast<Write>(rng.Below(6)));
+    for (size_t i = writes.size() - 1; i > 0; --i) {
+      std::swap(writes[i], writes[rng.Below(i + 1)]);
+    }
+    // Appends draw values 0..9 from here on: 8 and 9 are new constants
+    // that shift the pool ranks of the stored ones.
+    std::vector<std::pair<Tuple, Tuple>> facts;
+    for (size_t w = 0; w < writes.size(); ++w) {
+      auto v = [&] { return Value(static_cast<int64_t>(rng.Below(10))); };
+      facts.push_back({{v(), v()}, {v()}});
+    }
+    for (int threads : {1, 8}) {
+      par::SetNumThreads(threads);
+      rel::Instance instance(base);
+      rel::Instance snapshot(base);  // the contents an assignment restores
+      ASSERT_OK_AND_ASSIGN(explain::ExplainSession session,
+                           explain::ExplainSession::Bind(&instance, query));
+      EXPECT_EQ(session.rewarm_counts().full, 1u);
+      for (size_t w = 0; w < writes.size(); ++w) {
+        const auto& [pair, single] = facts[w];
+        bool append = false;
+        switch (writes[w]) {
+          case kAppendR0:
+            ASSERT_OK(instance.AddFact("R0", pair));
+            append = true;
+            break;
+          case kAppendR1:
+            ASSERT_OK(instance.AddFact("R1", pair));
+            append = true;
+            break;
+          case kAppendLog:
+            ASSERT_OK(instance.AddFact("Log", single));
+            append = true;
+            break;
+          case kDuplicate:
+            ASSERT_OK(instance.AddFact("R1", instance.Relation("R1").front()));
+            break;
+          case kClear:
+            instance.ClearRelation("R0");
+            break;
+          case kAssign:
+            ASSERT_OK(snapshot.AddFact("R0", pair));
+            instance = snapshot;
+            break;
+        }
+        const bool rewarms = instance.version() != session.warmed_version();
+        const explain::ExplainSession::RewarmCounts before =
+            session.rewarm_counts();
+        ASSERT_OK_AND_ASSIGN(explain::ExplainSession fresh,
+                             explain::ExplainSession::Bind(&instance, query));
+        const Tuple missing = FirstNonAnswer(fresh.answers());
+        ASSERT_FALSE(missing.empty());
+        std::string want = DerivedRequestMix(&fresh, missing);
+        std::string got = DerivedRequestMix(&session, missing);
+        const std::string where = "seed " + std::to_string(seed) + " write " +
+                                  std::to_string(w) + " kind " +
+                                  std::to_string(writes[w]) + " threads " +
+                                  std::to_string(threads);
+        EXPECT_EQ(session.answers(), fresh.answers()) << where;
+        EXPECT_EQ(got, want) << where;
+        // An append re-warms by delta; a clear or an assignment in full;
+        // a duplicate not at all.
+        explain::ExplainSession::RewarmCounts after = session.rewarm_counts();
+        EXPECT_EQ(after.delta, before.delta + (rewarms && append ? 1 : 0))
+            << where;
+        EXPECT_EQ(after.full, before.full + (rewarms && !append ? 1 : 0))
+            << where;
+        if (writes[w] == kDuplicate) EXPECT_FALSE(rewarms) << where;
+      }
+    }
+  }
+  par::SetNumThreads(0);
+}
+
 }  // namespace
 }  // namespace whynot
