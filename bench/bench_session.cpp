@@ -216,6 +216,43 @@ void BM_SessionInvalidationRewarm(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionInvalidationRewarm)->RangeMultiplier(4)->Range(4, 16);
 
+// A write that grows Ans followed by one derived request: each iteration
+// appends a Stock fact for a new product (a new constant, so pool ranks
+// shift) and serves a WhyNot, paying the delta re-warm and the cover rows
+// the request rebuilds. A diagnostic row for the write-then-read path.
+void BM_SessionWriteThenWhyNot(benchmark::State& state) {
+  auto f = MakeFixture(static_cast<int>(state.range(0)), 4, 1);
+  if (!f.has_value()) {
+    state.SkipWithError("fixture");
+    return;
+  }
+  wn::rel::Instance instance(*f->scenario.instance);
+  auto session = wn::explain::ExplainSession::Bind(&instance,
+                                                   f->scenario.stock_query);
+  if (!session.ok()) {
+    state.SkipWithError(session.status().ToString().c_str());
+    return;
+  }
+  const wn::Value store = f->requests[0][1];
+  int64_t next_id = 0;
+  for (auto _ : state) {
+    wn::Status st = instance.AddFact(
+        "Stock", {wn::Value("P-new-" + std::to_string(next_id++)), store});
+    if (!st.ok()) {
+      state.SkipWithError(st.ToString().c_str());
+      return;
+    }
+    auto e = session->WhyNot(f->requests[0]);
+    if (!e.ok()) {
+      state.SkipWithError(e.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(e.value().size());
+  }
+  state.counters["answers"] = static_cast<double>(session->answers().size());
+}
+BENCHMARK(BM_SessionWriteThenWhyNot)->RangeMultiplier(4)->Range(4, 16);
+
 // --- PR 8: execution-control deadline sweep --------------------------------
 
 // MgesWithDegradation under a per-request wall-clock deadline, swept from

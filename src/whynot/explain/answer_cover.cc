@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "whynot/common/algorithm.h"
 
@@ -111,13 +112,83 @@ LsAnswerCovers::LsAnswerCovers(const rel::Instance* instance,
       pool_(&instance->pool()),
       full_(DenseBitmap::AllSet(static_cast<int32_t>(answers->size()))) {
   size_t arity = answers_->empty() ? 0 : answers_->front().size();
-  columns_.resize(arity);
+  postings_.resize(arity);
+  // Every answer is new to the empty postings, in place.
+  std::vector<size_t> all(answers_->size());
+  std::iota(all.begin(), all.end(), size_t{0});
+  std::vector<ValueId> ids(answers_->size());
   for (size_t pos = 0; pos < arity; ++pos) {
-    columns_[pos].reserve(answers_->size());
-    for (const Tuple& ans : *answers_) {
-      columns_[pos].push_back(pool_->Lookup(ans[pos]));
+    for (size_t a = 0; a < ids.size(); ++a) {
+      ids[a] = pool_->Lookup((*answers_)[a][pos]);
+    }
+    MergePostings(&postings_[pos], ids, all, /*moved=*/{});
+  }
+}
+
+void LsAnswerCovers::MergePostings(Postings* p, const std::vector<ValueId>& ids,
+                                   const std::vector<size_t>& added,
+                                   const std::vector<uint32_t>& moved) {
+  // The new answers grouped by id, by a stable counting sort (indices stay
+  // ascending within an id); non-interned ones go to `fresh_foreign`.
+  size_t bound = p->offsets.empty() ? 0 : p->offsets.size() - 1;
+  for (ValueId id : ids) {
+    if (id >= 0) bound = std::max(bound, static_cast<size_t>(id) + 1);
+  }
+  // Ids past the old bound hold no old answers. Exact growth: resize
+  // alone would double the capacity for one new id.
+  p->offsets.reserve(bound + 1);
+  p->offsets.resize(bound + 1, static_cast<uint32_t>(p->answers.size()));
+  std::vector<uint32_t> fresh_offsets(bound + 1, 0);
+  for (ValueId id : ids) {
+    if (id >= 0) ++fresh_offsets[static_cast<size_t>(id) + 1];
+  }
+  for (size_t v = 0; v < bound; ++v) fresh_offsets[v + 1] += fresh_offsets[v];
+  std::vector<uint32_t> fresh(fresh_offsets[bound]);
+  std::vector<uint32_t> fresh_foreign;
+  {
+    std::vector<uint32_t> cursor(fresh_offsets.begin(), fresh_offsets.end());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      uint32_t at = static_cast<uint32_t>(added[i]);
+      if (ids[i] >= 0) {
+        fresh[cursor[static_cast<size_t>(ids[i])]++] = at;
+      } else {
+        fresh_foreign.push_back(at);
+      }
     }
   }
+
+  // Old runs are copied renumbered; an id with new answers merges its old
+  // run with them (both ascending).
+  std::vector<uint32_t> merged(p->answers.size() + fresh.size());
+  uint32_t* out = merged.data();
+  auto merge = [&](const uint32_t* ob, const uint32_t* oe, const uint32_t* fb,
+                   const uint32_t* fe) {
+    for (; ob != oe; ++ob) {
+      uint32_t a = moved[*ob];
+      while (fb != fe && *fb < a) *out++ = *fb++;
+      *out++ = a;
+    }
+    out = std::copy(fb, fe, out);
+  };
+  const uint32_t* old = p->answers.data();
+  uint32_t copied = 0;  // old entries before this are in `merged`
+  for (size_t v = 0; v < bound; ++v) {
+    if (fresh_offsets[v] == fresh_offsets[v + 1]) continue;
+    merge(old + copied, old + p->offsets[v], nullptr, nullptr);
+    merge(old + p->offsets[v], old + p->offsets[v + 1],
+          fresh.data() + fresh_offsets[v], fresh.data() + fresh_offsets[v + 1]);
+    copied = p->offsets[v + 1];
+  }
+  merge(old + copied, old + p->answers.size(), nullptr, nullptr);
+  p->answers = std::move(merged);
+  // Each id's run starts past the new answers of the smaller ids.
+  for (size_t v = 0; v <= bound; ++v) p->offsets[v] += fresh_offsets[v];
+
+  merged.assign(p->foreign.size() + fresh_foreign.size(), 0);
+  out = merged.data();
+  merge(p->foreign.data(), p->foreign.data() + p->foreign.size(),
+        fresh_foreign.data(), fresh_foreign.data() + fresh_foreign.size());
+  p->foreign = std::move(merged);
 }
 
 std::vector<size_t> LsAnswerCovers::MergeAnswers(
@@ -129,12 +200,14 @@ std::vector<size_t> LsAnswerCovers::MergeAnswers(
   if (delta.empty()) return added;
   const size_t width = delta.front().size();
   const size_t old_size = answers->size();
-  columns_.resize(width);
-  // Old answer a before delta row d, in the Value order of the ranks.
-  auto less = [&](size_t a, const std::vector<ValueId>& d) {
+  // Old answer a before delta row d in the Value order, which is the
+  // answers' order and the pool's rank order.
+  auto less = [&](const Tuple& a, const std::vector<ValueId>& d) {
     for (size_t pos = 0; pos < width; ++pos) {
-      ValueId id = columns_[pos][a];
-      if (id != d[pos]) return pool_->Rank(id) < pool_->Rank(d[pos]);
+      const Value& x = a[pos];
+      const Value& y = pool_->Get(d[pos]);
+      if (x < y) return true;
+      if (y < x) return false;
     }
     return false;
   };
@@ -144,36 +217,37 @@ std::vector<size_t> LsAnswerCovers::MergeAnswers(
   std::vector<const std::vector<ValueId>*> fresh;
   size_t lo = 0;
   for (const std::vector<ValueId>& row : delta) {
-    size_t hi = old_size;
-    while (lo < hi) {
-      size_t mid = lo + (hi - lo) / 2;
-      if (less(mid, row)) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
+    lo = static_cast<size_t>(
+        std::lower_bound(answers->begin() + static_cast<ptrdiff_t>(lo),
+                         answers->end(), row, less) -
+        answers->begin());
     bool present = lo < old_size;
     for (size_t pos = 0; present && pos < width; ++pos) {
-      present = columns_[pos][lo] == row[pos];
+      present = (*answers)[lo][pos] == pool_->Get(row[pos]);
     }
     if (present) continue;
     added.push_back(lo + fresh.size());
     fresh.push_back(&row);
   }
+  if (added.empty()) return added;
   InsertAtPositions(answers, added, [&](size_t a) {
     Tuple t;
     t.reserve(width);
     for (ValueId id : *fresh[a]) t.push_back(pool_->Get(id));
     return t;
   });
+  // moved[a]: the merged index of old answer a, past the i new answers
+  // placed before it (new answer i went before old answer added[i] - i).
+  std::vector<uint32_t> moved(old_size);
+  for (size_t a = 0, i = 0; i <= added.size(); ++i) {
+    const size_t end = i < added.size() ? added[i] - i : old_size;
+    for (; a < end; ++a) moved[a] = static_cast<uint32_t>(a + i);
+  }
+  postings_.resize(width);
+  std::vector<ValueId> ids(fresh.size());
   for (size_t pos = 0; pos < width; ++pos) {
-    // Exact growth: copying ids is cheap, and the columns stay as tight
-    // as the constructor's. The boxed answers grow geometrically instead,
-    // since relocating every tuple per merge is not.
-    columns_[pos].reserve(columns_[pos].size() + added.size());
-    InsertAtPositions(&columns_[pos], added,
-                      [&](size_t a) { return (*fresh[a])[pos]; });
+    for (size_t i = 0; i < fresh.size(); ++i) ids[i] = (*fresh[i])[pos];
+    MergePostings(&postings_[pos], ids, added, moved);
   }
   full_ = DenseBitmap::AllSet(static_cast<int32_t>(answers->size()));
   return added;
@@ -184,11 +258,30 @@ const uint64_t* LsAnswerCovers::Cover(const ls::Extension& ext, size_t pos) {
   auto key = std::make_pair(&ext, pos);
   auto it = covers_.find(key);
   if (it == covers_.end()) {
+    // The ids index this pool's postings; a pool-less extension holds
+    // only extras.
+    assert(ext.pool() == nullptr || ext.pool() == pool_);
     DenseBitmap cover({}, static_cast<int32_t>(answers_->size()));
-    const std::vector<ValueId>& column = columns_[pos];
-    for (size_t a = 0; a < column.size(); ++a) {
-      if (ext.ContainsInterned(column[a], (*answers_)[a][pos])) {
-        cover.Set(static_cast<ValueId>(a));
+    const Postings& p = postings_[pos];
+    auto add_posting = [&](ValueId id) {
+      if (id < 0 || static_cast<size_t>(id) + 1 >= p.offsets.size()) return;
+      for (uint32_t k = p.offsets[static_cast<size_t>(id)];
+           k < p.offsets[static_cast<size_t>(id) + 1]; ++k) {
+        cover.Set(static_cast<ValueId>(p.answers[k]));
+      }
+    };
+    for (ValueId id : ext.ids()) add_posting(id);
+    const std::vector<Value>& extras = ext.extras();
+    if (!extras.empty()) {
+      // An extra the pool has interned since the extension was built
+      // still matches the answers that hold it
+      // (Extension::ContainsInterned).
+      for (const Value& v : extras) add_posting(pool_->Lookup(v));
+      for (uint32_t a : p.foreign) {
+        if (std::binary_search(extras.begin(), extras.end(),
+                               (*answers_)[a][pos])) {
+          cover.Set(static_cast<ValueId>(a));
+        }
       }
     }
     it = covers_.emplace(key, std::move(cover)).first;
@@ -241,8 +334,12 @@ size_t LsAnswerCovers::MemoryBytes() const {
   size_t bytes =
       sizeof(*this) + scratch_rows_.capacity() * sizeof(const uint64_t*);
   bytes += full_.MemoryBytes() - sizeof(DenseBitmap);
-  for (const auto& col : columns_) bytes += col.capacity() * sizeof(ValueId);
-  bytes += columns_.capacity() * sizeof(std::vector<ValueId>);
+  bytes += postings_.capacity() * sizeof(Postings);
+  for (const Postings& p : postings_) {
+    bytes += (p.offsets.capacity() + p.answers.capacity() +
+              p.foreign.capacity()) *
+             sizeof(uint32_t);
+  }
   bytes += covers_.bucket_count() * sizeof(void*);
   for (const auto& [key, cover] : covers_) {
     bytes += sizeof(key) + cover.MemoryBytes();

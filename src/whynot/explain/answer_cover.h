@@ -192,8 +192,22 @@ class ConceptAnswerCovers {
 /// Extensions passed to Cover must be stable for the covers' lifetime —
 /// references into an ls::EvalCache (node-based maps) or locals owned by
 /// the search; All() extensions are recognized by flag, not address.
+/// Finite extensions must be over the instance's pool or pool-less.
 /// `instance` and `answers` must outlive the covers and stay fixed, except
 /// through MergeAnswers.
+///
+/// Rows are built from a per-position *answer posting index*: the answer
+/// indices grouped by the pool id of their value at that position (a CSR
+/// whose offsets are indexed by ValueId, indices ascending within an id),
+/// plus the short list of answers whose value the pool did not hold when
+/// they were indexed (only fixed answer sets bring such values). A row
+/// ORs the postings of the extension's ids — and of its extras the pool
+/// has interned since — into a zero bitmap, and tests only the
+/// non-interned answers against the extras, so it costs
+/// O(Σ_{v ∈ ext} |post(v)| + |ext| + ⌈|Ans|/64⌉) instead of one
+/// membership probe per answer: a nominal's row touches the few answers
+/// that hold its value. ⊤ is the shared full row. MergeAnswers keeps the
+/// postings current across session writes.
 class LsAnswerCovers {
  public:
   LsAnswerCovers(const rel::Instance* instance,
@@ -204,15 +218,16 @@ class LsAnswerCovers {
   /// Merges `delta` — rows of instance-pool ids, sorted and duplicate-free
   /// in the Value order, as rel::EvaluateIds returns them — into
   /// `answers`, which must be the vector these covers index, and into the
-  /// id columns. Each delta row is placed by binary search over the id
-  /// columns' ranks; one backward pass per vector then moves the old
-  /// entries past the first insertion and boxes only the new rows
-  /// (InsertAtPositions). Requires every current answer to be interned
-  /// (answers evaluated over the instance are). A row already present is
-  /// skipped, so merging the same delta twice is a no-op. Returns the
-  /// positions the new answers took in the merged vector, ascending.
-  /// Every cached cover row is dropped, merged or not: rows are keyed by
-  /// extension address, and a re-warm frees the extensions.
+  /// postings. Each delta row is placed by binary search over the boxed
+  /// answers (sorted in the Value order); one backward pass then moves the
+  /// old answers past the first insertion and boxes only the new rows
+  /// (InsertAtPositions), and one pass per position renumbers the old
+  /// postings past each insertion and adds the new rows' indices. A row
+  /// already present is skipped, so merging the same delta twice is a
+  /// no-op. Returns the positions the new answers took in the merged
+  /// vector, ascending. Every cached cover row is dropped, merged or not:
+  /// rows are keyed by extension address, and a re-warm frees the
+  /// extensions.
   std::vector<size_t> MergeAnswers(
       const std::vector<std::vector<ValueId>>& delta,
       std::vector<Tuple>* answers);
@@ -238,7 +253,7 @@ class LsAnswerCovers {
                      size_t swap_pos = SIZE_MAX,
                      const ls::Extension* repl = nullptr);
 
-  /// Heap + object bytes across columns and cached cover rows.
+  /// Heap + object bytes across postings and cached cover rows.
   size_t MemoryBytes() const;
 
  private:
@@ -249,10 +264,26 @@ class LsAnswerCovers {
     }
   };
 
+  /// One position's answer posting index.
+  struct Postings {
+    // offsets[id] .. offsets[id + 1] delimit id's answers in `answers`;
+    // ids past offsets.size() - 1 hold no answer.
+    std::vector<uint32_t> offsets;
+    std::vector<uint32_t> answers;
+    // Answers whose value was not interned when indexed, ascending.
+    std::vector<uint32_t> foreign;
+  };
+
+  /// Adds new answers to `p`: new answer i holds pool id ids[i] (-1 if
+  /// not interned) and takes index added[i] (ascending); old answer a
+  /// takes index moved[a].
+  static void MergePostings(Postings* p, const std::vector<ValueId>& ids,
+                            const std::vector<size_t>& added,
+                            const std::vector<uint32_t>& moved);
+
   const std::vector<Tuple>* answers_;
   const ValuePool* pool_;
-  // columns_[pos][a] = pool id of (*answers_)[a][pos], -1 if not interned.
-  std::vector<std::vector<ValueId>> columns_;
+  std::vector<Postings> postings_;  // one per answer position
   std::unordered_map<std::pair<const ls::Extension*, size_t>, DenseBitmap,
                      KeyHash>
       covers_;

@@ -240,7 +240,7 @@ class NodeEvaluator {
 
   const uint64_t* CoverRow(const ls::Extension& ext, size_t pos) {
     // No answers: nothing to cover, every probe passes (the covers have no
-    // per-position columns to index in that case).
+    // per-position postings to index in that case).
     if (nwords_ == 0) return full_.data();
     return covers_.Cover(ext, pos);
   }

@@ -26,9 +26,10 @@ struct ExplainSession::State {
   rel::RowMarks marks;
   RewarmCounts rewarms;
 
-  /// The canonical answer vector lives in wni.answers; requests only swap
-  /// the asked-about tuple, so Ans is never copied per request. wi keeps
-  /// its own (equal) copy because the dual's instance struct owns one.
+  /// The one answer vector lives in wni.answers; requests only swap the
+  /// asked-about tuple, so Ans is never copied per request. wi.answers
+  /// stays empty: the why duals read Ans only through the session's
+  /// covers (ls_covers over wni.answers, why_covers built from it).
   WhyNotInstance wni;
   WhyInstance wi;
 
@@ -137,7 +138,6 @@ Result<ExplainSession> ExplainSession::BindWithAnswers(
       MakeState(instance, ontology, std::move(options));
   state->has_query = false;
   state->wni.answers = std::move(answers);
-  state->wi.answers = state->wni.answers;
   ExplainSession session(std::move(state));
   WHYNOT_RETURN_IF_ERROR(session.Rewarm());
   return session;
@@ -149,7 +149,6 @@ Status ExplainSession::UpdateAnswers() {
   // delta since nothing is the full answer set.
   if (s.ls_covers == nullptr || s.generation != s.instance->generation()) {
     s.wni.answers.clear();
-    s.wi.answers.clear();
     s.marks.clear();
     s.ls_covers = std::make_unique<LsAnswerCovers>(s.instance, &s.wni.answers);
     ++s.rewarms.full;
@@ -158,12 +157,9 @@ Status ExplainSession::UpdateAnswers() {
   }
   WHYNOT_ASSIGN_OR_RETURN(std::vector<std::vector<ValueId>> delta,
                           rel::EvaluateIds(s.query, *s.instance, s.marks));
-  // The merge skips answers already present, and the dual's copy takes
-  // the same new rows at the same positions, so a retry after a re-warm
+  // The merge skips answers already present, so a retry after a re-warm
   // that failed past this point (the marks stay behind) is a no-op here.
-  std::vector<size_t> added = s.ls_covers->MergeAnswers(delta, &s.wni.answers);
-  InsertAtPositions(&s.wi.answers, added,
-                    [&](size_t a) { return s.wni.answers[added[a]]; });
+  s.ls_covers->MergeAnswers(delta, &s.wni.answers);
   return Status::OK();
 }
 
@@ -214,7 +210,7 @@ Status ExplainSession::Rewarm(const exec::ExecContext* exec) {
     s.covers = std::make_unique<ConceptAnswerCovers>(
         s.bound.get(), InternAnswers(s.bound.get(), s.wni));
     s.why_covers = std::make_unique<ConceptAnswerCovers>(
-        s.bound.get(), InternedUniqueAnswers(s.bound.get(), s.wi));
+        s.bound.get(), InternedUniqueAnswers(s.bound.get(), s.wni.answers));
     s.lattice = std::make_unique<LatticeHandle>(s.bound.get());
   }
   s.version = s.instance->version();
@@ -378,8 +374,8 @@ Result<LsExplanation> ExplainSession::Why(const Tuple& present,
   exec::ExecContext ctx =
       MakeRequestExec(s.options.request_deadline_ms, s.cancel, exec);
   WHYNOT_RETURN_IF_ERROR(Prepare(present, /*expect_answer=*/true, &ctx));
-  // ls_covers indexes wni.answers, which equals the sort-deduped answer
-  // vector of wi (both come from the same evaluation).
+  // ls_covers indexes wni.answers, which is sorted and duplicate-free, as
+  // the counting form needs.
   return IncrementalWhySearch(s.wi, s.options.incremental.with_selections,
                               s.lub.get(), s.cache.get(), s.ls_covers.get(),
                               s.concept_cache.get(), &ctx,

@@ -76,12 +76,16 @@ struct GradedMges {
 /// reads. While the generation stays put the instance has only grown, and
 /// CQs are monotone, so the re-warm evaluates q(I) semi-naively over the
 /// appended rows alone (rel::EvaluateIds with RowMarks) and merges that
-/// delta into Ans and the LS answer covers' id columns; a write to a
+/// delta into Ans and the LS answer covers' posting index; a write to a
 /// relation the query does not read adds nothing. ClearRelation and
 /// instance assignment move the generation, and the re-warm evaluates
 /// q(I) in full, as Bind does. Everything else warm — the eval memo, lub
-/// state, concept cache, cover rows, and the external ontology's
-/// extensions and covers — is rebuilt on every re-warm. Either way the
+/// state, concept cache, and the external ontology's extensions and
+/// covers — is rebuilt on every re-warm. The LS cover rows are dropped
+/// too (they are keyed by the addresses of the extensions the re-warm
+/// frees), but a request rebuilds each row it needs from the posting
+/// index, touching only the answers that hold the extension's values.
+/// Either way the
 /// session then matches a fresh Bind bit for bit: answers, outputs, their
 /// order and stats. Mutating the instance *during* a request is not
 /// supported (same contract as the one-shot searches).
@@ -254,7 +258,7 @@ class ExplainSession {
   /// by the extension warm-up (WarmExtensions), so a request's deadline
   /// covers the rewarm it triggers.
   Status Rewarm(const exec::ExecContext* exec = nullptr);
-  /// Brings Ans (both answer vectors and the LS covers' id columns) up to
+  /// Brings Ans (the answer vector and the LS covers' posting index) up to
   /// date for a query-bound session: the delta since the recorded row
   /// marks, or the full answer set when the generation moved.
   Status UpdateAnswers();

@@ -33,17 +33,17 @@ Result<WhyInstance> MakeWhyInstance(const rel::Instance* instance,
 }
 
 std::vector<std::vector<ValueId>> InternedUniqueAnswers(
-    onto::BoundOntology* bound, const WhyInstance& wi) {
-  std::vector<std::vector<ValueId>> answers;
-  answers.reserve(wi.answers.size());
-  for (const Tuple& t : wi.answers) {
+    onto::BoundOntology* bound, const std::vector<Tuple>& answers) {
+  std::vector<std::vector<ValueId>> rows;
+  rows.reserve(answers.size());
+  for (const Tuple& t : answers) {
     std::vector<ValueId> ids;
     ids.reserve(t.size());
     for (const Value& v : t) ids.push_back(bound->pool().Intern(v));
-    answers.push_back(std::move(ids));
+    rows.push_back(std::move(ids));
   }
-  SortUnique(&answers);
-  return answers;
+  SortUnique(&rows);
+  return rows;
 }
 
 Result<bool> IsWhyExplanation(onto::BoundOntology* bound,
@@ -59,7 +59,7 @@ Result<bool> IsWhyExplanation(onto::BoundOntology* bound,
   }
   std::optional<ConceptAnswerCovers> local;
   if (covers == nullptr) {
-    local.emplace(bound, InternedUniqueAnswers(bound, wi));
+    local.emplace(bound, InternedUniqueAnswers(bound, wi.answers));
     covers = &*local;
   }
   return covers->ProductInside(e);
@@ -78,7 +78,7 @@ Result<std::vector<Explanation>> AllMostGeneralWhyExplanations(
   if (!search.empty()) {
     std::optional<ConceptAnswerCovers> local;
     if (covers == nullptr) {
-      local.emplace(bound, InternedUniqueAnswers(bound, wi));
+      local.emplace(bound, InternedUniqueAnswers(bound, wi.answers));
       covers = &*local;
     }
     // The product-containment test — the counting AND with its

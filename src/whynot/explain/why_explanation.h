@@ -43,11 +43,12 @@ Result<WhyInstance> MakeWhyInstance(const rel::Instance* instance,
 /// form needs Ans duplicate-free). Shared with ExplainSession's warm
 /// cover table.
 std::vector<std::vector<ValueId>> InternedUniqueAnswers(
-    onto::BoundOntology* bound, const WhyInstance& wi);
+    onto::BoundOntology* bound, const std::vector<Tuple>& answers);
 
 /// Checks the dual Definition 3.2 above. `covers`, when non-null, must be
-/// the answer-cover table of (bound, InternedUniqueAnswers(bound, wi)) —
-/// a prepared ExplainSession's warm table; results are identical.
+/// the answer-cover table of (bound, InternedUniqueAnswers(bound, Ans)) —
+/// a prepared ExplainSession's warm table; wi.answers is then not read
+/// and results are identical.
 Result<bool> IsWhyExplanation(onto::BoundOntology* bound,
                               const WhyInstance& wi, const Explanation& e,
                               ConceptAnswerCovers* covers = nullptr);
@@ -82,11 +83,10 @@ Result<std::vector<Explanation>> AllMostGeneralWhyExplanations(
 /// results are bit-identical either way. The covers key rows by extension
 /// address, so passing `covers` requires passing `cache` (and, where the
 /// entry point takes one, `concept_cache`) — InvalidArgument otherwise.
-/// Passing `covers` additionally asserts that wi.answers is itself sorted
-/// and duplicate-free (an ExplainSession guarantees this) — the one-shot
-/// path sort-dedups a local copy defensively, but warm covers and a
-/// hand-filled, duplicate-carrying wi.answers would disagree on answer
-/// indexing.
+/// With `covers` given, Ans is read only through them and wi.answers is
+/// not read (an ExplainSession leaves it empty); the covers' answer vector
+/// must be sorted and duplicate-free. Without, the one-shot path
+/// sort-dedups a local copy of wi.answers defensively.
 Result<bool> IsLsWhyExplanation(const WhyInstance& wi, const LsExplanation& e,
                                 ls::EvalCache* cache = nullptr,
                                 LsAnswerCovers* covers = nullptr);

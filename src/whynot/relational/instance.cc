@@ -69,38 +69,46 @@ void StoredRelation::MergeAppendedRows(size_t attr) const {
   }
   std::sort(pairs.begin(), pairs.end());
 
-  // One linear pass merging the old CSR groups with the sorted appended
-  // run; within a group old rows precede new ones (both ascending), so
-  // posting lists stay sorted by row id.
+  // One pass over the appended keys: the old keys and row groups between
+  // two of them are copied as whole stretches, their offsets shifted by
+  // the rows inserted so far. Within a group old rows precede new ones
+  // (both ascending), so posting lists stay sorted by row id.
   ColumnIndex merged;
   merged.keys.reserve(ix.keys.size() + pairs.size());
   merged.offsets.reserve(ix.keys.size() + pairs.size() + 1);
   merged.rows.reserve(ix.rows.size() + pairs.size());
   merged.distinct = std::move(ix.distinct);
-  size_t k = 0;
-  size_t p = 0;
-  while (k < ix.keys.size() || p < pairs.size()) {
-    ValueId key;
-    if (p == pairs.size() ||
-        (k < ix.keys.size() && ix.keys[k] <= pairs[p].first)) {
-      key = ix.keys[k];
+  uint32_t shift = 0;
+  size_t k = 0;  // old keys [0, k) are copied
+  auto copy_old = [&](size_t end) {
+    merged.keys.insert(merged.keys.end(), ix.keys.begin() + k,
+                       ix.keys.begin() + end);
+    for (size_t i = k; i < end; ++i) {
+      merged.offsets.push_back(ix.offsets[i] + shift);
+    }
+    merged.rows.insert(merged.rows.end(), ix.rows.begin() + ix.offsets[k],
+                       ix.rows.begin() + ix.offsets[end]);
+    k = end;
+  };
+  for (size_t p = 0; p < pairs.size();) {
+    ValueId key = pairs[p].first;
+    size_t at = static_cast<size_t>(
+        std::lower_bound(ix.keys.begin() + k, ix.keys.end(), key) -
+        ix.keys.begin());
+    if (at < ix.keys.size() && ix.keys[at] == key) {
+      copy_old(at + 1);
     } else {
-      key = pairs[p].first;
+      copy_old(at);
+      merged.keys.push_back(key);
+      merged.offsets.push_back(static_cast<uint32_t>(merged.rows.size()));
       merged.distinct.Set(key);
     }
-    merged.keys.push_back(key);
-    merged.offsets.push_back(static_cast<uint32_t>(merged.rows.size()));
-    if (k < ix.keys.size() && ix.keys[k] == key) {
-      for (uint32_t r = ix.offsets[k]; r < ix.offsets[k + 1]; ++r) {
-        merged.rows.push_back(ix.rows[r]);
-      }
-      ++k;
-    }
-    while (p < pairs.size() && pairs[p].first == key) {
+    for (; p < pairs.size() && pairs[p].first == key; ++p) {
       merged.rows.push_back(pairs[p].second);
-      ++p;
+      ++shift;
     }
   }
+  copy_old(ix.keys.size());
   merged.offsets.push_back(static_cast<uint32_t>(merged.rows.size()));
   ix = std::move(merged);
   index_rows_[attr] = col.size();

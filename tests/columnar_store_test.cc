@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
@@ -386,6 +388,57 @@ TEST(ColumnarInstanceTest, PostingListsAndBitmapsIndexEveryRow) {
   // Mutation invalidates: new value appears in the rebuilt index.
   ASSERT_OK(instance.AddFact("R", {Value(9), Value(9)}));
   EXPECT_TRUE(rel->Index(0).distinct.Test(instance.LookupId(Value(9))));
+}
+
+TEST(ColumnarInstanceTest, MergedIndexEqualsFreshBuild) {
+  const char* env = std::getenv("WHYNOT_TEST_SEED");
+  const uint64_t seed =
+      env != nullptr ? std::strtoull(env, nullptr, 10) : 20261019;
+  std::printf("MergedIndexEqualsFreshBuild seed %llu (set WHYNOT_TEST_SEED "
+              "to vary)\n",
+              static_cast<unsigned long long>(seed));
+  Rng rng(seed);
+  rel::Schema schema = testutil::SimpleSchema();
+  for (int trial = 0; trial < 8; ++trial) {
+    rel::Instance instance(&schema);
+    // Values interned through U first hold ids below later R keys, so a
+    // key new to R's index can land between its old keys, not only last.
+    for (int v = 0; v < 40; ++v) {
+      ASSERT_OK(instance.AddFact("U", {Value("u" + std::to_string(v))}));
+    }
+    int fresh = 0;
+    auto pick = [&]() -> Value {
+      switch (rng.Below(3)) {
+        case 0:  // a key R's index may hold already
+          return Value("u" + std::to_string(rng.Below(8)));
+        case 1:  // interned, likely new to R
+          return Value("u" + std::to_string(rng.Below(40)));
+        default:  // new to the pool: the largest id
+          return Value("n" + std::to_string(fresh++));
+      }
+    };
+    const size_t max_batch = 1 + static_cast<size_t>(trial);
+    for (int round = 0; round < 12; ++round) {
+      size_t batch = 1 + rng.Below(max_batch);
+      for (size_t i = 0; i < batch; ++i) {
+        ASSERT_OK(instance.AddFact("R", {pick(), pick()}));
+      }
+      const rel::StoredRelation* r = instance.Find("R");
+      ASSERT_NE(r, nullptr);
+      // The first access builds each index; later ones merge the batch.
+      rel::Instance copy(instance);
+      const rel::StoredRelation* cold = copy.Find("R");
+      for (size_t a = 0; a < 2; ++a) {
+        const rel::StoredRelation::ColumnIndex& merged = r->Index(a);
+        const rel::StoredRelation::ColumnIndex& built = cold->Index(a);
+        EXPECT_EQ(merged.keys, built.keys) << "trial " << trial;
+        EXPECT_EQ(merged.offsets, built.offsets) << "trial " << trial;
+        EXPECT_EQ(merged.rows, built.rows) << "trial " << trial;
+        EXPECT_EQ(merged.distinct.ToIds(), built.distinct.ToIds())
+            << "trial " << trial;
+      }
+    }
+  }
 }
 
 TEST(ColumnarInstanceTest, AddFactIdsMatchesAddFact) {

@@ -277,11 +277,34 @@ TEST_P(IdExtensionAgreementTest, MixedPoolOpsFallBackToBoxed) {
 
 // --- Product-vs-answers agreement (the answer-cover kernel). ---------------
 
+/// Every row Cover(ext, pos) must be exactly the bitmap of the answers
+/// whose pos-th value the reference extension holds.
+void ExpectCoverRows(LsAnswerCovers* covers, const std::vector<Tuple>& answers,
+                     const std::vector<const ls::Extension*>& exts,
+                     const std::vector<const RefExtension*>& refs, size_t m,
+                     const std::string& where) {
+  const size_t words = (answers.size() + 63) / 64;
+  for (size_t e = 0; e < exts.size(); ++e) {
+    for (size_t pos = 0; pos < m; ++pos) {
+      std::vector<uint64_t> want(words, 0);
+      for (size_t a = 0; a < answers.size(); ++a) {
+        if (RefContains(*refs[e], answers[a][pos])) {
+          want[a / 64] |= uint64_t{1} << (a % 64);
+        }
+      }
+      const uint64_t* row = covers->Cover(*exts[e], pos);
+      EXPECT_EQ(std::vector<uint64_t>(row, row + words), want)
+          << where << ": extension " << e << ", position " << pos;
+    }
+  }
+}
+
 TEST_P(IdExtensionAgreementTest, AnswerCoversMatchScalarReference) {
   Rng rng(GetParam() ^ 0x44ull);
   rel::Schema schema = TwoRelationSchema();
   rel::Instance instance = RandomInstance(&schema, &rng, 15, 6);
-  size_t m = 2 + rng.Below(2);
+  // Both arities across the seeds.
+  const size_t m = 2 + GetParam() % 2;
 
   // Random answer set over the active domain plus a few foreign values.
   std::vector<Tuple> answers;
@@ -301,41 +324,136 @@ TEST_P(IdExtensionAgreementTest, AnswerCoversMatchScalarReference) {
   // Stable storage for extensions (identity-keyed cover cache).
   std::deque<ls::Extension> store;
   std::deque<RefExtension> ref_store;
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<const ls::Extension*> exts;
-    std::vector<const RefExtension*> refs;
-    for (size_t j = 0; j < m; ++j) {
-      LsConcept c = RandomConcept(&rng, 6);
-      store.push_back(ls::Eval(c, instance));
-      ref_store.push_back(RefEval(c, instance));
-      exts.push_back(&store.back());
-      refs.push_back(&ref_store.back());
-    }
-    bool want_intersects = false;
-    size_t want_covered = 0;
-    for (const Tuple& ans : answers) {
-      bool inside = true;
-      for (size_t j = 0; j < m && inside; ++j) {
-        inside = RefContains(*refs[j], ans[j]);
+  auto check_products = [&](const std::string& where) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<const ls::Extension*> exts;
+      std::vector<const RefExtension*> refs;
+      for (size_t j = 0; j < m; ++j) {
+        LsConcept c = RandomConcept(&rng, 6);
+        store.push_back(ls::Eval(c, instance));
+        ref_store.push_back(RefEval(c, instance));
+        exts.push_back(&store.back());
+        refs.push_back(&ref_store.back());
       }
-      if (inside) {
-        want_intersects = true;
-        ++want_covered;
+      ExpectCoverRows(&covers, answers, exts, refs, m, where);
+      bool want_intersects = false;
+      size_t want_covered = 0;
+      for (const Tuple& ans : answers) {
+        bool inside = true;
+        for (size_t j = 0; j < m && inside; ++j) {
+          inside = RefContains(*refs[j], ans[j]);
+        }
+        if (inside) {
+          want_intersects = true;
+          ++want_covered;
+        }
+      }
+      EXPECT_EQ(covers.ProductIntersects(exts), want_intersects) << where;
+      EXPECT_EQ(covers.CountCovered(exts), want_covered) << where;
+      // Swap form agrees with the copy-free probe convention.
+      for (size_t j = 0; j < m; ++j) {
+        std::vector<const ls::Extension*> swapped = exts;
+        std::rotate(swapped.begin(), swapped.begin() + 1, swapped.end());
+        EXPECT_EQ(covers.ProductIntersects(exts, j, swapped[j]),
+                  [&] {
+                    std::vector<const ls::Extension*> probe = exts;
+                    probe[j] = swapped[j];
+                    return covers.ProductIntersects(probe);
+                  }())
+            << where;
       }
     }
-    EXPECT_EQ(covers.ProductIntersects(exts), want_intersects);
-    EXPECT_EQ(covers.CountCovered(exts), want_covered);
-    // Swap form agrees with the copy-free probe convention.
-    for (size_t j = 0; j < m; ++j) {
-      std::vector<const ls::Extension*> swapped = exts;
-      std::rotate(swapped.begin(), swapped.begin() + 1, swapped.end());
-      EXPECT_EQ(covers.ProductIntersects(exts, j, swapped[j]),
-                [&] {
-                  std::vector<const ls::Extension*> probe = exts;
-                  probe[j] = swapped[j];
-                  return covers.ProductIntersects(probe);
-                }());
+  };
+  check_products("bind");
+
+  // Rounds of session-style writes: intern new constants (a number below
+  // every value and a string between existing ones shift the ranks),
+  // merge Δ rows into Ans through the covers, merge the same Δ again (a
+  // no-op), then compare every row — random, empty, ⊤, nominal and
+  // pool-less extensions — with the reference. The foreign "extraN"
+  // answer values stay un-interned; "late" is an extra of `late` until
+  // round 0 interns it.
+  const ls::Extension late = ls::Extension::Nominal(&instance.pool(),
+                                                    Value("late"));
+  ASSERT_EQ(late.extras().size(), 1u);
+  const RefExtension late_ref{false, {Value("late")}};
+  for (int round = 0; round < 4; ++round) {
+    const std::string where = "round " + std::to_string(round);
+    std::vector<Value> fresh = {Value(-1.5 - round),
+                                Value("m" + std::to_string(round))};
+    if (round == 0) fresh.push_back(Value("late"));
+    for (const Value& v : fresh) ASSERT_OK(instance.AddFact("R", {v, v}));
+    const std::vector<Value>& domain = instance.ActiveDomain();
+    std::vector<Tuple> rows;
+    for (int d = 0; d < 6; ++d) {
+      Tuple t;
+      for (size_t j = 0; j < m; ++j) {
+        t.push_back(rng.Chance(1, 3) ? fresh[rng.Below(fresh.size())]
+                                     : domain[rng.Below(domain.size())]);
+      }
+      rows.push_back(std::move(t));
     }
+    // Answers already present come back in Δ (interned ones: Δ is ids).
+    for (const Tuple& t : answers) {
+      bool interned = std::all_of(t.begin(), t.end(), [&](const Value& v) {
+        return instance.pool().Lookup(v) >= 0;
+      });
+      if (interned && rng.Chance(1, 3)) rows.push_back(t);
+    }
+    SortUnique(&rows);
+    std::vector<std::vector<ValueId>> delta;
+    for (const Tuple& t : rows) {
+      std::vector<ValueId> ids;
+      for (const Value& v : t) ids.push_back(instance.pool().Lookup(v));
+      delta.push_back(std::move(ids));
+    }
+    std::vector<Tuple> want = answers;
+    std::vector<Tuple> want_new;
+    for (const Tuple& t : rows) {
+      if (!std::binary_search(answers.begin(), answers.end(), t)) {
+        want_new.push_back(t);
+      }
+    }
+    want.insert(want.end(), rows.begin(), rows.end());
+    SortUnique(&want);
+
+    std::vector<size_t> added = covers.MergeAnswers(delta, &answers);
+    EXPECT_EQ(answers, want) << where;
+    std::vector<Tuple> got_new;
+    for (size_t a : added) got_new.push_back(answers[a]);
+    EXPECT_EQ(got_new, want_new) << where;
+    EXPECT_TRUE(covers.MergeAnswers(delta, &answers).empty()) << where;
+    EXPECT_EQ(answers, want) << where;
+    EXPECT_EQ(covers.num_answers(), want.size()) << where;
+
+    store.push_back(ls::Extension());
+    ref_store.push_back(RefExtension{});
+    store.push_back(ls::Extension::All());
+    ref_store.push_back(RefExtension{true, {}});
+    for (const Value& v :
+         {fresh[0], fresh[1], domain[rng.Below(domain.size())],
+          Value("extra" + std::to_string(rng.Below(4)))}) {
+      store.push_back(ls::Extension::Nominal(&instance.pool(), v));
+      ref_store.push_back(RefExtension{false, {v}});
+    }
+    std::vector<Value> boxed = {fresh[1], Value("extra0"),
+                                domain[rng.Below(domain.size())]};
+    store.push_back(ls::Extension::Of(boxed));
+    SortUnique(&boxed);
+    ref_store.push_back(RefExtension{false, boxed});
+    std::vector<const ls::Extension*> exts = {&late};
+    std::vector<const RefExtension*> refs = {&late_ref};
+    for (size_t e = store.size() - 8; e < store.size(); ++e) {
+      exts.push_back(&store[e]);
+      refs.push_back(&ref_store[e]);
+    }
+    // Extensions evaluated before the write keep their members.
+    for (size_t e = 0; e < 6; ++e) {
+      exts.push_back(&store[e]);
+      refs.push_back(&ref_store[e]);
+    }
+    ExpectCoverRows(&covers, answers, exts, refs, m, where);
+    check_products(where);
   }
 }
 
