@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "whynot/common/algorithm.h"
 #include "whynot/common/exec_control.h"
 #include "whynot/whynot.h"
 
@@ -252,6 +253,83 @@ void BM_SessionWriteThenWhyNot(benchmark::State& state) {
   state.counters["answers"] = static_cast<double>(session->answers().size());
 }
 BENCHMARK(BM_SessionWriteThenWhyNot)->RangeMultiplier(4)->Range(4, 16);
+
+// The column-stable form of the row above: each iteration fills a hole
+// between a product and a store that Stock already holds, so no column
+// gains a value and the re-warm keeps the derived-ontology state (lub,
+// eval memo, concept cache, cover rows). When the holes run out the
+// instance and session are reset outside the timed region. A diagnostic
+// row for the keep path.
+void BM_SessionColumnStableWriteThenWhyNot(benchmark::State& state) {
+  auto f = MakeFixture(static_cast<int>(state.range(0)), 4, 1);
+  if (!f.has_value()) {
+    state.SkipWithError("fixture");
+    return;
+  }
+  const wn::rel::Instance& base = *f->scenario.instance;
+  std::vector<wn::Value> pids, sids;
+  for (const wn::Tuple& t : base.Relation("Stock")) {
+    pids.push_back(t[0]);
+    sids.push_back(t[1]);
+  }
+  wn::SortUnique(&pids);
+  wn::SortUnique(&sids);
+  std::vector<wn::Tuple> holes;
+  for (const wn::Value& p : pids) {
+    for (const wn::Value& s : sids) {
+      wn::Tuple hole = {p, s};
+      if (hole != f->requests[0] && !base.Contains("Stock", hole)) {
+        holes.push_back(std::move(hole));
+      }
+    }
+  }
+  if (holes.empty()) {
+    state.SkipWithError("no holes");
+    return;
+  }
+  std::optional<wn::rel::Instance> instance;
+  std::optional<wn::explain::ExplainSession> session;
+  auto reset = [&]() -> bool {
+    session.reset();
+    instance.emplace(base);
+    auto bound = wn::explain::ExplainSession::Bind(&*instance,
+                                                   f->scenario.stock_query);
+    if (!bound.ok()) return false;
+    session.emplace(std::move(bound).value());
+    return session->WhyNot(f->requests[0]).ok();  // warm every tier
+  };
+  if (!reset()) {
+    state.SkipWithError("bind");
+    return;
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    if (next == holes.size()) {
+      state.PauseTiming();
+      if (!reset()) {
+        state.SkipWithError("rebind");
+        return;
+      }
+      next = 0;
+      state.ResumeTiming();
+    }
+    wn::Status st = instance->AddFact("Stock", holes[next++]);
+    if (!st.ok()) {
+      state.SkipWithError(st.ToString().c_str());
+      return;
+    }
+    auto e = session->WhyNot(f->requests[0]);
+    if (!e.ok()) {
+      state.SkipWithError(e.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(e.value().size());
+  }
+  state.counters["kept"] = static_cast<double>(session->rewarm_counts().kept);
+}
+BENCHMARK(BM_SessionColumnStableWriteThenWhyNot)
+    ->RangeMultiplier(4)
+    ->Range(4, 16);
 
 // --- PR 8: execution-control deadline sweep --------------------------------
 

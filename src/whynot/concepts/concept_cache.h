@@ -100,9 +100,14 @@ struct ConceptHash {
 /// never race on the lazy representation build.
 ///
 /// Threading contract: Find* from many workers concurrently during a
-/// wave; Publish / Clear / stats mutation only at serial points. The
-/// instance must not change while the cache holds entries (same contract
-/// as EvalCache); an ExplainSession Clear()s on rewarm.
+/// wave; Publish / Clear / stats mutation only at serial points.
+///
+/// Lifetime: entries are snapshots of the instance, like EvalCache's.
+/// Selection-free entries (signature keys, lubs of nominals and
+/// projections, their extensions) depend only on the distinct columns, so
+/// they stay exact across appends that leave every column unchanged; an
+/// ExplainSession keeps the cache across such writes when both its
+/// searches are selection-free, and Clear()s it on every other re-warm.
 class ConceptCache {
  public:
   /// One published entry: the canonical lub concept and its extension.

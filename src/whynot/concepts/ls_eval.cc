@@ -326,6 +326,7 @@ const Extension& EvalCache::EvalConjunct(const Conjunct& conjunct) {
   }
   auto it = conjunct_exts_.find(conjunct);
   if (it == conjunct_exts_.end()) {
+    read_rows_ = read_rows_ || !conjunct.selections.empty();
     it = conjunct_exts_.emplace(conjunct, ls::Eval(conjunct, *instance_))
              .first;
   }

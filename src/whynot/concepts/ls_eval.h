@@ -166,15 +166,25 @@ Extension Eval(const Conjunct& conjunct, const rel::Instance& instance);
 ///  * per concept: whole intersections, so IncrementalSearch's inner loop
 ///    (one probe per active-domain constant) does not even re-intersect.
 ///
-/// The instance must not change while the cache is alive. Returned
-/// references are stable for the cache's lifetime (node-based maps), which
-/// the explain layer's answer-cover kernel relies on for identity-keyed
-/// cover bitmaps.
+/// Every memoized extension is a snapshot of the instance at evaluation
+/// time. A selection-free extension depends only on distinct columns
+/// (⟦π_A(R)⟧ᴵ is R's distinct A-column), so it stays exact across appends
+/// that bring no value new to any column; a selection conjunct's extension
+/// depends on rows. The cache may outlive a write only when the owner has
+/// checked that no column moved and that read_rows() is false (an
+/// ExplainSession does so on re-warm); otherwise it must be rebuilt.
+/// Returned references are stable for the cache's lifetime (node-based
+/// maps), which the explain layer's answer-cover kernel relies on for
+/// identity-keyed cover bitmaps.
 class EvalCache {
  public:
   explicit EvalCache(const rel::Instance* instance) : instance_(instance) {}
 
   const rel::Instance& instance() const { return *instance_; }
+
+  /// True once the cache has evaluated a selection conjunct, whose
+  /// extension depends on the rows and not only on the distinct columns.
+  bool read_rows() const { return read_rows_; }
 
   /// ⟦C⟧ᴵ via cached conjunct extensions, memoized per concept.
   const Extension& Eval(const LsConcept& concept_expr);
@@ -194,6 +204,7 @@ class EvalCache {
   std::map<std::pair<std::string, int>, Extension> projection_exts_;
   std::map<Conjunct, Extension> conjunct_exts_;
   std::map<LsConcept, Extension> concept_exts_;
+  bool read_rows_ = false;
 };
 
 /// C1 ⊑_I C2 : ⟦C1⟧ᴵ ⊆ ⟦C2⟧ᴵ (Proposition 4.1, PTIME).

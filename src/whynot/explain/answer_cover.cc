@@ -128,74 +128,143 @@ LsAnswerCovers::LsAnswerCovers(const rel::Instance* instance,
 void LsAnswerCovers::MergePostings(Postings* p, const std::vector<ValueId>& ids,
                                    const std::vector<size_t>& added,
                                    const std::vector<uint32_t>& moved) {
-  // The new answers grouped by id, by a stable counting sort (indices stay
-  // ascending within an id); non-interned ones go to `fresh_foreign`.
-  size_t bound = p->offsets.empty() ? 0 : p->offsets.size() - 1;
-  for (ValueId id : ids) {
-    if (id >= 0) bound = std::max(bound, static_cast<size_t>(id) + 1);
-  }
-  // Ids past the old bound hold no old answers. Exact growth: resize
-  // alone would double the capacity for one new id.
-  p->offsets.reserve(bound + 1);
-  p->offsets.resize(bound + 1, static_cast<uint32_t>(p->answers.size()));
-  std::vector<uint32_t> fresh_offsets(bound + 1, 0);
-  for (ValueId id : ids) {
-    if (id >= 0) ++fresh_offsets[static_cast<size_t>(id) + 1];
-  }
-  for (size_t v = 0; v < bound; ++v) fresh_offsets[v + 1] += fresh_offsets[v];
-  std::vector<uint32_t> fresh(fresh_offsets[bound]);
+  // Old indices past an insertion move up (with no old answers, `moved`
+  // is never read).
+  for (uint32_t& a : p->answers) a = moved[a];
+  for (uint32_t& a : p->foreign) a = moved[a];
+
+  // Non-interned new answers go to `fresh_foreign`; the others are
+  // grouped by id, by a stable counting sort over the range of their ids
+  // (indices stay ascending within an id): fresh[k] holds id lo + v for k
+  // in [first[v], first[v + 1]).
+  ValueId lo = -1;
+  ValueId hi = -1;
   std::vector<uint32_t> fresh_foreign;
-  {
-    std::vector<uint32_t> cursor(fresh_offsets.begin(), fresh_offsets.end());
-    for (size_t i = 0; i < ids.size(); ++i) {
-      uint32_t at = static_cast<uint32_t>(added[i]);
-      if (ids[i] >= 0) {
-        fresh[cursor[static_cast<size_t>(ids[i])]++] = at;
-      } else {
-        fresh_foreign.push_back(at);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] < 0) {
+      fresh_foreign.push_back(static_cast<uint32_t>(added[i]));
+      continue;
+    }
+    lo = lo < 0 ? ids[i] : std::min(lo, ids[i]);
+    hi = std::max(hi, ids[i]);
+  }
+  if (lo >= 0) {
+    const size_t range = static_cast<size_t>(hi - lo) + 1;
+    std::vector<uint32_t> first(range + 1, 0);
+    for (ValueId id : ids) {
+      if (id >= 0) ++first[static_cast<size_t>(id - lo) + 1];
+    }
+    for (size_t v = 0; v < range; ++v) first[v + 1] += first[v];
+    std::vector<uint32_t> fresh(first[range]);
+    {
+      std::vector<uint32_t> cursor(first.begin(), first.end() - 1);
+      for (size_t i = 0; i < ids.size(); ++i) {
+        if (ids[i] >= 0) {
+          fresh[cursor[static_cast<size_t>(ids[i] - lo)]++] =
+              static_cast<uint32_t>(added[i]);
+        }
       }
     }
-  }
-
-  // Old runs are copied renumbered; an id with new answers merges its old
-  // run with them (both ascending).
-  std::vector<uint32_t> merged(p->answers.size() + fresh.size());
-  uint32_t* out = merged.data();
-  auto merge = [&](const uint32_t* ob, const uint32_t* oe, const uint32_t* fb,
-                   const uint32_t* fe) {
-    for (; ob != oe; ++ob) {
-      uint32_t a = moved[*ob];
-      while (fb != fe && *fb < a) *out++ = *fb++;
-      *out++ = a;
+    const size_t old_bound = p->offsets.empty() ? 0 : p->offsets.size() - 1;
+    const size_t bound = std::max(old_bound, static_cast<size_t>(hi) + 1);
+    // Ids past the old bound hold no old answers. Exact growth: resize
+    // alone would double the capacity for one new id.
+    p->offsets.reserve(bound + 1);
+    p->offsets.resize(bound + 1, static_cast<uint32_t>(p->answers.size()));
+    // Each new index goes into its id's run, before the first larger old
+    // index; `at` holds the merged positions, ascending.
+    std::vector<size_t> at(fresh.size());
+    for (size_t v = 0; v < range; ++v) {
+      const size_t id = static_cast<size_t>(lo) + v;
+      for (uint32_t k = first[v]; k < first[v + 1]; ++k) {
+        at[k] = static_cast<size_t>(
+                    std::lower_bound(p->answers.begin() + p->offsets[id],
+                                     p->answers.begin() + p->offsets[id + 1],
+                                     fresh[k]) -
+                    p->answers.begin()) +
+                k;
+      }
     }
-    out = std::copy(fb, fe, out);
-  };
-  const uint32_t* old = p->answers.data();
-  uint32_t copied = 0;  // old entries before this are in `merged`
-  for (size_t v = 0; v < bound; ++v) {
-    if (fresh_offsets[v] == fresh_offsets[v + 1]) continue;
-    merge(old + copied, old + p->offsets[v], nullptr, nullptr);
-    merge(old + p->offsets[v], old + p->offsets[v + 1],
-          fresh.data() + fresh_offsets[v], fresh.data() + fresh_offsets[v + 1]);
-    copied = p->offsets[v + 1];
+    InsertAtPositions(&p->answers, at, [&](size_t k) { return fresh[k]; });
+    // Every run past the smallest new id starts past the new entries of
+    // the smaller ids.
+    for (size_t id = static_cast<size_t>(lo) + 1; id <= bound; ++id) {
+      const size_t v = id - static_cast<size_t>(lo);
+      p->offsets[id] += v < range ? first[v] : first[range];
+    }
   }
-  merge(old + copied, old + p->answers.size(), nullptr, nullptr);
-  p->answers = std::move(merged);
-  // Each id's run starts past the new answers of the smaller ids.
-  for (size_t v = 0; v <= bound; ++v) p->offsets[v] += fresh_offsets[v];
-
-  merged.assign(p->foreign.size() + fresh_foreign.size(), 0);
-  out = merged.data();
-  merge(p->foreign.data(), p->foreign.data() + p->foreign.size(),
-        fresh_foreign.data(), fresh_foreign.data() + fresh_foreign.size());
-  p->foreign = std::move(merged);
+  const size_t old_foreign = p->foreign.size();
+  p->foreign.insert(p->foreign.end(), fresh_foreign.begin(),
+                    fresh_foreign.end());
+  std::inplace_merge(p->foreign.begin(),
+                     p->foreign.begin() + static_cast<ptrdiff_t>(old_foreign),
+                     p->foreign.end());
 }
+
+namespace {
+
+/// Moves bits [from, from + len) of `w` up by `by`, from the top word
+/// down, so every source bit is read before a write can reach it. Bits
+/// outside the destination range keep their values.
+void MoveBitsUp(uint64_t* w, size_t from, size_t len, size_t by) {
+  if (len == 0) return;
+  const size_t bottom = from + by;
+  const size_t top = bottom + len;
+  // Destination bits [lo, hi) of one word.
+  auto piece = [w, by](size_t lo, size_t hi) {
+    const size_t src = lo - by;
+    const size_t sw = src / 64;
+    const size_t sb = src % 64;
+    const size_t take = hi - lo;
+    uint64_t bits = w[sw] >> sb;
+    if (sb + take > 64) bits |= w[sw + 1] << (64 - sb);
+    const uint64_t mask =
+        (take == 64 ? ~uint64_t{0} : (uint64_t{1} << take) - 1) << (lo % 64);
+    w[lo / 64] = (w[lo / 64] & ~mask) | ((bits << (lo % 64)) & mask);
+  };
+  const size_t lo_word = bottom / 64;
+  const size_t hi_word = (top - 1) / 64;
+  if (lo_word == hi_word) {
+    piece(bottom, top);
+    return;
+  }
+  piece(hi_word * 64, top);
+  // Whole words: word j takes source bits [64j - by, 64j - by + 64).
+  const size_t q = by / 64;
+  const size_t r = by % 64;
+  if (r == 0) {
+    for (size_t j = hi_word - 1; j > lo_word; --j) w[j] = w[j - q];
+  } else {
+    for (size_t j = hi_word - 1; j > lo_word; --j) {
+      w[j] = (w[j - q] << r) | (w[j - q - 1] >> (64 - r));
+    }
+  }
+  piece(bottom, (lo_word + 1) * 64);
+}
+
+/// Inserts zero bits into `row` (over `old_bits` answers) at the merged
+/// positions `added` (ascending), in place: the old bits between
+/// insertions i - 1 and i move up by i, the top stretch first.
+void InsertZeroBits(std::vector<uint64_t>* row, size_t old_bits,
+                    const std::vector<size_t>& added) {
+  const size_t words = (old_bits + added.size() + 63) / 64;
+  row->reserve(words);  // exact growth: resize alone may double it
+  row->resize(words, 0);
+  uint64_t* w = row->data();
+  for (size_t i = added.size(); i > 0; --i) {
+    const size_t begin = added[i - 1] - (i - 1);
+    const size_t end = i < added.size() ? added[i] - i : old_bits;
+    MoveBitsUp(w, begin, end - begin, i);
+    w[added[i - 1] / 64] &= ~(uint64_t{1} << (added[i - 1] % 64));
+  }
+}
+
+}  // namespace
 
 std::vector<size_t> LsAnswerCovers::MergeAnswers(
     const std::vector<std::vector<ValueId>>& delta,
     std::vector<Tuple>* answers) {
   assert(answers == answers_);
-  covers_.clear();
   std::vector<size_t> added;
   if (delta.empty()) return added;
   const size_t width = delta.front().size();
@@ -249,6 +318,18 @@ std::vector<size_t> LsAnswerCovers::MergeAnswers(
     for (size_t i = 0; i < fresh.size(); ++i) ids[i] = (*fresh[i])[pos];
     MergePostings(&postings_[pos], ids, added, moved);
   }
+  // Each cached row: the old bits shifted, a new answer's bit set where
+  // the row's extension holds its value.
+  for (auto& [key, row] : covers_) {
+    InsertZeroBits(&row, old_size, added);
+    const ls::Extension& ext = *key.first;
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      const ValueId id = (*fresh[i])[key.second];
+      if (ext.ContainsInterned(id, pool_->Get(id))) {
+        row[added[i] / 64] |= uint64_t{1} << (added[i] % 64);
+      }
+    }
+  }
   full_ = DenseBitmap::AllSet(static_cast<int32_t>(answers->size()));
   return added;
 }
@@ -261,13 +342,16 @@ const uint64_t* LsAnswerCovers::Cover(const ls::Extension& ext, size_t pos) {
     // The ids index this pool's postings; a pool-less extension holds
     // only extras.
     assert(ext.pool() == nullptr || ext.pool() == pool_);
-    DenseBitmap cover({}, static_cast<int32_t>(answers_->size()));
+    std::vector<uint64_t> cover(full_.num_words(), 0);
+    auto set = [&cover](uint32_t a) {
+      cover[a / 64] |= uint64_t{1} << (a % 64);
+    };
     const Postings& p = postings_[pos];
     auto add_posting = [&](ValueId id) {
       if (id < 0 || static_cast<size_t>(id) + 1 >= p.offsets.size()) return;
       for (uint32_t k = p.offsets[static_cast<size_t>(id)];
            k < p.offsets[static_cast<size_t>(id) + 1]; ++k) {
-        cover.Set(static_cast<ValueId>(p.answers[k]));
+        set(p.answers[k]);
       }
     };
     for (ValueId id : ext.ids()) add_posting(id);
@@ -280,13 +364,13 @@ const uint64_t* LsAnswerCovers::Cover(const ls::Extension& ext, size_t pos) {
       for (uint32_t a : p.foreign) {
         if (std::binary_search(extras.begin(), extras.end(),
                                (*answers_)[a][pos])) {
-          cover.Set(static_cast<ValueId>(a));
+          set(a);
         }
       }
     }
     it = covers_.emplace(key, std::move(cover)).first;
   }
-  return it->second.words().data();
+  return it->second.data();
 }
 
 bool LsAnswerCovers::ProductIntersects(
@@ -342,7 +426,7 @@ size_t LsAnswerCovers::MemoryBytes() const {
   }
   bytes += covers_.bucket_count() * sizeof(void*);
   for (const auto& [key, cover] : covers_) {
-    bytes += sizeof(key) + cover.MemoryBytes();
+    bytes += sizeof(key) + sizeof(cover) + cover.capacity() * sizeof(uint64_t);
   }
   return bytes;
 }

@@ -207,7 +207,8 @@ class ConceptAnswerCovers {
 /// O(Σ_{v ∈ ext} |post(v)| + |ext| + ⌈|Ans|/64⌉) instead of one
 /// membership probe per answer: a nominal's row touches the few answers
 /// that hold its value. ⊤ is the shared full row. MergeAnswers keeps the
-/// postings current across session writes.
+/// postings and the cached rows current across session writes; ClearRows
+/// drops the rows when the extensions they are keyed by are freed.
 class LsAnswerCovers {
  public:
   LsAnswerCovers(const rel::Instance* instance,
@@ -217,20 +218,27 @@ class LsAnswerCovers {
 
   /// Merges `delta` — rows of instance-pool ids, sorted and duplicate-free
   /// in the Value order, as rel::EvaluateIds returns them — into
-  /// `answers`, which must be the vector these covers index, and into the
-  /// postings. Each delta row is placed by binary search over the boxed
-  /// answers (sorted in the Value order); one backward pass then moves the
-  /// old answers past the first insertion and boxes only the new rows
-  /// (InsertAtPositions), and one pass per position renumbers the old
-  /// postings past each insertion and adds the new rows' indices. A row
-  /// already present is skipped, so merging the same delta twice is a
-  /// no-op. Returns the positions the new answers took in the merged
-  /// vector, ascending. Every cached cover row is dropped, merged or not:
-  /// rows are keyed by extension address, and a re-warm frees the
-  /// extensions.
+  /// `answers`, which must be the vector these covers index, into the
+  /// postings, and into every cached row. Each delta row is placed by
+  /// binary search over the boxed answers (sorted in the Value order); one
+  /// backward pass then moves the old answers past the first insertion
+  /// and boxes only the new rows (InsertAtPositions). Per position, the
+  /// old postings are renumbered past each insertion and the new indices
+  /// go into the runs of their ids only. Each cached row gets the new
+  /// answers' bits inserted at their merged positions (one word-shift
+  /// pass), set where the row's extension holds the new answer's value —
+  /// so the extensions keying the rows must still be alive (ClearRows
+  /// first when they are not). A row already present is skipped, so
+  /// merging the same delta twice is a no-op. Returns the positions the
+  /// new answers took in the merged vector, ascending.
   std::vector<size_t> MergeAnswers(
       const std::vector<std::vector<ValueId>>& delta,
       std::vector<Tuple>* answers);
+
+  /// Drops every cached row (the postings stay). Required before the
+  /// extensions the rows are keyed by are freed: a later extension at the
+  /// same address would be served the old row.
+  void ClearRows() { covers_.clear(); }
 
   /// Cover(ext, pos), built on first use (identity-cached).
   const uint64_t* Cover(const ls::Extension& ext, size_t pos);
@@ -276,7 +284,8 @@ class LsAnswerCovers {
 
   /// Adds new answers to `p`: new answer i holds pool id ids[i] (-1 if
   /// not interned) and takes index added[i] (ascending); old answer a
-  /// takes index moved[a].
+  /// takes index moved[a]. Only the runs of the new ids grow: the offsets
+  /// past the smallest new id shift by the new answers before them.
   static void MergePostings(Postings* p, const std::vector<ValueId>& ids,
                             const std::vector<size_t>& added,
                             const std::vector<uint32_t>& moved);
@@ -284,8 +293,9 @@ class LsAnswerCovers {
   const std::vector<Tuple>* answers_;
   const ValuePool* pool_;
   std::vector<Postings> postings_;  // one per answer position
-  std::unordered_map<std::pair<const ls::Extension*, size_t>, DenseBitmap,
-                     KeyHash>
+  // Cached rows, ⌈|Ans|/64⌉ words each, trailing bits zero.
+  std::unordered_map<std::pair<const ls::Extension*, size_t>,
+                     std::vector<uint64_t>, KeyHash>
       covers_;
   DenseBitmap full_;
   std::vector<const uint64_t*> scratch_rows_;

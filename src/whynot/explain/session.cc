@@ -18,11 +18,14 @@ struct ExplainSession::State {
   rel::UnionQuery query;
   bool has_query = false;
   uint64_t version = 0;
-  // What Ans was last brought up to date against (query-bound sessions):
-  // the instance's non-append generation and the row counts of the
+  // What the last warm was brought up to date against: the instance's
+  // non-append generation, the distinct count of every schema column
+  // (ColumnCounts) and, for a query-bound session, the row counts of the
   // query's relations. A re-warm at the same generation evaluates only
-  // the rows past `marks`.
+  // the rows past `marks`, and keeps the derived O_I state while no
+  // distinct count moved.
   uint64_t generation = 0;
+  std::vector<size_t> distinct;
   rel::RowMarks marks;
   RewarmCounts rewarms;
 
@@ -52,15 +55,14 @@ struct ExplainSession::State {
   std::unique_ptr<LsAnswerCovers> ls_covers;
   // The shared concept cache: every derived request publishes its lub+eval
   // results here and later requests start from the published tier. Entries
-  // are dropped on rewarm (pure functions of the instance contents);
-  // traffic counters survive.
+  // survive a re-warm that keeps the derived state and are dropped on
+  // one that rebuilds it; traffic counters survive both.
   std::unique_ptr<ls::ConceptCache> concept_cache;
-  // Persistent overlay for the *serial* searches (WhyNot / Why run on the
-  // session thread): its private maps stay warm across requests, so a
-  // repeated request's probes are raw local-map hits instead of
-  // published-tier lookups that re-copy every concept into a fresh
-  // overlay. Rebuilt on rewarm together with lub/cache it is bound to.
-  // The parallel searches keep their own per-worker overlays.
+  // Persistent overlay for the serial searches (WhyNot / Why): its private
+  // maps stay warm across requests, so a repeated request's probes are
+  // raw local-map hits instead of published-tier lookups that re-copy
+  // every concept into a fresh overlay. Kept or rebuilt together with the
+  // lub/cache it is bound to.
   std::unique_ptr<ls::ConceptCacheOverlay> serial_overlay;
 
   /// Session-wide cancel flag, copied into every session-built request
@@ -86,6 +88,20 @@ exec::ExecContext MakeRequestExec(int64_t request_deadline_ms,
   }
   ctx.cancel = cancel;
   return ctx;
+}
+
+/// The distinct count of every schema column, relation by relation in
+/// schema order. Appends are monotone, so while the generation stays put
+/// an equal count means an equal distinct column.
+std::vector<size_t> ColumnCounts(const rel::Instance& instance) {
+  std::vector<size_t> counts;
+  for (const rel::RelationDef& def : instance.schema().relations()) {
+    const rel::StoredRelation* rel = instance.Find(def.name());
+    for (size_t a = 0; a < def.arity(); ++a) {
+      counts.push_back(rel == nullptr ? 0 : rel->Index(a).keys.size());
+    }
+  }
+  return counts;
 }
 
 }  // namespace
@@ -167,41 +183,59 @@ Status ExplainSession::Rewarm(const exec::ExecContext* exec) {
   State& s = *state_;
   s.wni.instance = s.instance;
   s.wi.instance = s.instance;
+
+  // Over selection-free LS every signature, lub and extension the derived
+  // state caches depends only on the distinct columns (Lemma 5.1), so it
+  // survives an append that left every column as it was — unless a caller
+  // candidate brought a selection conjunct, whose extension reads rows,
+  // into the eval cache.
+  std::vector<size_t> distinct = ColumnCounts(*s.instance);
+  const bool keep = s.lub != nullptr &&
+                    s.generation == s.instance->generation() &&
+                    distinct == s.distinct &&
+                    !s.options.incremental.with_selections &&
+                    !s.options.enumerate.with_selections &&
+                    !s.cache->read_rows();
+  // Cover rows are keyed by the addresses of the extensions a rebuild
+  // frees; kept extensions keep their rows, which the merge below extends.
+  if (!keep && s.ls_covers != nullptr) s.ls_covers->ClearRows();
   if (s.has_query) {
     WHYNOT_RETURN_IF_ERROR(UpdateAnswers());
-  } else {
+  } else if (!keep) {
     // Fixed answers, but values the instance did not hold may have been
-    // interned since: the covers re-resolve their ids.
+    // interned since: the covers re-resolve their ids. (A kept state saw
+    // no value new to a column, hence none new to the pool.)
     s.ls_covers = std::make_unique<LsAnswerCovers>(s.instance, &s.wni.answers);
   }
 
-  // Force every lazy instance cache so request-time access — including
-  // pool-worker reads inside the parallel searches — is read-only. After
-  // the evaluation above, which builds column indexes on this thread.
-  s.instance->WarmForConcurrentReads();
-
-  // Derived-ontology state, rebuilt from the instance. The covers' cached
-  // rows were dropped above: they are keyed by the addresses of the
-  // extensions the old EvalCache owned.
-  s.lub = std::make_unique<ls::LubContext>(s.instance, s.options.lub);
-  s.cache = std::make_unique<ls::EvalCache>(s.instance);
-  if (s.concept_cache == nullptr) {
-    s.concept_cache = std::make_unique<ls::ConceptCache>(
-        s.instance, s.options.concept_cache);
+  if (keep) {
+    ++s.rewarms.kept;
   } else {
-    s.concept_cache->Clear();
+    s.lub = std::make_unique<ls::LubContext>(s.instance, s.options.lub);
+    s.cache = std::make_unique<ls::EvalCache>(s.instance);
+    if (s.concept_cache == nullptr) {
+      s.concept_cache = std::make_unique<ls::ConceptCache>(
+          s.instance, s.options.concept_cache);
+    } else {
+      s.concept_cache->Clear();
+    }
+    // After the Clear: stale overlay memos would otherwise outlive the
+    // instance contents they were computed from.
+    s.serial_overlay = std::make_unique<ls::ConceptCacheOverlay>(
+        s.concept_cache.get(), s.options.incremental.with_selections,
+        s.lub.get(), s.cache.get());
   }
-  // After the Clear: stale overlay memos would otherwise outlive the
-  // instance contents they were computed from.
-  s.serial_overlay = std::make_unique<ls::ConceptCacheOverlay>(
-      s.concept_cache.get(), s.options.incremental.with_selections,
-      s.lub.get(), s.cache.get());
 
   s.covers.reset();
   s.why_covers.reset();
   s.lattice.reset();
   s.bound.reset();
   if (s.ontology != nullptr) {
+    // Force every lazy instance cache so pool-worker reads inside the
+    // external-ontology searches (and instance-dependent ExtFns) are
+    // read-only. No derived-ontology path reads the instance from pool
+    // workers, so a session without an ontology skips this.
+    s.instance->WarmForConcurrentReads();
     s.bound = std::make_unique<onto::BoundOntology>(s.ontology, s.instance);
     // A stop (or injected warm fault) aborts the rewarm before the covers
     // are rebuilt; s.version stays behind, so the next request retries the
@@ -214,10 +248,9 @@ Status ExplainSession::Rewarm(const exec::ExecContext* exec) {
     s.lattice = std::make_unique<LatticeHandle>(s.bound.get());
   }
   s.version = s.instance->version();
-  if (s.has_query) {
-    s.generation = s.instance->generation();
-    s.marks = rel::MarkRows(s.query, *s.instance);
-  }
+  s.generation = s.instance->generation();
+  s.distinct = std::move(distinct);
+  if (s.has_query) s.marks = rel::MarkRows(s.query, *s.instance);
   return Status::OK();
 }
 

@@ -60,11 +60,11 @@ struct GradedMges {
 /// The one-shot entry points re-derive the same warm state on every call:
 /// query answers, extension warm-up, answer-cover bitmaps, lub canonical
 /// boxes, eval memos. A session binds that state once — Bind evaluates
-/// the query, warms the instance's lazy caches for concurrent reads,
-/// warms every bound-ontology extension, and constructs the
-/// answer-cover tables — and then serves repeated WhyNot / Why /
-/// EnumerateMges / Cardinality / Existence requests that only vary the
-/// asked-about tuple. Results, enumeration order, and stats are
+/// the query, constructs the answer-cover tables and, with an external
+/// ontology, warms the instance's lazy caches for concurrent reads and
+/// every bound-ontology extension — and then serves repeated WhyNot /
+/// Why / EnumerateMges / Cardinality / Existence requests that only vary
+/// the asked-about tuple. Results, enumeration order, and stats are
 /// bit-identical to the standalone entry points at every thread count:
 /// all shared caches memoize pure functions of the fixed (instance,
 /// answers) binding, so warm-vs-cold only changes time.
@@ -76,19 +76,30 @@ struct GradedMges {
 /// reads. While the generation stays put the instance has only grown, and
 /// CQs are monotone, so the re-warm evaluates q(I) semi-naively over the
 /// appended rows alone (rel::EvaluateIds with RowMarks) and merges that
-/// delta into Ans and the LS answer covers' posting index; a write to a
-/// relation the query does not read adds nothing. ClearRelation and
-/// instance assignment move the generation, and the re-warm evaluates
-/// q(I) in full, as Bind does. Everything else warm — the eval memo, lub
-/// state, concept cache, and the external ontology's extensions and
-/// covers — is rebuilt on every re-warm. The LS cover rows are dropped
-/// too (they are keyed by the addresses of the extensions the re-warm
-/// frees), but a request rebuilds each row it needs from the posting
-/// index, touching only the answers that hold the extension's values.
-/// Either way the
-/// session then matches a fresh Bind bit for bit: answers, outputs, their
-/// order and stats. Mutating the instance *during* a request is not
-/// supported (same contract as the one-shot searches).
+/// delta into Ans and the LS answer covers; a write to a relation the
+/// query does not read adds nothing. ClearRelation and instance
+/// assignment move the generation, and the re-warm evaluates q(I) in
+/// full, as Bind does.
+///
+/// The derived-ontology state — the lub context, the eval memo, the
+/// concept cache and the serial overlay — is *kept* across a write when
+/// nothing it reads has moved: the generation is unchanged, every schema
+/// column holds as many distinct values as at the last warm (appends are
+/// monotone, so the columns are equal), both searches are selection-free,
+/// and the eval memo has never evaluated a selection conjunct (a
+/// CheckMgeDerived candidate can bring one in; its extension reads rows).
+/// Over selection-free LS, signatures, lubs and extensions depend only on
+/// the distinct columns (Lemma 5.1), so they are still exact. The LS
+/// cover rows keyed by the kept extensions then stay too, with the new
+/// answers' bits inserted. Otherwise that state is rebuilt and the cover
+/// rows are dropped (they are keyed by the addresses of the extensions
+/// the rebuild frees); a request rebuilds each row it needs from the
+/// covers' posting index. Fixed-answer sessions follow the same rule. The
+/// external ontology's extensions, covers and lattice are rebuilt on
+/// every re-warm. Either way the session then matches a fresh Bind bit
+/// for bit: answers, outputs, their order, stats and errors. Mutating the
+/// instance *during* a request is not supported (same contract as the
+/// one-shot searches).
 ///
 /// Threading: requests dispatch into the same parallel searches as the
 /// one-shot calls. The session itself is single-threaded — serve
@@ -119,14 +130,16 @@ class ExplainSession {
   bool has_ontology() const;
   /// The instance version the warm state was built against (tests).
   uint64_t warmed_version() const;
-  /// How the re-warms of a query-bound session brought Ans up to date
-  /// (tests): `full` counts evaluations of q(I) from scratch (Bind, and
-  /// the first request after a non-append write), `delta` those over only
-  /// the rows appended since the previous warm. Sessions bound with fixed
-  /// answers count neither.
+  /// What the re-warms did (tests). For a query-bound session, `full`
+  /// counts evaluations of q(I) from scratch (Bind, and the first request
+  /// after a non-append write) and `delta` those over only the rows
+  /// appended since the previous warm; sessions bound with fixed answers
+  /// count neither. For every session, `kept` counts the re-warms that
+  /// kept the derived-ontology state (see Invalidation above).
   struct RewarmCounts {
     size_t full = 0;
     size_t delta = 0;
+    size_t kept = 0;
   };
   RewarmCounts rewarm_counts() const;
   /// The warm bound ontology (null without an external ontology). Exposed

@@ -380,7 +380,9 @@ void Instance::WarmForConcurrentReads() const {
   EnsureActiveDomain();
   for (const auto& [name, idx] : store_index_) {
     const StoredRelation& rel = store_[idx];
-    Relation(name);  // boxed tuple view (instance-dependent ExtFns read it)
+    // Boxed tuple view: an external ontology's caller-supplied ExtFns
+    // may read it from pool workers during WarmExtensions.
+    Relation(name);
     for (size_t a = 0; a < rel.arity(); ++a) rel.Index(a);
   }
 }

@@ -479,15 +479,59 @@ TEST(ConceptCacheTest, RewarmClearsEntriesButKeepsCounters) {
   ASSERT_TRUE(session.EnumerateMges(f.wni.missing).ok());
   ls::ConceptCacheStats before = session.CacheStats();
   EXPECT_GT(before.publishes, 0u);
-  // Mutate the instance: the next request rebuilds the warm state and the
-  // cache must not serve extensions of the stale contents.
+  // Mutate the instance with a value new to R0's first column: the next
+  // request rebuilds the warm state and the cache must not serve
+  // extensions of the stale contents.
   const std::vector<Value>& adom = f.instance->ActiveDomain();
-  ASSERT_OK(f.instance->AddFact("R0", {adom[0], adom[1]}));
+  ASSERT_OK(f.instance->AddFact("R0", {Value("fresh"), adom[1]}));
   auto r = session.EnumerateMges(f.wni.missing);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ls::ConceptCacheStats after = session.CacheStats();
   EXPECT_GE(after.evictions, before.publishes);  // rewarm dropped them
   EXPECT_GE(after.misses, before.misses);
+  EXPECT_EQ(session.rewarm_counts().kept, 0u);
+}
+
+TEST(ConceptCacheTest, ColumnStableRewarmKeepsEntries) {
+  Fixture f = MakeFixture(7);
+  ASSERT_OK_AND_ASSIGN(explain::ExplainSession session,
+                       explain::ExplainSession::BindWithAnswers(
+                           f.instance.get(), f.wni.answers));
+  ASSERT_TRUE(session.EnumerateMges(f.wni.missing).ok());
+  ls::ConceptCacheStats before = session.CacheStats();
+  EXPECT_GT(before.publishes, 0u);
+  // A new R0 row whose values both columns of R0 already hold: every
+  // distinct column stays as it was, so the re-warm keeps the entries.
+  std::vector<Value> col0, col1;
+  for (const Tuple& t : f.instance->Relation("R0")) {
+    col0.push_back(t[0]);
+    col1.push_back(t[1]);
+  }
+  std::optional<Tuple> hole;
+  for (size_t i = 0; i < col0.size() && !hole; ++i) {
+    for (size_t j = 0; j < col1.size() && !hole; ++j) {
+      if (!f.instance->Contains("R0", {col0[i], col1[j]})) {
+        hole = Tuple{col0[i], col1[j]};
+      }
+    }
+  }
+  ASSERT_TRUE(hole.has_value());
+  const uint64_t version = f.instance->version();
+  ASSERT_OK(f.instance->AddFact("R0", *hole));
+  ASSERT_NE(f.instance->version(), version);
+  ASSERT_OK_AND_ASSIGN(std::vector<explain::LsExplanation> kept,
+                       session.EnumerateMges(f.wni.missing));
+  ls::ConceptCacheStats after = session.CacheStats();
+  EXPECT_EQ(session.rewarm_counts().kept, 1u);
+  EXPECT_EQ(after.evictions, before.evictions);  // nothing dropped
+  EXPECT_EQ(after.misses, before.misses);        // every lub served warm
+  // The kept entries serve what a fresh binding computes.
+  ASSERT_OK_AND_ASSIGN(explain::ExplainSession fresh,
+                       explain::ExplainSession::BindWithAnswers(
+                           f.instance.get(), f.wni.answers));
+  ASSERT_OK_AND_ASSIGN(std::vector<explain::LsExplanation> want,
+                       fresh.EnumerateMges(f.wni.missing));
+  EXPECT_EQ(kept, want);
 }
 
 }  // namespace

@@ -457,6 +457,59 @@ TEST_P(IdExtensionAgreementTest, AnswerCoversMatchScalarReference) {
   }
 }
 
+// Cached rows survive MergeAnswers with the new answers' bits inserted:
+// over more than two words of answers, deltas of 1..40 rows land at
+// random merged positions (word boundaries included), and every row
+// built before the merges must equal the scalar reference afterwards.
+TEST_P(IdExtensionAgreementTest, MergedRowsMatchScalarReference) {
+  Rng rng(GetParam() ^ 0x66ull);
+  rel::Schema schema = TwoRelationSchema();
+  rel::Instance instance = RandomInstance(&schema, &rng, 40, 30);
+  const std::vector<Value>& adom = instance.ActiveDomain();
+  auto random_pair = [&] {
+    return Tuple{adom[rng.Below(adom.size())], adom[rng.Below(adom.size())]};
+  };
+  std::vector<Tuple> answers;
+  for (int a = 0; a < 140; ++a) answers.push_back(random_pair());
+  SortUnique(&answers);
+  ASSERT_GT(answers.size(), 128u);
+
+  LsAnswerCovers covers(&instance, &answers);
+  std::deque<ls::Extension> store;
+  std::deque<RefExtension> ref_store;
+  for (int e = 0; e < 24; ++e) {
+    LsConcept c = RandomConcept(&rng, 30);
+    store.push_back(ls::Eval(c, instance));
+    ref_store.push_back(RefEval(c, instance));
+  }
+  for (int e = 0; e < 4; ++e) {
+    const Value& v = adom[rng.Below(adom.size())];
+    store.push_back(ls::Extension::Nominal(&instance.pool(), v));
+    ref_store.push_back(RefExtension{false, {v}});
+  }
+  std::vector<const ls::Extension*> exts;
+  std::vector<const RefExtension*> refs;
+  for (size_t e = 0; e < store.size(); ++e) {
+    exts.push_back(&store[e]);
+    refs.push_back(&ref_store[e]);
+  }
+  ExpectCoverRows(&covers, answers, exts, refs, 2, "bind");
+  for (int round = 0; round < 6; ++round) {
+    std::vector<Tuple> rows;
+    const size_t n = 1 + rng.Below(40);
+    for (size_t d = 0; d < n; ++d) rows.push_back(random_pair());
+    SortUnique(&rows);
+    std::vector<std::vector<ValueId>> delta;
+    for (const Tuple& t : rows) {
+      delta.push_back(
+          {instance.pool().Lookup(t[0]), instance.pool().Lookup(t[1])});
+    }
+    covers.MergeAnswers(delta, &answers);
+    ExpectCoverRows(&covers, answers, exts, refs, 2,
+                    "round " + std::to_string(round));
+  }
+}
+
 TEST_P(IdExtensionAgreementTest, IsLsExplanationMatchesScalarReference) {
   Rng rng(GetParam() ^ 0x55ull);
   rel::Schema schema = TwoRelationSchema();

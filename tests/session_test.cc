@@ -30,6 +30,7 @@ struct ExternalFixture {
   std::unique_ptr<onto::ExplicitOntology> ontology;
   std::vector<Tuple> answers;
   std::vector<Tuple> missing;  // request tuples, all ∉ answers
+  Tuple present;               // ∈ answers, with why-explanations
 };
 
 ExternalFixture MakeExternalFixture(uint64_t seed) {
@@ -53,6 +54,25 @@ ExternalFixture MakeExternalFixture(uint64_t seed) {
     Tuple t = {adom[rng.Below(adom.size())], adom[rng.Below(adom.size())]};
     f.answers.push_back(std::move(t));
   }
+  // Ans also holds the full product of the two smallest non-empty finite
+  // concept extensions, so any tuple of that product has a why-explanation.
+  onto::BoundOntology bound(f.ontology.get(), f.instance.get());
+  std::vector<std::pair<size_t, onto::ConceptId>> finite;
+  for (onto::ConceptId c = 0; c < bound.NumConcepts(); ++c) {
+    const onto::ExtSet& ext = bound.Ext(c);
+    if (!ext.is_all() && !ext.empty()) finite.push_back({ext.size(), c});
+  }
+  EXPECT_GE(finite.size(), 2u);
+  std::sort(finite.begin(), finite.end());
+  const onto::ExtSet& first = bound.Ext(finite[0].second);
+  const onto::ExtSet& second = bound.Ext(finite[1].second);
+  for (ValueId a : first.ids()) {
+    for (ValueId b : second.ids()) {
+      f.answers.push_back({bound.pool().Get(a), bound.pool().Get(b)});
+    }
+  }
+  f.present = {bound.pool().Get(first.ids().front()),
+               bound.pool().Get(second.ids().front())};
   SortUnique(&f.answers);
   while (f.missing.size() < 4) {
     Tuple t = {adom[rng.Below(adom.size())], adom[rng.Below(adom.size())]};
@@ -135,9 +155,10 @@ TEST(SessionExternalTest, RepeatedRequestsMatchOneShot) {
       }
     }
 
-    // The external why dual against a present tuple.
-    if (!f.answers.empty()) {
-      const Tuple& present = f.answers.front();
+    // The external why dual against a present tuple that has
+    // why-explanations, so the comparison is between non-empty antichains.
+    {
+      const Tuple& present = f.present;
       explain::WhyInstance wi;
       wi.instance = f.instance.get();
       wi.answers = f.answers;
@@ -148,6 +169,7 @@ TEST(SessionExternalTest, RepeatedRequestsMatchOneShot) {
           explain::AllMostGeneralWhyExplanations(&bound, wi));
       ASSERT_OK_AND_ASSIGN(std::vector<explain::Explanation> got_why,
                            session.WhyMges(present));
+      EXPECT_FALSE(want_why.empty());
       EXPECT_EQ(got_why, want_why);
     }
   }
@@ -412,13 +434,18 @@ Tuple FirstNonAnswer(const std::vector<Tuple>& answers) {
   return {};
 }
 
-TEST(SessionInvalidationTest, RandomWritesMatchFreshBinding) {
+/// R0(a, b), R1(a, b) and Log(a), which no query below reads.
+rel::Schema PathOrEdgeSchema() {
   rel::Schema schema;
-  ASSERT_OK(schema.AddRelation("R0", {"a", "b"}));
-  ASSERT_OK(schema.AddRelation("R1", {"a", "b"}));
-  ASSERT_OK(schema.AddRelation("Log", {"a"}));  // no query reads it
-  // q(x, y) :- R0(x, z), R0(z, y)  ∪  q(x, y) :- R1(x, y). R1 is never
-  // cleared, so Ans stays non-empty for the Why request.
+  EXPECT_OK(schema.AddRelation("R0", {"a", "b"}));
+  EXPECT_OK(schema.AddRelation("R1", {"a", "b"}));
+  EXPECT_OK(schema.AddRelation("Log", {"a"}));
+  return schema;
+}
+
+/// q(x, y) :- R0(x, z), R0(z, y)  ∪  q(x, y) :- R1(x, y). The tests never
+/// clear R1, so Ans stays non-empty for the Why request.
+rel::UnionQuery PathOrEdgeQuery() {
   rel::ConjunctiveQuery path;
   path.head = {"x", "y"};
   path.atoms = {testutil::A("R0", {testutil::V("x"), testutil::V("z")}),
@@ -428,6 +455,12 @@ TEST(SessionInvalidationTest, RandomWritesMatchFreshBinding) {
   edge.atoms = {testutil::A("R1", {testutil::V("x"), testutil::V("y")})};
   rel::UnionQuery query;
   query.disjuncts = {path, edge};
+  return query;
+}
+
+TEST(SessionInvalidationTest, RandomWritesMatchFreshBinding) {
+  const rel::Schema schema = PathOrEdgeSchema();
+  const rel::UnionQuery query = PathOrEdgeQuery();
 
   enum Write { kAppendR0, kAppendR1, kAppendLog, kDuplicate, kClear, kAssign };
   for (uint64_t seed : {1, 2, 3}) {
@@ -511,6 +544,297 @@ TEST(SessionInvalidationTest, RandomWritesMatchFreshBinding) {
     }
   }
   par::SetNumThreads(0);
+}
+
+/// Whether every value of `fact` is already in its column of `relation`,
+/// so appending it leaves every distinct column as it was.
+bool ColumnStable(const rel::Instance& instance, const std::string& relation,
+                  const Tuple& fact) {
+  const rel::StoredRelation* rel = instance.Find(relation);
+  if (rel == nullptr || rel->empty()) return false;
+  for (size_t a = 0; a < fact.size(); ++a) {
+    const ValueId id = instance.LookupId(fact[a]);
+    const std::vector<ValueId>& keys = rel->Index(a).keys;
+    if (id < 0 || !std::binary_search(keys.begin(), keys.end(), id)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The values of column `attr` of `relation` (empty when it has no rows).
+std::vector<Value> ColumnValues(const rel::Instance& instance,
+                                const std::string& relation, size_t attr) {
+  std::vector<Value> out;
+  const rel::StoredRelation* rel = instance.Find(relation);
+  if (rel == nullptr || rel->empty()) return out;
+  for (ValueId id : rel->Index(attr).keys) {
+    out.push_back(instance.pool().Get(id));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// (π_0(σ_{1 = c}(relation)), ⊤): its first position reads rows, not only
+/// a distinct column.
+explain::LsExplanation SelectionCandidate(const std::string& relation,
+                                          const Value& c) {
+  return {ls::LsConcept::Projection(relation, 0,
+                                    {ls::Selection{1, rel::CmpOp::kEq, c}}),
+          ls::LsConcept::Top()};
+}
+
+std::string CheckResult(const Result<bool>& r) {
+  return r.ok() ? (r.value() ? "1" : "0") : r.status().ToString();
+}
+
+// Appends that fill a hole between values the columns already hold keep the
+// derived O_I state; appends that bring a value new to a column, a CHECK-MGE
+// candidate with a selection conjunct, a clear, and the with-selections
+// flavor rebuild it. After every write both bindings match a fresh one bit
+// for bit, and the `kept` counter says which path each re-warm took.
+TEST(SessionInvalidationTest, ColumnStableAppendsKeepDerivedState) {
+  const rel::Schema schema = PathOrEdgeSchema();
+  const rel::UnionQuery query = PathOrEdgeQuery();
+  enum Write { kFill, kNewValue, kLog, kDuplicate, kSelection, kClear };
+  for (uint64_t seed : {1, 2, 3}) {
+    rel::Instance base(&schema);
+    {
+      Rng rng(seed);
+      auto v = [&] { return Value(static_cast<int64_t>(rng.Below(6))); };
+      for (int r = 0; r < 12; ++r) ASSERT_OK(base.AddFact("R0", {v(), v()}));
+      for (int r = 0; r < 6; ++r) ASSERT_OK(base.AddFact("R1", {v(), v()}));
+    }
+    // Fixed answers; 9 is foreign until a write brings it in.
+    const std::vector<Tuple> fixed = {{Value(0), Value(1)},
+                                      {Value(1), Value(2)},
+                                      {Value(2), Value(2)},
+                                      {Value(9), Value(1)}};
+    for (int threads : {1, 8}) {
+      par::SetNumThreads(threads);
+      for (bool with_selections : {false, true}) {
+        for (bool query_bound : {true, false}) {
+          explain::ExplainSessionOptions options;
+          options.incremental.with_selections = with_selections;
+          options.enumerate.with_selections = with_selections;
+          rel::Instance instance(base);
+          auto bind = [&]() {
+            return query_bound
+                       ? explain::ExplainSession::Bind(&instance, query,
+                                                       nullptr, options)
+                       : explain::ExplainSession::BindWithAnswers(
+                             &instance, fixed, nullptr, options);
+          };
+          ASSERT_OK_AND_ASSIGN(explain::ExplainSession session, bind());
+          DerivedRequestMix(&session, FirstNonAnswer(session.answers()));
+          // The same seeded writes in every configuration: each draws from
+          // the instance, which evolves the same way in all of them.
+          Rng rng(seed ^ 0x7ull);
+          std::vector<Write> writes = {kFill,      kNewValue, kLog,
+                                       kDuplicate, kSelection, kClear};
+          while (writes.size() < 20) {
+            writes.push_back(static_cast<Write>(rng.Below(6)));
+          }
+          for (size_t i = writes.size() - 1; i > 0; --i) {
+            std::swap(writes[i], writes[rng.Below(i + 1)]);
+          }
+          size_t want_kept = 0;
+          bool selection_read = false;  // since the last rebuild
+          for (size_t w = 0; w < writes.size(); ++w) {
+            const std::string where =
+                "seed " + std::to_string(seed) + " write " +
+                std::to_string(w) + " kind " + std::to_string(writes[w]) +
+                " threads " + std::to_string(threads) + " selections " +
+                std::to_string(with_selections) + " query " +
+                std::to_string(query_bound);
+            std::string relation = rng.Chance(1, 2) ? "R0" : "R1";
+            if ((writes[w] == kFill || writes[w] == kSelection) &&
+                ColumnValues(instance, relation, 0).empty()) {
+              relation = "R1";  // R0 was cleared: no hole to fill
+            }
+            Tuple fact;
+            switch (writes[w]) {
+              case kFill:
+              case kSelection: {
+                // A hole between values both columns already hold (a
+                // duplicate when the columns' product is full).
+                const std::vector<Value> xs =
+                    ColumnValues(instance, relation, 0);
+                const std::vector<Value> ys =
+                    ColumnValues(instance, relation, 1);
+                fact = {xs[rng.Below(xs.size())], ys[rng.Below(ys.size())]};
+                for (int t = 0; t < 20 && instance.Contains(relation, fact);
+                     ++t) {
+                  fact = {xs[rng.Below(xs.size())], ys[rng.Below(ys.size())]};
+                }
+                break;
+              }
+              case kNewValue: {
+                // A value 0..9 the column lacks at one position.
+                const size_t pos = rng.Below(2);
+                const std::vector<Value> col =
+                    ColumnValues(instance, relation, pos);
+                auto held = [&](const Value& x) {
+                  return std::binary_search(col.begin(), col.end(), x);
+                };
+                Value fresh_value(static_cast<int64_t>(rng.Below(10)));
+                for (int t = 0; t < 20 && held(fresh_value); ++t) {
+                  fresh_value = Value(static_cast<int64_t>(rng.Below(10)));
+                }
+                if (held(fresh_value)) {
+                  fresh_value = Value(static_cast<int64_t>(100 + w));
+                }
+                fact = {Value(static_cast<int64_t>(rng.Below(6))),
+                        Value(static_cast<int64_t>(rng.Below(6)))};
+                fact[pos] = fresh_value;
+                break;
+              }
+              case kLog:
+                relation = "Log";
+                fact = {Value(static_cast<int64_t>(rng.Below(10)))};
+                break;
+              case kDuplicate:
+                relation = "R1";
+                fact = instance.Relation("R1").front();
+                break;
+              case kClear:
+                relation = "R0";
+                break;
+            }
+            if (writes[w] == kSelection) {
+              // A candidate whose first position reads rows of `relation`:
+              // the eval cache now holds a row-dependent extension, so the
+              // next re-warm must rebuild. The check itself must agree with
+              // a fresh binding, before and after the write.
+              ASSERT_OK_AND_ASSIGN(explain::ExplainSession before, bind());
+              const Tuple missing = FirstNonAnswer(before.answers());
+              const explain::LsExplanation candidate =
+                  SelectionCandidate(relation, fact[1]);
+              EXPECT_EQ(
+                  CheckResult(session.CheckMgeDerived(missing, candidate)),
+                  CheckResult(before.CheckMgeDerived(missing, candidate)))
+                  << where;
+              selection_read = true;
+            }
+            const bool stable =
+                writes[w] != kClear && ColumnStable(instance, relation, fact);
+            if (writes[w] == kClear) {
+              instance.ClearRelation(relation);
+            } else {
+              ASSERT_OK(instance.AddFact(relation, fact));
+            }
+            const bool rewarms = instance.version() != session.warmed_version();
+            ASSERT_OK_AND_ASSIGN(explain::ExplainSession fresh, bind());
+            const Tuple missing = FirstNonAnswer(fresh.answers());
+            ASSERT_FALSE(missing.empty());
+            const std::string want = DerivedRequestMix(&fresh, missing);
+            EXPECT_EQ(DerivedRequestMix(&session, missing), want) << where;
+            EXPECT_EQ(session.answers(), fresh.answers()) << where;
+            // The why dual counts covered answers, so it reads every bit of
+            // the kept cover rows, the new answers' included.
+            for (const Tuple& present : fresh.answers()) {
+              auto want_why = fresh.Why(present);
+              auto got_why = session.Why(present);
+              ASSERT_EQ(got_why.ok(), want_why.ok()) << where;
+              if (want_why.ok()) {
+                EXPECT_EQ(Serialize(got_why.value()),
+                          Serialize(want_why.value()))
+                    << where << " present " << TupleToString(present);
+              }
+            }
+            if (writes[w] == kSelection) {
+              const explain::LsExplanation candidate =
+                  SelectionCandidate(relation, fact[1]);
+              EXPECT_EQ(
+                  CheckResult(session.CheckMgeDerived(missing, candidate)),
+                  CheckResult(fresh.CheckMgeDerived(missing, candidate)))
+                  << where;
+            }
+            if (rewarms) {
+              if (stable && !with_selections && !selection_read) ++want_kept;
+              selection_read = false;
+            }
+            // The check after the write read the selection into whichever
+            // eval cache the re-warm left.
+            if (writes[w] == kSelection) selection_read = true;
+            EXPECT_EQ(session.rewarm_counts().kept, want_kept) << where;
+          }
+          // The seeded mix must exercise the keep path.
+          if (!with_selections) EXPECT_GT(want_kept, 0u) << seed;
+        }
+      }
+    }
+  }
+  par::SetNumThreads(0);
+}
+
+// A CHECK-MGE candidate with a selection conjunct brings a row-dependent
+// extension into the eval cache; an append that leaves every column as it
+// was but adds a row the selection passes must not serve it stale.
+TEST(SessionInvalidationTest, SelectionCandidateForcesRebuild) {
+  rel::Schema schema;
+  ASSERT_OK(schema.AddRelation("R0", {"a", "b"}));
+  ASSERT_OK(schema.AddRelation("R1", {"a", "b"}));
+  rel::ConjunctiveQuery edge;
+  edge.head = {"x", "y"};
+  edge.atoms = {testutil::A("R1", {testutil::V("x"), testutil::V("y")})};
+  rel::UnionQuery query;
+  query.disjuncts = {edge};
+  const std::vector<Tuple> answers = {{Value(2), Value(5)},
+                                      {Value(3), Value(7)}};
+  // (π_a(σ_{b=10}(R0)), {5}) explains (1, 5) most generally while R0 has
+  // 1 and 3 but not 2 under b = 10: π_a(R0) and ⊤ would cover (2, 5), and
+  // every generalization of {5} covers (3, 7).
+  const Tuple missing = {Value(1), Value(5)};
+  const explain::LsExplanation candidate = {
+      ls::LsConcept::Projection("R0", 0,
+                                {ls::Selection{1, rel::CmpOp::kEq, Value(10)}}),
+      ls::LsConcept::Nominal(Value(5))};
+  for (bool query_bound : {true, false}) {
+    rel::Instance instance(&schema);
+    for (const Tuple& t : std::vector<Tuple>{{Value(1), Value(10)},
+                                             {Value(2), Value(20)},
+                                             {Value(3), Value(10)}}) {
+      ASSERT_OK(instance.AddFact("R0", t));
+    }
+    for (const Tuple& t : answers) ASSERT_OK(instance.AddFact("R1", t));
+    auto bind = [&]() {
+      return query_bound
+                 ? explain::ExplainSession::Bind(&instance, query)
+                 : explain::ExplainSession::BindWithAnswers(&instance, answers);
+    };
+    ASSERT_OK_AND_ASSIGN(explain::ExplainSession session, bind());
+    ASSERT_OK_AND_ASSIGN(bool before,
+                         session.CheckMgeDerived(missing, candidate));
+    EXPECT_TRUE(before);
+
+    // R0(2, 10): both values already in their columns; σ_{b=10} now passes
+    // 2, so the candidate's product covers (2, 5).
+    ASSERT_OK(instance.AddFact("R0", {Value(2), Value(10)}));
+    ASSERT_OK_AND_ASSIGN(explain::ExplainSession fresh, bind());
+    ASSERT_OK_AND_ASSIGN(bool want, fresh.CheckMgeDerived(missing, candidate));
+    EXPECT_FALSE(want);
+    ASSERT_OK_AND_ASSIGN(bool got, session.CheckMgeDerived(missing, candidate));
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(session.rewarm_counts().kept, 0u);
+
+    // The check above read the selection again, so the next column-stable
+    // append rebuilds too; after a write with no selection read since, the
+    // state is kept again.
+    const std::vector<std::pair<std::string, Tuple>> writes = {
+        {"R1", {Value(3), Value(5)}}, {"R0", {Value(1), Value(20)}}};
+    for (size_t w = 0; w < writes.size(); ++w) {
+      ASSERT_OK(instance.AddFact(writes[w].first, writes[w].second));
+      ASSERT_OK_AND_ASSIGN(explain::ExplainSession again, bind());
+      ASSERT_OK_AND_ASSIGN(explain::LsExplanation want_one,
+                           again.WhyNot(missing));
+      ASSERT_OK_AND_ASSIGN(explain::LsExplanation got_one,
+                           session.WhyNot(missing));
+      EXPECT_EQ(got_one, want_one);
+      EXPECT_EQ(session.answers(), again.answers());
+      EXPECT_EQ(session.rewarm_counts().kept, w);
+    }
+  }
 }
 
 }  // namespace
