@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <string>
+#include <utility>
 
 #include "whynot/common/algorithm.h"
 
@@ -10,8 +11,7 @@ namespace whynot::ls {
 namespace {
 
 inline size_t Mix(size_t h, size_t x) {
-  // Boost-style hash combine; good enough for shard striping and bucket
-  // placement.
+  // Boost-style hash combine; good enough for bucket placement.
   return h ^ (x + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
 }
 
@@ -33,9 +33,9 @@ size_t ConceptBytes(const LsConcept& c) {
   return bytes;
 }
 
-// Fixed per-published-entry overhead: the shared_ptr control block and
-// the hash-map node the ShardedPublishCache stores it in.
-constexpr size_t kNodeOverhead = 4 * sizeof(void*);
+// Per-node overhead of a hash map entry beyond its value: the next
+// pointer and the cached hash code.
+constexpr size_t kNodeOverhead = 2 * sizeof(void*);
 
 }  // namespace
 
@@ -43,7 +43,7 @@ size_t SupportKeyHash::operator()(const SupportKey& key) const {
   size_t h = key.values.size();
   for (const Value& v : key.values) h = Mix(h, v.Hash());
   // Signature bits cluster in the low columns; the multiply spreads them
-  // over the shard and bucket bits.
+  // over the bucket bits.
   for (uint64_t w : key.sig) h = Mix(h, w * 0x9e3779b97f4a7c15ull);
   return h;
 }
@@ -72,75 +72,17 @@ size_t ConceptHash::operator()(const LsConcept& concept_expr) const {
   return h;
 }
 
-ConceptCache::ConceptCache(const rel::Instance* instance,
-                           ConceptCacheOptions options)
-    : instance_(instance),
-      options_(options),
-      support_free_(options.shards),
-      support_sel_(options.shards),
-      evals_(options.shards) {}
-
 const ConceptCache::Entry* ConceptCache::FindSupport(
     bool with_selections, const SupportKey& key) const {
-  return tier(with_selections).Find(key);
-}
-
-std::shared_ptr<const Extension> ConceptCache::FindEval(
-    const LsConcept& concept_expr) const {
-  return evals_.FindShared(concept_expr);
-}
-
-void ConceptCache::Publish(ConceptCacheOverlay* overlay) {
-  ConceptCacheStats& os = overlay->stats_;
-  stats_.shared_hits += os.shared_hits;
-  stats_.local_hits += os.local_hits;
-  stats_.misses += os.misses;
-  os = ConceptCacheStats{};
-
-  // Eval tier first: its extensions carry the bulk of the bytes, and the
-  // support entries below alias them by shared_ptr, so the extension is
-  // accounted exactly once.
-  for (const auto* node : overlay->pending_evals_) {
-    const LsConcept& concept_expr = node->first;
-    const std::shared_ptr<const Extension>& ext = node->second;
-    ext->Freeze();
-    size_t entry_bytes =
-        ext->MemoryBytes() + ConceptBytes(concept_expr) + kNodeOverhead;
-    if (options_.max_bytes != 0 && bytes_ + entry_bytes > options_.max_bytes) {
-      ++stats_.evictions;
-      continue;
-    }
-    if (evals_.Publish(concept_expr, ext)) {
-      bytes_ += entry_bytes;
-      ++stats_.publishes;
-    }
-  }
-  SupportTier& support = tier(overlay->with_selections_);
-  for (const auto* node : overlay->pending_support_) {
-    const SupportKey& key = node->first;
-    const std::shared_ptr<const Entry>& entry = node->second;
-    entry->ext->Freeze();
-    size_t entry_bytes = KeyBytes(key) + ConceptBytes(entry->concept) +
-                         sizeof(Entry) + kNodeOverhead;
-    if (options_.max_bytes != 0 && bytes_ + entry_bytes > options_.max_bytes) {
-      ++stats_.evictions;
-      continue;
-    }
-    if (support.Publish(key, entry)) {
-      bytes_ += entry_bytes;
-      ++stats_.publishes;
-    }
-  }
-  overlay->pending_evals_.clear();
-  overlay->pending_support_.clear();
+  const SupportMap& map = support(with_selections);
+  auto it = map.find(key);
+  return it == map.end() ? nullptr : &it->second;
 }
 
 void ConceptCache::Clear() {
-  stats_.evictions += size();
-  support_free_.Clear();
-  support_sel_.Clear();
-  evals_.Clear();
-  bytes_ = 0;
+  support_free_.clear();
+  support_sel_.clear();
+  evals_.clear();
 }
 
 size_t ConceptCache::size() const {
@@ -148,21 +90,19 @@ size_t ConceptCache::size() const {
 }
 
 size_t ConceptCache::MemoryBytes() const {
-  return bytes_ + support_free_.MemoryBytes() + support_sel_.MemoryBytes() +
-         evals_.MemoryBytes();
-}
-
-ConceptCacheOverlay::ConceptCacheOverlay(ConceptCache* shared,
-                                         bool with_selections, LubContext* lub,
-                                         EvalCache* conjunct_eval)
-    : shared_(shared),
-      with_selections_(with_selections),
-      lub_(lub),
-      conjunct_eval_(conjunct_eval) {
-  if (conjunct_eval_ == nullptr) {
-    own_eval_.emplace(&shared->instance());
-    conjunct_eval_ = &*own_eval_;
+  size_t bytes = sizeof(*this);
+  // Extensions carry the bulk of the bytes; the support entries below only
+  // point at them, so each is counted once.
+  for (const auto& [concept_expr, ext] : evals_) {
+    bytes += ConceptBytes(concept_expr) + ext.MemoryBytes() + kNodeOverhead;
   }
+  for (const SupportMap* map : {&support_free_, &support_sel_}) {
+    for (const auto& node : *map) {
+      bytes += sizeof(node) + KeyBytes(node.first) + kNodeOverhead;
+    }
+    bytes += map->bucket_count() * sizeof(void*);
+  }
+  return bytes + evals_.bucket_count() * sizeof(void*);
 }
 
 SupportKey ConceptCacheOverlay::KeyOf(const std::vector<Value>& x) const {
@@ -217,121 +157,76 @@ Result<LsConcept> ConceptCacheOverlay::LubOfKey(const SupportKey& key) {
       key.sig.data(), key.values.empty() ? nullptr : &key.values.front());
 }
 
-const ConceptCacheOverlay::LocalEvalMap::value_type*
-ConceptCacheOverlay::EvalThroughTiers(const LsConcept& concept_expr) {
-  // The extension tier is keyed by the concept, so distinct support sets
-  // in one lub class share a single Extension object. Local map first:
-  // within one search most candidate lubs collapse onto concepts this
-  // overlay has already evaluated, and either copy of a pure value is
-  // interchangeable. One hash: try_emplace both probes and claims the
-  // slot, and a published hit is memoized into it so repeat probes stay
-  // local.
-  auto [it, inserted] = local_evals_.try_emplace(concept_expr);
+const ConceptCache::EvalMap::value_type& ConceptCacheOverlay::EvalOf(
+    LsConcept concept_expr) {
+  // The eval map is keyed by the concept, so distinct support sets in one
+  // lub class share a single Extension object. One hash: try_emplace both
+  // probes and claims the slot.
+  auto [it, inserted] = cache_->evals_.try_emplace(std::move(concept_expr));
   if (inserted) {
-    if (!shared_->evals_.empty()) {
-      it->second = shared_->FindEval(concept_expr);
+    ++cache_->stats_.publishes;
+    // Mirrors EvalCache::Eval bit for bit: intersect conjunct extensions
+    // in canonical order with the same early-empty break.
+    Extension value = Extension::All();
+    for (const Conjunct& c : it->first.conjuncts()) {
+      value = value.Intersect(conjunct_eval_->EvalConjunct(c));
+      if (value.empty()) break;
     }
-    if (it->second == nullptr) {
-      // Mirrors EvalCache::Eval bit for bit: intersect conjunct extensions
-      // in canonical order with the same early-empty break.
-      Extension value = Extension::All();
-      for (const Conjunct& c : concept_expr.conjuncts()) {
-        value = value.Intersect(conjunct_eval_->EvalConjunct(c));
-        if (value.empty()) break;
-      }
-      it->second = std::make_shared<const Extension>(std::move(value));
-      pending_evals_.push_back(&*it);
-    }
+    it->second = std::move(value);
   }
-  return &*it;
+  return *it;
+}
+
+const ConceptCache::Entry* ConceptCacheOverlay::Record(
+    const SupportKey& key, const ConceptCache::EvalMap::value_type& node) {
+  ++cache_->stats_.publishes;
+  return &cache_->support(with_selections_)
+              .emplace(key, ConceptCache::Entry{&node.first, &node.second})
+              .first->second;
 }
 
 Result<const ConceptCache::Entry*> ConceptCacheOverlay::LubAndEval(
     const SupportKey& key) {
   // Hits dominate (sweep candidates recur across nodes and requests), so
   // a hit costs one hash and no key copy; a miss copies the key once.
-  auto it = local_.find(key);
-  if (it != local_.end()) {
-    ++stats_.local_hits;
-    return it->second.get();
+  ConceptCache::SupportMap& support = cache_->support(with_selections_);
+  auto it = support.find(key);
+  if (it != support.end()) {
+    ++cache_->stats_.shared_hits;
+    return &it->second;
   }
-  // The emptiness probe keeps a cold cache's miss path near-free: size_
-  // only moves at serial points, so during a wave it reads a constant,
-  // and skipping the lookup saves hashing the key against the tier.
-  std::shared_ptr<const ConceptCache::Entry> entry;
-  if (!shared_->tier(with_selections_).empty()) {
-    entry = shared_->tier(with_selections_).FindShared(key);
-  }
-  bool computed = entry == nullptr;
-  if (computed) {
-    ++stats_.misses;
-    // Box-cap errors pass through uncached.
-    WHYNOT_ASSIGN_OR_RETURN(LsConcept concept_expr, LubOfKey(key));
-    std::shared_ptr<const Extension> ext =
-        EvalThroughTiers(concept_expr)->second;
-    entry = std::make_shared<const ConceptCache::Entry>(
-        ConceptCache::Entry{std::move(concept_expr), std::move(ext)});
-  } else {
-    // Memoized locally (repeat probes become one-hash local hits); the
-    // address handed out stays the published one, so identity keying
-    // is unaffected.
-    ++stats_.shared_hits;
-  }
-  it = local_.emplace(key, std::move(entry)).first;
-  if (computed) pending_support_.push_back(&*it);
-  return it->second.get();
+  ++cache_->stats_.misses;
+  // Box-cap errors pass through unrecorded.
+  WHYNOT_ASSIGN_OR_RETURN(LsConcept concept_expr, LubOfKey(key));
+  return Record(key, EvalOf(std::move(concept_expr)));
 }
 
-Result<std::shared_ptr<const Extension>> ConceptCacheOverlay::LubExtTransient(
+Result<const Extension*> ConceptCacheOverlay::LubExtTransient(
     const SupportKey& key) {
-  last_local_ = nullptr;
-  last_shared_ = nullptr;
-  last_eval_node_ = nullptr;
+  last_entry_ = nullptr;
+  last_eval_ = nullptr;
   if (!with_selections_) {
-    WHYNOT_ASSIGN_OR_RETURN(last_local_, LubAndEval(key));
-    return last_local_->ext;
+    WHYNOT_ASSIGN_OR_RETURN(last_entry_, LubAndEval(key));
+    return last_entry_->ext;
   }
-  if (!local_.empty()) {
-    auto it = local_.find(key);
-    if (it != local_.end()) {
-      ++stats_.local_hits;
-      last_local_ = it->second.get();
-      return it->second->ext;
-    }
+  if (const ConceptCache::Entry* hit = cache_->FindSupport(true, key)) {
+    ++cache_->stats_.shared_hits;
+    last_entry_ = hit;
+    return hit->ext;
   }
-  if (!shared_->tier(with_selections_).empty()) {
-    if (auto e = shared_->tier(with_selections_).FindShared(key)) {
-      ++stats_.shared_hits;
-      last_shared_ = std::move(e);
-      return last_shared_->ext;
-    }
-  }
-  ++stats_.misses;
-  Result<LsConcept> lub = LubOfKey(key);
-  if (!lub.ok()) return lub.status();
-  last_eval_node_ = EvalThroughTiers(std::move(lub).value());
-  return last_eval_node_->second;
+  ++cache_->stats_.misses;
+  WHYNOT_ASSIGN_OR_RETURN(LsConcept concept_expr, LubOfKey(key));
+  last_eval_ = &EvalOf(std::move(concept_expr));
+  return &last_eval_->second;
 }
 
 const ConceptCache::Entry* ConceptCacheOverlay::PromoteLastProbe(
     const SupportKey& key) {
-  // Already in the local support map: nothing to record.
-  if (last_local_ != nullptr) return last_local_;
-  // The entry value matches what a fresh LubAndEval of the same key would
-  // build: same concept value, same eval-tier extension address.
-  auto [it, inserted] = local_.try_emplace(key);
-  if (inserted) {
-    if (last_shared_ != nullptr) {
-      // Memoize the published entry locally, keeping its address.
-      it->second = std::move(last_shared_);
-    } else {
-      it->second = std::make_shared<const ConceptCache::Entry>(
-          ConceptCache::Entry{last_eval_node_->first,
-                              last_eval_node_->second});
-      pending_support_.push_back(&*it);
-    }
-  }
-  return it->second.get();
+  // Already recorded: nothing to do. Otherwise the entry matches what a
+  // fresh LubAndEval of the same key would record: same concept value,
+  // same eval-map extension address.
+  if (last_entry_ != nullptr) return last_entry_;
+  return Record(key, *last_eval_);
 }
 
 }  // namespace whynot::ls

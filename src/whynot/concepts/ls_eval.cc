@@ -86,15 +86,6 @@ const DenseBitmap& Extension::bits() const {
   return *bits_;
 }
 
-void Extension::Freeze() const {
-  // Same build condition as ContainsIdSlow: only extensions that would
-  // lazily materialize a representation on probe get one built eagerly
-  // here. Small id sets answer probes with a read-only linear scan and
-  // must not change representation (or memory footprint) by being cached.
-  if (all || pool_ == nullptr) return;
-  if (ids_.size() > kSmallLinearIds) bits();
-}
-
 bool Extension::ContainsIdSlow(ValueId id) const {
   if (ids_.size() <= kSmallLinearIds) {
     return std::find(ids_.begin(), ids_.end(), id) != ids_.end();

@@ -123,16 +123,6 @@ class Extension {
   /// built (shallow for boxed Values).
   size_t MemoryBytes() const;
 
-  /// Pre-builds the lazy dense mirror that ContainsId would otherwise
-  /// build on first probe, making subsequent ContainsId / ContainsInterned
-  /// calls read-only — the shared concept cache calls this at publish time
-  /// (a serial point) so frozen extensions can be probed from many workers
-  /// concurrently. Mirrors ContainsIdSlow exactly: small id sets stay
-  /// mirror-less (their linear scan is already read-only). The boxed
-  /// values() view is deliberately NOT built here — it stays lazy and
-  /// single-threaded; shared-cache consumers are id-space end to end.
-  void Freeze() const;
-
   std::string ToString() const;
 
  private:

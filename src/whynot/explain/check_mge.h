@@ -42,13 +42,12 @@ Result<bool> CheckMgeExternal(onto::BoundOntology* bound,
 /// derived_sweep.h).
 /// `cache` / `covers`, when non-null, are a prepared session's warm
 /// extension memo and answer-cover table over (wni.instance, wni.answers).
-/// `concept_cache`, when non-null, is the shared lub/eval cache the
-/// maximality probes run through (misses are published when the check
-/// returns; a session cache carries the entries to later requests). Each
-/// null store — `lub_context` included — gets a per-call local, with
-/// identical verdicts and errors — except that `covers` key rows by
-/// extension address, so passing covers requires passing `cache` and
-/// `concept_cache` too (InvalidArgument otherwise).
+/// `concept_cache`, when non-null, is the lub/eval memo the maximality
+/// probes run through (a session cache carries the entries to later
+/// requests). Each null store — `lub_context` included — gets a per-call
+/// local, with identical verdicts and errors — except that `covers` key
+/// rows by extension address, so passing covers requires passing `cache`
+/// and `concept_cache` too (InvalidArgument otherwise).
 /// `exec` follows the CheckMgeExternal contract (one probe per position,
 /// stops are always errors).
 Result<bool> CheckMgeDerived(const WhyNotInstance& wni,

@@ -9,8 +9,7 @@ DerivedStores::DerivedStores(const char* where, const rel::Instance* instance,
                              bool dedup_answers, bool with_selections,
                              ls::LubContext* lub_context,
                              ls::EvalCache* cache, LsAnswerCovers* covers,
-                             ls::ConceptCache* concept_cache,
-                             ls::ConceptCacheOverlay* session_overlay)
+                             ls::ConceptCache* concept_cache)
     : status_(RequireCoverStores(
           covers, cache != nullptr && concept_cache != nullptr, where)) {
   if (!status_.ok()) return;
@@ -26,20 +25,10 @@ DerivedStores::DerivedStores(const char* where, const rel::Instance* instance,
     covers = &local_covers_.emplace(instance, indexed);
   }
   covers_ = covers;
-  concept_cache_ = concept_cache != nullptr
-                       ? concept_cache
-                       : &local_concept_cache_.emplace(instance);
-  if (session_overlay != nullptr &&
-      session_overlay->with_selections() == with_selections) {
-    overlay_ = session_overlay;
-  } else {
-    overlay_ = &local_overlay_.emplace(concept_cache_, with_selections,
-                                       lub_context, cache_);
+  if (concept_cache == nullptr) {
+    concept_cache = &local_concept_cache_.emplace(instance);
   }
-}
-
-DerivedStores::~DerivedStores() {
-  if (overlay_ != nullptr) concept_cache_->Publish(overlay_);
+  overlay_.emplace(concept_cache, with_selections, lub_context, cache_);
 }
 
 }  // namespace whynot::explain

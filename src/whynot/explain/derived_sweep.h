@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -85,11 +84,9 @@ bool IsDualExplanation(const rel::Instance* instance, const Tuple& tuple,
 /// results. Local covers index `answers`, or its sort-deduped copy when
 /// `dedup_answers` (the why dual's counting form needs Ans duplicate-free;
 /// caller-owned covers assert that of `answers` already). The probes run
-/// through `session_overlay` when it is bound to this search's flavor,
-/// through a local overlay otherwise, and the overlay publishes into the
-/// ConceptCache when the stores go out of scope — on every return path,
-/// certified stops included — so a session cache carries the lubs to
-/// later requests.
+/// through an overlay of this search's flavor, which records every lub it
+/// computes in the ConceptCache at once, so a session cache carries the
+/// lubs to later requests whatever path the search returns by.
 ///
 /// Covers key rows by extension address, so caller-owned covers need the
 /// caller-owned EvalCache and ConceptCache their extensions live in
@@ -101,31 +98,28 @@ class DerivedStores {
                 const std::vector<Tuple>& answers, bool dedup_answers,
                 bool with_selections, ls::LubContext* lub_context,
                 ls::EvalCache* cache, LsAnswerCovers* covers,
-                ls::ConceptCache* concept_cache,
-                ls::ConceptCacheOverlay* session_overlay = nullptr);
-  ~DerivedStores();
+                ls::ConceptCache* concept_cache);
   DerivedStores(const DerivedStores&) = delete;
   DerivedStores& operator=(const DerivedStores&) = delete;
 
   const Status& status() const { return status_; }
   ls::EvalCache* cache() const { return cache_; }
   LsAnswerCovers* covers() const { return covers_; }
-  ls::ConceptCacheOverlay& overlay() const { return *overlay_; }
+  ls::ConceptCacheOverlay& overlay() { return *overlay_; }
 
  private:
   Status status_;
   // Declaration order is destruction order reversed: the overlay drives
-  // the lub context and eval cache, and the covers index the answers.
+  // the lub context, eval cache and concept cache, and the covers index
+  // the answers.
   std::optional<std::vector<Tuple>> sorted_answers_;
   std::optional<ls::LubContext> local_lub_;
   std::optional<ls::EvalCache> local_cache_;
   std::optional<LsAnswerCovers> local_covers_;
   std::optional<ls::ConceptCache> local_concept_cache_;
-  std::optional<ls::ConceptCacheOverlay> local_overlay_;
+  std::optional<ls::ConceptCacheOverlay> overlay_;
   ls::EvalCache* cache_ = nullptr;
   LsAnswerCovers* covers_ = nullptr;
-  ls::ConceptCache* concept_cache_ = nullptr;
-  ls::ConceptCacheOverlay* overlay_ = nullptr;
 };
 
 /// The greedy sweep (Algorithm 2, lines 2-11, and its why dual): start
@@ -156,8 +150,8 @@ Result<LsExplanation> GreedySweep(const rel::Instance* instance,
   ls::ConceptCacheOverlay& overlay = stores->overlay();
 
   // Lines 2-3: support sets X_j = {t_j}; first candidate (lub(X_1), ...,
-  // lub(X_m)). Extensions are held as pointers to overlay entries (stable
-  // for the overlay's lifetime) so the cover bitmaps cache by identity.
+  // lub(X_m)). Extensions are held as pointers to concept-cache entries
+  // (stable until its Clear) so the cover bitmaps cache by identity.
   // Each X_j is carried as its support key (selection-free: its running
   // column signature), so a probe extends it by one AND.
   std::vector<ls::SupportKey> support(m);
@@ -169,8 +163,8 @@ Result<LsExplanation> GreedySweep(const rel::Instance* instance,
     support[j] = overlay.KeyOf({tuple[j]});
     WHYNOT_ASSIGN_OR_RETURN(const ls::ConceptCache::Entry* entry,
                             overlay.LubAndEval(support[j]));
-    e[j] = entry->concept;
-    exts[j] = entry->ext.get();
+    e[j] = *entry->concept;
+    exts[j] = entry->ext;
     ids[j] = pool.Lookup(tuple[j]);
     start_ok = start_ok && exts[j]->ContainsInterned(ids[j], tuple[j]);
   }
@@ -202,17 +196,17 @@ Result<LsExplanation> GreedySweep(const rel::Instance* instance,
       // outside X_j, as Extend requires.
       if (exts[j]->ContainsId(adom_ids[bi])) continue;
       overlay.Extend(support[j], adom[bi], adom_ids[bi], &extended);
-      // Candidates take the probe path (with selections: no support-tier
-      // record — the sweep rejects almost all of them); an accepted one is
+      // Candidates take the probe path (with selections: no support entry
+      // — the sweep rejects almost all of them); an accepted one is
       // promoted in place, reusing the lub and extension just computed.
-      WHYNOT_ASSIGN_OR_RETURN(std::shared_ptr<const ls::Extension> cand,
+      WHYNOT_ASSIGN_OR_RETURN(const ls::Extension* cand,
                               overlay.LubExtTransient(extended));
       if (cand->ContainsInterned(ids[j], tuple[j]) &&
-          Dual::Holds(covers, exts, j, cand.get())) {
+          Dual::Holds(covers, exts, j, cand)) {
         const ls::ConceptCache::Entry* entry =
             overlay.PromoteLastProbe(extended);
-        e[j] = entry->concept;
-        exts[j] = entry->ext.get();
+        e[j] = *entry->concept;
+        exts[j] = entry->ext;
         std::swap(support[j], extended);
       }
     }
@@ -293,10 +287,10 @@ Result<bool> CheckMaximal(const rel::Instance* instance, const Tuple& tuple,
     for (size_t bi = 0; bi < adom.size(); ++bi) {
       if (exts[j]->ContainsId(adom_ids[bi])) continue;
       overlay.Extend(support, adom[bi], adom_ids[bi], &extended);
-      WHYNOT_ASSIGN_OR_RETURN(std::shared_ptr<const ls::Extension> cand,
+      WHYNOT_ASSIGN_OR_RETURN(const ls::Extension* cand,
                               overlay.LubExtTransient(extended));
       if (cand->ContainsInterned(id, tuple[j]) &&
-          Dual::Holds(covers, exts, j, cand.get())) {
+          Dual::Holds(covers, exts, j, cand)) {
         return false;
       }
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <set>
 #include <tuple>
@@ -64,8 +63,8 @@ using ExtKey = std::tuple<bool, std::vector<ValueId>, std::vector<Value>>;
 /// Evaluates one branch-tree node: deterministic greedy completion inside
 /// the node's subspace plus the unconstrained-maximality test. One
 /// evaluator serves every node of a run, through the run's stores: the
-/// concept-cache overlay and the answer covers stay warm across nodes and,
-/// when they are a session's, across requests.
+/// concept cache and the answer covers stay warm across nodes and, when
+/// they are a session's, across requests.
 ///
 /// Probes use the shared GreedyAndCache (search_core.h): within a greedy
 /// sweep the product check "replace position j's cover, AND with all
@@ -74,7 +73,7 @@ using ExtKey = std::tuple<bool, std::vector<ValueId>, std::vector<Value>>;
 /// from an m-way AND to a single AND against the cached rest words.
 class NodeEvaluator {
  public:
-  NodeEvaluator(const WhyNotInstance& wni, const DerivedStores& stores)
+  NodeEvaluator(const WhyNotInstance& wni, DerivedStores& stores)
       : wni_(wni),
         overlay_(stores.overlay()),
         adom_(wni.instance->ActiveDomain()),
@@ -120,9 +119,13 @@ class NodeEvaluator {
         state->exts[j] = &top_ext_;
         continue;
       }
-      WHYNOT_ASSIGN_OR_RETURN(auto ce, LubAndEval(state->support[j]));
-      state->concepts[j] = *ce.first;
-      state->exts[j] = ce.second;
+      // Branch-tree nodes share long support-set prefixes, so the same lub
+      // is requested many times across nodes and, through a session's
+      // cache, across requests.
+      WHYNOT_ASSIGN_OR_RETURN(const ls::ConceptCache::Entry* ce,
+                              overlay_.LubAndEval(state->support[j]));
+      state->concepts[j] = *ce->concept;
+      state->exts[j] = ce->ext;
     }
     if (covers_.ProductIntersects(state->exts)) {
       return Status::Internal(
@@ -163,12 +166,13 @@ class NodeEvaluator {
         if (state->exts[j]->ContainsId(adom_ids_[bi])) continue;
         overlay_.Extend(state->support[j], adom_[bi], adom_ids_[bi],
                         &extended_);
-        WHYNOT_ASSIGN_OR_RETURN(auto cand, LubAndEval(extended_));
-        if (HoldsAny(*cand.second, excluded_ids_)) continue;
-        if (!AnyAnd(rest, CoverRow(*cand.second, j))) {
+        WHYNOT_ASSIGN_OR_RETURN(const ls::ConceptCache::Entry* cand,
+                                overlay_.LubAndEval(extended_));
+        if (HoldsAny(*cand->ext, excluded_ids_)) continue;
+        if (!AnyAnd(rest, CoverRow(*cand->ext, j))) {
           std::swap(state->support[j], extended_);
-          state->concepts[j] = *cand.first;
-          state->exts[j] = cand.second;
+          state->concepts[j] = *cand->concept;
+          state->exts[j] = cand->ext;
           state->decisions.push_back(
               {static_cast<int>(j), static_cast<int>(bi)});
         }
@@ -212,11 +216,11 @@ class NodeEvaluator {
       if (state.exts[j]->ContainsId(adom_ids_[bi])) continue;  // absorbed
       overlay_.Extend(state.support[j], adom_[bi], adom_ids_[bi], &extended_);
       // Verification probes never accept, so boxed (with-selections) keys
-      // are probed once: the probe path serves warm tiers without
-      // recording a support-tier entry (the greedy sweep's candidates,
-      // which recur across sibling nodes and requests, stay on the
-      // caching path).
-      WHYNOT_ASSIGN_OR_RETURN(std::shared_ptr<const ls::Extension> cand,
+      // are probed once: the probe path serves recorded entries without
+      // recording a support entry (the greedy sweep's candidates, which
+      // recur across sibling nodes and requests, stay on the caching
+      // path).
+      WHYNOT_ASSIGN_OR_RETURN(const ls::Extension* cand,
                               overlay_.LubExtTransient(extended_));
       if (!AnyAnd(rest, CoverRow(*cand, j))) return false;
     }
@@ -224,20 +228,6 @@ class NodeEvaluator {
   }
 
  private:
-  // Memoized lub + evaluation through the shared concept cache:
-  // branch-tree nodes share long support-set prefixes, so the same lub is
-  // requested many times across nodes — and, via the session overlay or
-  // the published tier, across requests. The returned pointers are address-stable
-  // (shared_ptr-owned entries), which the answer-cover kernel keys its
-  // bitmaps by.
-  Result<std::pair<const ls::LsConcept*, const ls::Extension*>> LubAndEval(
-      const ls::SupportKey& key) {
-    WHYNOT_ASSIGN_OR_RETURN(const ls::ConceptCache::Entry* entry,
-                            overlay_.LubAndEval(key));
-    return std::make_pair<const ls::LsConcept*, const ls::Extension*>(
-        &entry->concept, entry->ext.get());
-  }
-
   const uint64_t* CoverRow(const ls::Extension& ext, size_t pos) {
     // No answers: nothing to cover, every probe passes (the covers have no
     // per-position postings to index in that case).
@@ -275,7 +265,7 @@ class NodeEvaluator {
 class Enumerator {
  public:
   Enumerator(const WhyNotInstance& wni, const EnumerateOptions& options,
-             const DerivedStores& stores, EnumerateStats* stats)
+             DerivedStores& stores, EnumerateStats* stats)
       : wni_(wni), options_(options), stores_(stores), stats_(stats) {}
 
   // Partition branching over maximal independent sets, specialized to
@@ -397,7 +387,7 @@ class Enumerator {
 
   const WhyNotInstance& wni_;
   const EnumerateOptions& options_;
-  const DerivedStores& stores_;
+  DerivedStores& stores_;
   EnumerateStats* stats_;
   std::optional<exec::Stop> halted_;
   size_t remaining_ = 0;
@@ -419,7 +409,7 @@ Result<std::vector<LsExplanation>> EnumerateAllMges(
     lub_context = &*local_lub;
   }
   // The stores would make a call-local cache too; it is made here so that
-  // its counters outlive the stores' publish.
+  // its counters outlive the stores.
   WHYNOT_RETURN_IF_ERROR(RequireCoverStores(
       covers, cache != nullptr && concept_cache != nullptr,
       "MGE enumeration"));
@@ -431,9 +421,6 @@ Result<std::vector<LsExplanation>> EnumerateAllMges(
   const ls::ConceptCacheStats before = concept_cache->stats();
   Result<std::vector<LsExplanation>> result =
       [&]() -> Result<std::vector<LsExplanation>> {
-    // Whatever this run computes is published when the stores go out of
-    // scope, on success and error paths alike, so a session's later
-    // requests reuse it.
     DerivedStores stores("MGE enumeration", wni.instance, wni.answers,
                          /*dedup_answers=*/false, options.with_selections,
                          lub_context, cache, covers, concept_cache);
@@ -443,11 +430,8 @@ Result<std::vector<LsExplanation>> EnumerateAllMges(
   // Attribute this run's cache traffic (a session cache accumulates
   // across requests; the stats block reports per-call deltas).
   const ls::ConceptCacheStats& after = concept_cache->stats();
-  stats->cache_shared_hits = after.shared_hits - before.shared_hits;
-  stats->cache_local_hits = after.local_hits - before.local_hits;
+  stats->cache_hits = after.shared_hits - before.shared_hits;
   stats->cache_misses = after.misses - before.misses;
-  stats->cache_publishes = after.publishes - before.publishes;
-  stats->cache_evictions = after.evictions - before.evictions;
   return result;
 }
 

@@ -64,14 +64,11 @@ struct EnumerateStats {
   /// (the empirical "delay" of the enumeration).
   size_t max_delay = 0;
 
-  // Shared concept-cache traffic attributable to this run (deltas of the
-  // cache's cumulative counters); observability only. The served values
-  // are identical whatever the cache held before the run.
-  size_t cache_shared_hits = 0;
-  size_t cache_local_hits = 0;
+  // Concept-cache traffic attributable to this run (deltas of the cache's
+  // cumulative counters); observability only. The served values are
+  // identical whatever the cache held before the run.
+  size_t cache_hits = 0;
   size_t cache_misses = 0;
-  size_t cache_publishes = 0;
-  size_t cache_evictions = 0;
 };
 
 /// Enumerates *all* most-general explanations for the why-not instance
@@ -119,8 +116,7 @@ struct EnumerateStats {
 /// keeps its lub tables warm across requests); null gets a call-local one
 /// built with `options.lub`. The other stores are resolved as for
 /// IncrementalSearch (DerivedStores, derived_sweep.h): `concept_cache` is
-/// the shared lub/eval cache the run probes and publishes its misses into
-/// when it ends; `cache` and `covers` are a prepared session's extension
+/// the lub/eval memo the run probes and records its misses into; `cache` and `covers` are a prepared session's extension
 /// memo and answer-cover table over (wni.instance, wni.answers), so a
 /// session's cover rows stay built across its requests. A null store gets
 /// a call-local one — except that covers key rows by extension address,

@@ -9,12 +9,10 @@ Result<LsExplanation> IncrementalSearch(const WhyNotInstance& wni,
                                         ls::LubContext* lub_context,
                                         ls::EvalCache* cache,
                                         LsAnswerCovers* covers,
-                                        ls::ConceptCache* concept_cache,
-                                        ls::ConceptCacheOverlay* session_overlay) {
+                                        ls::ConceptCache* concept_cache) {
   DerivedStores stores("IncrementalSearch", wni.instance, wni.answers,
                        /*dedup_answers=*/false, options.with_selections,
-                       lub_context, cache, covers, concept_cache,
-                       session_overlay);
+                       lub_context, cache, covers, concept_cache);
   WHYNOT_RETURN_IF_ERROR(stores.status());
   return GreedySweep<WhyNotDual>(wni.instance, wni.missing, &stores,
                                  options.exec, options.cert);

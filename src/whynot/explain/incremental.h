@@ -48,27 +48,17 @@ Result<LsExplanation> IncrementalSearch(const WhyNotInstance& wni,
 /// construction across repeated calls; used by benchmarks). `cache` /
 /// `covers`, when non-null, are a prepared ExplainSession's warm extension
 /// memo and answer-cover table over (wni.instance, wni.answers);
-/// `concept_cache` the shared lub/eval cache the greedy sweep runs through
-/// (the search is serial, so entries publish once on return — a session
-/// cache carries them to later requests). A null `cache`, `covers` or
-/// `concept_cache` gets a per-call local, with bit-identical results —
-/// except that `covers` key rows by extension address, so passing covers
-/// requires passing `cache` and `concept_cache` too (InvalidArgument
-/// otherwise).
-///
-/// `session_overlay`, when non-null, must be an overlay bound to exactly
-/// (concept_cache, options.with_selections, lub_context, cache); the
-/// search then probes through it instead of a per-call overlay, so its
-/// private maps stay warm across a session's requests (repeat probes
-/// become raw local-map hits instead of published-tier lookups that
-/// re-copy each concept into a fresh overlay). Results are bit-identical
-/// either way — only timing and served-from counters move.
+/// `concept_cache` the lub/eval memo the greedy sweep runs through (every
+/// lub is recorded as it is computed — a session cache carries them to
+/// later requests). A null `cache`, `covers` or `concept_cache` gets a
+/// per-call local, with bit-identical results — except that `covers` key
+/// rows by extension address, so passing covers requires passing `cache`
+/// and `concept_cache` too (InvalidArgument otherwise).
 Result<LsExplanation> IncrementalSearch(
     const WhyNotInstance& wni, const IncrementalOptions& options,
     ls::LubContext* lub_context, ls::EvalCache* cache = nullptr,
     LsAnswerCovers* covers = nullptr,
-    ls::ConceptCache* concept_cache = nullptr,
-    ls::ConceptCacheOverlay* session_overlay = nullptr);
+    ls::ConceptCache* concept_cache = nullptr);
 
 }  // namespace whynot::explain
 

@@ -53,17 +53,11 @@ struct ExplainSession::State {
   std::unique_ptr<ls::LubContext> lub;
   std::unique_ptr<ls::EvalCache> cache;
   std::unique_ptr<LsAnswerCovers> ls_covers;
-  // The shared concept cache: every derived request publishes its lub+eval
-  // results here and later requests start from the published tier. Entries
-  // survive a re-warm that keeps the derived state and are dropped on
-  // one that rebuilds it; traffic counters survive both.
+  // The concept cache: every derived request records its lub+eval results
+  // here and later requests start from them. Entries survive a re-warm
+  // that keeps the derived state and are dropped on one that rebuilds it;
+  // traffic counters survive both.
   std::unique_ptr<ls::ConceptCache> concept_cache;
-  // Persistent overlay for the serial searches (WhyNot / Why): its private
-  // maps stay warm across requests, so a repeated request's probes are
-  // raw local-map hits instead of published-tier lookups that re-copy
-  // every concept into a fresh overlay. Kept or rebuilt together with the
-  // lub/cache it is bound to.
-  std::unique_ptr<ls::ConceptCacheOverlay> serial_overlay;
 
   /// Session-wide cancel flag, copied into every session-built request
   /// context so Cancel() from another thread reaches the request that is
@@ -214,16 +208,10 @@ Status ExplainSession::Rewarm(const exec::ExecContext* exec) {
     s.lub = std::make_unique<ls::LubContext>(s.instance, s.options.lub);
     s.cache = std::make_unique<ls::EvalCache>(s.instance);
     if (s.concept_cache == nullptr) {
-      s.concept_cache = std::make_unique<ls::ConceptCache>(
-          s.instance, s.options.concept_cache);
+      s.concept_cache = std::make_unique<ls::ConceptCache>(s.instance);
     } else {
       s.concept_cache->Clear();
     }
-    // After the Clear: stale overlay memos would otherwise outlive the
-    // instance contents they were computed from.
-    s.serial_overlay = std::make_unique<ls::ConceptCacheOverlay>(
-        s.concept_cache.get(), s.options.incremental.with_selections,
-        s.lub.get(), s.cache.get());
   }
 
   s.covers.reset();
@@ -369,8 +357,7 @@ Result<LsExplanation> ExplainSession::WhyNot(const Tuple& missing,
   IncrementalOptions opts = s.options.incremental;
   opts.exec = &ctx;
   return IncrementalSearch(s.wni, opts, s.lub.get(), s.cache.get(),
-                           s.ls_covers.get(), s.concept_cache.get(),
-                           s.serial_overlay.get());
+                           s.ls_covers.get(), s.concept_cache.get());
 }
 
 Result<std::vector<LsExplanation>> ExplainSession::EnumerateMges(
@@ -411,8 +398,7 @@ Result<LsExplanation> ExplainSession::Why(const Tuple& present,
   // the counting form needs.
   return IncrementalWhySearch(s.wi, s.options.incremental.with_selections,
                               s.lub.get(), s.cache.get(), s.ls_covers.get(),
-                              s.concept_cache.get(), &ctx,
-                              /*cert=*/nullptr, s.serial_overlay.get());
+                              s.concept_cache.get(), &ctx);
 }
 
 // --- External-ontology requests -------------------------------------------

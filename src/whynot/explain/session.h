@@ -31,12 +31,6 @@ struct ExplainSessionOptions {
   EnumerateOptions enumerate;
   ls::LubOptions lub;
 
-  /// Limits of the session's shared concept-evaluation cache (the
-  /// lub+eval memo every derived request publishes into and reuses).
-  /// Leave max_bytes at 0: the session's answer covers key bitmaps by
-  /// published extension addresses (see ConceptCacheOptions::max_bytes).
-  ls::ConceptCacheOptions concept_cache;
-
   /// Default per-request deadline in milliseconds (0 = none). Every
   /// request that is not handed an explicit ExecContext runs under a
   /// fresh deadline of this length plus the session's cancel token; an
@@ -81,8 +75,8 @@ struct GradedMges {
 /// assignment move the generation, and the re-warm evaluates q(I) in
 /// full, as Bind does.
 ///
-/// The derived-ontology state — the lub context, the eval memo, the
-/// concept cache and the serial overlay — is *kept* across a write when
+/// The derived-ontology state — the lub context, the eval memo and the
+/// concept cache — is *kept* across a write when
 /// nothing it reads has moved: the generation is unchanged, every schema
 /// column holds as many distinct values as at the last warm (appends are
 /// monotone, so the columns are equal), both searches are selection-free,
@@ -158,16 +152,17 @@ class ExplainSession {
     size_t ext_bytes = 0;         // warm extension table (external ontology)
     size_t cover_bytes = 0;       // answer-cover rows, both ontologies
     size_t eval_cache_bytes = 0;  // derived-ontology extension memos
-    size_t shared_cache_bytes = 0;  // published concept-cache entries
+    size_t shared_cache_bytes = 0;  // concept-cache entries
     size_t total_bytes = 0;
     size_t dense_ext_sets = 0;    // extensions carrying a dense mirror
   };
   MemoryStats MemoryUsage() const;
 
-  /// Cumulative traffic counters of the session's shared concept cache
-  /// across every derived request served so far. Observability only — the
-  /// split between shared/local hits is thread-dependent (the values
-  /// served are identical); counters survive rewarm, entries do not.
+  /// Cumulative traffic counters of the session's concept cache across
+  /// every derived request served so far. Observability only: the values
+  /// served are identical whether a lookup hits or misses. Counters
+  /// survive every re-warm; entries survive only one that keeps the
+  /// derived state.
   ls::ConceptCacheStats CacheStats() const;
 
   // --- Execution control ---------------------------------------------------

@@ -155,11 +155,10 @@ Result<LsExplanation> IncrementalWhySearch(const WhyInstance& wi,
                                            LsAnswerCovers* covers,
                                            ls::ConceptCache* concept_cache,
                                            const exec::ExecContext* exec,
-                                           exec::Certificate* cert,
-                                           ls::ConceptCacheOverlay* session_overlay) {
+                                           exec::Certificate* cert) {
   DerivedStores stores("IncrementalWhySearch", wi.instance, wi.answers,
                        /*dedup_answers=*/true, with_selections, lub_context,
-                       cache, covers, concept_cache, session_overlay);
+                       cache, covers, concept_cache);
   WHYNOT_RETURN_IF_ERROR(stores.status());
   return GreedySweep<WhyDual>(wi.instance, wi.present, &stores, exec, cert);
 }

@@ -106,27 +106,22 @@ Result<bool> IsLsWhyExplanation(const WhyInstance& wi, const LsExplanation& e,
 /// per generalization candidate in the fixed sweep order; with `cert` a
 /// stop returns the tuple generalized so far — a sound why-explanation,
 /// possibly not most general (Quality::kHeuristic).
-/// `concept_cache` is the shared lub/eval cache (session convention: null
-/// uses a call-local one; output is bit-identical either way, under the
-/// covers rule above).
-/// `session_overlay` follows the IncrementalSearch contract: a session's
-/// persistent overlay bound to (concept_cache, with_selections,
-/// lub_context, cache), keeping probe memos warm across requests.
+/// `concept_cache` is the lub/eval memo (session convention: null uses a
+/// call-local one; output is bit-identical either way, under the covers
+/// rule above).
 Result<LsExplanation> IncrementalWhySearch(
     const WhyInstance& wi, bool with_selections = false,
     ls::LubContext* lub_context = nullptr, ls::EvalCache* cache = nullptr,
     LsAnswerCovers* covers = nullptr,
     ls::ConceptCache* concept_cache = nullptr,
     const exec::ExecContext* exec = nullptr,
-    exec::Certificate* cert = nullptr,
-    ls::ConceptCacheOverlay* session_overlay = nullptr);
+    exec::Certificate* cert = nullptr);
 
 /// CHECK-MGE for the dual problem w.r.t. OI: no single-position
 /// lub-generalization keeps the product inside the answers. The check is
 /// serial and shared with CheckMgeDerived (CheckMaximal in
 /// derived_sweep.h). Same trailing cache convention as IsLsWhyExplanation,
-/// with `concept_cache` the shared lub/eval cache (misses published when
-/// the check returns) and a null `lub_context` replaced by a call-local
+/// with `concept_cache` the lub/eval memo the probes record into, and a null `lub_context` replaced by a call-local
 /// one. `exec` is observed once per candidate position; the boolean
 /// verdict admits no meaningful partial result, so a stop always returns
 /// the matching error status.

@@ -874,6 +874,101 @@ TEST(SessionExecTest, TruncatedPrefixKeepsLowerBoundQuality) {
   GTEST_SKIP() << "no trigger produced a non-empty truncated prefix";
 }
 
+/// What a session's derived requests serve, rendered with their
+/// deterministic stats: WhyNot, Why, EnumerateMges (outputs and the
+/// EnumerateStats the determinism contract covers) and CheckMgeDerived of
+/// every enumerated MGE.
+std::string DerivedOutcome(const Fixture& f, explain::ExplainSession* s) {
+  std::string out;
+  auto render = [&](const Result<explain::LsExplanation>& r) {
+    out += r.ok() ? explain::LsExplanationToString(f.schema, r.value())
+                  : r.status().ToString();
+    out += "\n";
+  };
+  render(s->WhyNot(f.wni->missing));
+  render(s->Why(f.wi->present));
+  explain::EnumerateStats stats;
+  Result<std::vector<explain::LsExplanation>> mges =
+      s->EnumerateMges(f.wni->missing, &stats);
+  if (!mges.ok()) return out + mges.status().ToString();
+  for (const explain::LsExplanation& e : mges.value()) {
+    out += explain::LsExplanationToString(f.schema, e) + ";";
+    Result<bool> check = s->CheckMgeDerived(f.wni->missing, e);
+    out += check.ok() ? (check.value() ? "mge\n" : "not\n")
+                      : check.status().ToString() + "\n";
+  }
+  out += std::to_string(stats.nodes_expanded) + "/" +
+         std::to_string(stats.duplicate_outputs) + "/" +
+         std::to_string(stats.visited_hits) + "/" +
+         std::to_string(stats.max_delay);
+  return out;
+}
+
+// A derived request records each lub in the session's concept cache as it
+// computes it, so a stopped request leaves a partial memo behind. Every
+// entry is a pure function of its key, so the session's next requests must
+// serve exactly what a freshly bound session serves — for both lub
+// flavors and wherever the stops cut, on one session per cut point and on
+// one session that takes every cut in turn.
+TEST(SessionExecTest, InterruptedDerivedRequestsLeaveTheMemoSound) {
+  Fixture f = MakeFixture();
+  const Tuple& missing = f.wni->missing;
+  const Tuple& present = f.wi->present;
+  for (bool with_selections : {false, true}) {
+    SCOPED_TRACE(with_selections ? "with selections" : "selection-free");
+    explain::ExplainSessionOptions options;
+    options.incremental.with_selections = with_selections;
+    options.enumerate.with_selections = with_selections;
+    auto bind = [&] {
+      return explain::ExplainSession::Bind(
+          f.instance.get(), workload::ConnectedViaQuery(), nullptr, options);
+    };
+    ASSERT_OK_AND_ASSIGN(explain::ExplainSession reference, bind());
+    const std::string want = DerivedOutcome(f, &reference);
+    ASSERT_OK_AND_ASSIGN(std::vector<explain::LsExplanation> mges,
+                         reference.EnumerateMges(missing));
+    ASSERT_FALSE(mges.empty());
+
+    size_t stopped = 0;
+    auto interrupt_all = [&](explain::ExplainSession* s, size_t k) {
+      auto stop_at = [&](const std::function<Status(
+                             const exec::ExecContext*)>& request) {
+        test::FaultInjector inj = test::FaultInjector::DeadlineAt(k);
+        exec::ExecContext ctx;
+        ctx.fault = &inj;
+        Status st = request(&ctx);
+        if (st.ok()) return;
+        EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded) << st.ToString();
+        ++stopped;
+      };
+      stop_at([&](const exec::ExecContext* ctx) {
+        return s->WhyNot(missing, ctx).status();
+      });
+      stop_at([&](const exec::ExecContext* ctx) {
+        return s->Why(present, ctx).status();
+      });
+      stop_at([&](const exec::ExecContext* ctx) {
+        return s->EnumerateMges(missing, nullptr, ctx).status();
+      });
+      stop_at([&](const exec::ExecContext* ctx) {
+        return s->CheckMgeDerived(missing, mges.front(), ctx).status();
+      });
+    };
+
+    ASSERT_OK_AND_ASSIGN(explain::ExplainSession every_cut, bind());
+    for (size_t k : {0, 1, 2, 3, 5, 8, 13, 21, 34, 55}) {
+      SCOPED_TRACE("stop at probe " + std::to_string(k));
+      ASSERT_OK_AND_ASSIGN(explain::ExplainSession session, bind());
+      interrupt_all(&session, k);
+      EXPECT_EQ(DerivedOutcome(f, &session), want);
+      interrupt_all(&every_cut, k);
+    }
+    EXPECT_EQ(DerivedOutcome(f, &every_cut), want);
+    // Probe 0 stops all four requests of both sessions.
+    EXPECT_GE(stopped, 8u);
+  }
+}
+
 TEST(SessionExecTest, RequestDeadlineOptionIsHarmlessWhenGenerous) {
   Fixture f = MakeFixture();
   explain::ExplainSessionOptions options;

@@ -20,15 +20,15 @@ pruning holds, so a collapse in effectiveness is a correctness-adjacent
 regression, not just a slowdown.
 
 Since PR 10 the shared concept-cache column: entries exporting the
-cache traffic counters (cache_shared_hits / cache_local_hits /
-cache_misses / cache_publishes, from the session-held concept cache's
-cumulative stats) print a per-entry traffic report with the published-tier
-hit share. Warm-session entries in the pooled section are gated on
-reporting at least one shared hit: the whole point of the
-publish-after-wave merge is that later requests and parallel workers read
-entries previous waves published, so a zero there means the shared tier
-went dark (e.g. a search stopped threading the session cache through) even
-if timings look plausible.
+cache traffic counters (cache_shared_hits, which counts every hit, plus
+cache_misses / cache_publishes from the session-held concept cache's
+cumulative stats; cache_local_hits is read as 0 when absent, and older
+files split their hits across the two) print a per-entry traffic report
+with the hit share. Warm-session entries in the pooled section are gated
+on reporting at least one hit: the whole point of the session's memo is
+that later requests read the lubs earlier ones recorded, so a zero there
+means the memo went dark (e.g. a search stopped threading the session
+cache through) even if timings look plausible.
 
 Since PR 7 the memory column: entries exporting a memory_bytes counter
 (bench_memory's warm-session residency scenarios) print their residency
