@@ -1,11 +1,10 @@
-// PR 4: the parallel execution layer's warm-up benches. Measures the
-// BoundOntology extension warm-up (serial at every thread count, so its
-// pooled and 1-thread rows should agree), the pairwise consistency check,
-// the row-parallel blocked Warshall closure, and the materialize
-// extension-class dedup — the "embarrassingly parallel" costs outside the
-// candidate searches. Thread count comes from WHYNOT_THREADS (the runner
-// records both a pooled and a 1-thread row; on a single-core host the two
-// coincide).
+// The warm-up and order-building costs outside the candidate searches:
+// the BoundOntology extension warm-up, the pairwise consistency check, the
+// blocked Warshall closure, the concept-lattice build and the materialize
+// extension-class dedup. All five are serial at every thread count (the
+// odometer shard of explain/search_core.h is the engine's one pooled
+// path), so each row's pooled and 1-thread figures should agree; the
+// runner records both, with the thread count from WHYNOT_THREADS.
 
 #include <benchmark/benchmark.h>
 
@@ -64,6 +63,23 @@ void BM_TransitiveClosure(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TransitiveClosure)->RangeMultiplier(4)->Range(256, 4096);
+
+void BM_ConceptLattice(benchmark::State& state) {
+  auto world = wn::workload::MakeScaledWorld(3, static_cast<int>(state.range(0)), 4);
+  if (!world.ok()) {
+    state.SkipWithError("fixture");
+    return;
+  }
+  wn::onto::BoundOntology bound(world.value().ontology.get(),
+                                world.value().instance.get());
+  bound.WarmExtensions();
+  for (auto _ : state) {
+    wn::explain::ConceptLattice lattice(&bound);
+    benchmark::DoNotOptimize(lattice.depth());
+  }
+  state.counters["concepts"] = world.value().ontology->NumConcepts();
+}
+BENCHMARK(BM_ConceptLattice)->RangeMultiplier(2)->Range(8, 64);
 
 void BM_MaterializeSelectionFree(benchmark::State& state) {
   auto schema = wn::workload::RandomSchema(3, {2, 2, 1});

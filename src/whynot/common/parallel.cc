@@ -13,13 +13,13 @@ namespace whynot::par {
 
 namespace {
 
-/// Set for the lifetime of a pool worker thread; nested parallel calls on
-/// such a thread run inline instead of re-entering the pool.
+/// Set for the lifetime of a pool worker thread (and for the caller while
+/// it drains blocks); nested parallel calls on such a thread run inline
+/// instead of re-entering the pool.
 thread_local bool t_in_worker = false;
-/// Worker index of this thread (0 for the participating caller). Nested
-/// inline regions report it so per-worker scratch slots stay owned by one
-/// OS thread even under nesting.
-thread_local int t_worker_index = 0;
+
+/// The one clamp both the environment and SetNumThreads go through.
+int ClampThreads(int n) { return std::clamp(n, 1, 256); }
 
 /// Workers spawned beyond the caller; a job is one ParallelFor invocation.
 /// All job bookkeeping is mutex-protected (the blocks themselves run
@@ -35,8 +35,7 @@ class ThreadPool {
   }
 
   int num_threads() {
-    // Hot path: NumThreads() sits inside per-pivot / per-node loops, so
-    // the settled value is one relaxed atomic load.
+    // Hot path: the settled value is one relaxed atomic load.
     int n = published_threads_.load(std::memory_order_relaxed);
     if (n > 0) return n;
     std::lock_guard<std::mutex> lock(config_mutex_);
@@ -52,6 +51,7 @@ class ThreadPool {
       StopWorkersLocked();
       return;
     }
+    n = ClampThreads(n);
     configured_ = true;
     published_threads_.store(n, std::memory_order_relaxed);
     if (n == num_threads_) return;
@@ -59,8 +59,7 @@ class ThreadPool {
     num_threads_ = n;
   }
 
-  void Run(size_t nblocks,
-           const std::function<void(int worker, size_t block)>& fn) {
+  void Run(size_t nblocks, const std::function<void(size_t block)>& fn) {
     // One job at a time: the job state below is single-slot. Concurrent
     // top-level callers (two application threads each running a search)
     // serialize here — correct, just not overlapped.
@@ -70,8 +69,7 @@ class ThreadPool {
       EnsureConfiguredLocked();
       // Workers are spawned on first real use, not at configuration time.
       while (static_cast<int>(workers_.size()) < num_threads_ - 1) {
-        int worker_index = static_cast<int>(workers_.size()) + 1;
-        workers_.emplace_back([this, worker_index] { WorkerLoop(worker_index); });
+        workers_.emplace_back([this] { WorkerLoop(); });
       }
     }
     std::unique_lock<std::mutex> job_lock(job_mutex_);
@@ -83,11 +81,11 @@ class ThreadPool {
     job_cv_.notify_all();
     job_lock.unlock();
 
-    // The caller participates as worker 0. It counts as inside the region
-    // while draining blocks, so a nested ParallelFor from a block body
-    // runs inline instead of re-entering the single-job state.
+    // The caller participates. It counts as inside the region while
+    // draining blocks, so a nested ParallelFor from a block body runs
+    // inline instead of re-entering the single-job state.
     t_in_worker = true;
-    RunBlocks(0);
+    RunBlocks();
     t_in_worker = false;
 
     job_lock.lock();
@@ -107,7 +105,7 @@ class ThreadPool {
     if (n <= 0) {
       n = static_cast<int>(std::thread::hardware_concurrency());
     }
-    num_threads_ = std::clamp(n, 1, 256);
+    num_threads_ = ClampThreads(n);
     configured_ = true;
     published_threads_.store(num_threads_, std::memory_order_relaxed);
   }
@@ -128,7 +126,7 @@ class ThreadPool {
     }
   }
 
-  void RunBlocks(int worker) {
+  void RunBlocks() {
     while (true) {
       size_t block;
       {
@@ -136,7 +134,7 @@ class ThreadPool {
         if (job_fn_ == nullptr || job_next_ >= job_blocks_) return;
         block = job_next_++;
       }
-      (*job_fn_)(worker, block);
+      (*job_fn_)(block);
       {
         std::lock_guard<std::mutex> lock(job_mutex_);
         if (++job_done_ == job_blocks_) done_cv_.notify_all();
@@ -144,9 +142,8 @@ class ThreadPool {
     }
   }
 
-  void WorkerLoop(int worker) {
+  void WorkerLoop() {
     t_in_worker = true;
-    t_worker_index = worker;
     uint64_t seen_epoch = 0;
     while (true) {
       {
@@ -155,7 +152,7 @@ class ThreadPool {
         seen_epoch = job_epoch_;
         if (seen_epoch == shutdown_epoch_) return;
       }
-      RunBlocks(worker);
+      RunBlocks();
     }
   }
 
@@ -169,7 +166,7 @@ class ThreadPool {
   std::mutex job_mutex_;
   std::condition_variable job_cv_;
   std::condition_variable done_cv_;
-  const std::function<void(int, size_t)>* job_fn_ = nullptr;
+  const std::function<void(size_t)>* job_fn_ = nullptr;
   size_t job_next_ = 0;
   size_t job_done_ = 0;
   size_t job_blocks_ = 0;
@@ -183,26 +180,14 @@ int NumThreads() { return ThreadPool::Get().num_threads(); }
 
 void SetNumThreads(int n) { ThreadPool::Get().set_num_threads(n); }
 
-int MaxWorkers() { return NumThreads(); }
-
-bool InParallelRegion() { return t_in_worker; }
-
-namespace {
-
-/// Shared splitting logic. `fn` is any callable taking
-/// (worker, begin, end); the serial fast path costs one virtual-free
-/// inline call — no pool, no allocation.
-template <typename Fn>
-void ParallelForImpl(size_t n, size_t grain, const std::atomic<bool>* stop,
-                     const Fn& fn) {
+void ParallelFor(size_t n, size_t grain, const std::atomic<bool>* stop,
+                 const std::function<void(size_t, size_t)>& fn) {
   if (n == 0) return;
   if (stop != nullptr && stop->load(std::memory_order_relaxed)) return;
   if (grain == 0) grain = 1;
   int threads = NumThreads();
-  if (threads <= 1 || n <= grain || InParallelRegion()) {
-    // Inline: report the executing thread's worker index, not 0 — a
-    // nested region on pool worker w must keep using w's scratch slot.
-    fn(t_worker_index, size_t{0}, n);
+  if (threads <= 1 || n <= grain || t_in_worker) {
+    fn(0, n);
     return;
   }
   // At least `grain` indices per block, at most 4 blocks per thread (keeps
@@ -213,44 +198,17 @@ void ParallelForImpl(size_t n, size_t grain, const std::atomic<bool>* stop,
   size_t block_size = (n + nblocks - 1) / nblocks;
   nblocks = (n + block_size - 1) / block_size;
   if (nblocks <= 1) {
-    fn(0, size_t{0}, n);
+    fn(0, n);
     return;
   }
-  ThreadPool::Get().Run(nblocks, [&](int worker, size_t block) {
+  ThreadPool::Get().Run(nblocks, [&](size_t block) {
     // Cooperative stop: blocks dispatched after the flag rises are
     // skipped; already-running blocks finish (their output is discarded
     // by the caller on the abandon path).
     if (stop != nullptr && stop->load(std::memory_order_relaxed)) return;
     size_t begin = block * block_size;
-    size_t end = std::min(n, begin + block_size);
-    fn(worker, begin, end);
+    fn(begin, std::min(n, begin + block_size));
   });
-}
-
-}  // namespace
-
-void ParallelForWorker(
-    size_t n, size_t grain,
-    const std::function<void(int worker, size_t begin, size_t end)>& fn) {
-  ParallelForImpl(n, grain, nullptr, fn);
-}
-
-void ParallelFor(size_t n, size_t grain,
-                 const std::function<void(size_t, size_t)>& fn) {
-  ParallelForImpl(n, grain, nullptr,
-                  [&fn](int, size_t begin, size_t end) { fn(begin, end); });
-}
-
-void ParallelForWorker(
-    size_t n, size_t grain, const std::atomic<bool>* stop,
-    const std::function<void(int worker, size_t begin, size_t end)>& fn) {
-  ParallelForImpl(n, grain, stop, fn);
-}
-
-void ParallelFor(size_t n, size_t grain, const std::atomic<bool>* stop,
-                 const std::function<void(size_t, size_t)>& fn) {
-  ParallelForImpl(n, grain, stop,
-                  [&fn](int, size_t begin, size_t end) { fn(begin, end); });
 }
 
 }  // namespace whynot::par

@@ -7,8 +7,9 @@
 
 namespace whynot::par {
 
-/// The parallel execution layer shared by the sharded ontology warm-up and
-/// the candidate fan-out of the explanation searches.
+/// The thread pool behind the engine's one pooled path: the chunked
+/// odometer shard of ParallelFilterSpace (explain/search_core.h). Every
+/// other engine path is serial at every thread count.
 ///
 /// Contract:
 ///  * The pool is global and lazily started — no thread is ever spawned
@@ -17,62 +18,43 @@ namespace whynot::par {
 ///  * `WHYNOT_THREADS` (environment) fixes the thread count; unset or 0
 ///    means the hardware concurrency. SetNumThreads overrides at runtime
 ///    (used by tests and benchmarks to sweep thread counts in-process).
-///  * With 1 thread every entry point runs the body inline on the calling
+///    Both are clamped to [1, 256].
+///  * With 1 thread ParallelFor runs the body inline on the calling
 ///    thread — byte-identical behavior to a build without this layer.
-///  * With more threads, work is split into index *blocks*; callers must
-///    make results a pure function of the index (write into index-addressed
-///    slots, then reduce serially in index order), so outputs never depend
-///    on the thread count or the scheduling order. All call sites in this
-///    codebase follow that discipline; see tests/parallel_determinism_test.
-///  * Nested calls from inside a pool worker run inline (no pool re-entry,
-///    no deadlock). Concurrent top-level calls from different application
-///    threads serialize on the pool's single job slot — safe, though the
-///    two regions do not overlap.
+///  * With more threads, work is split into index *blocks*; the caller
+///    must make results a pure function of the index (write into
+///    index-addressed slots, then reduce serially in index order), so
+///    outputs never depend on the thread count or the scheduling order.
+///    See tests/parallel_determinism_test.
+///  * A nested call from inside a pool worker runs inline (no pool
+///    re-entry, no deadlock). Concurrent top-level calls from different
+///    application threads serialize on the pool's single job slot — safe,
+///    though the two regions do not overlap.
 
 /// Current thread-count setting (>= 1). First call reads WHYNOT_THREADS.
 int NumThreads();
 
-/// Overrides the thread count (n <= 0 re-reads WHYNOT_THREADS / hardware).
-/// Joins and respawns pool workers as needed; must not be called while a
-/// parallel region is executing.
+/// Overrides the thread count, clamped to [1, 256] like WHYNOT_THREADS
+/// (n <= 0 re-reads WHYNOT_THREADS / hardware). Joins and respawns pool
+/// workers as needed; must not be called while a parallel region is
+/// executing.
 void SetNumThreads(int n);
-
-/// Upper bound on the worker index passed to ParallelForWorker — the value
-/// to size per-worker scratch arrays by. Equal to NumThreads().
-int MaxWorkers();
-
-/// True when called from inside a pool worker thread (nested regions run
-/// inline there).
-bool InParallelRegion();
 
 /// Runs fn(begin, end) over a partition of [0, n). Serial (one inline call
 /// fn(0, n)) when the pool has 1 thread or n <= grain; otherwise splits
 /// into blocks of at least `grain` indices executed across the pool, with
 /// the calling thread participating. Returns when all blocks finished.
-void ParallelFor(size_t n, size_t grain,
-                 const std::function<void(size_t, size_t)>& fn);
-
-/// Same, but fn also receives the executing worker's index in
-/// [0, MaxWorkers()) so call sites can keep per-worker scratch (caches,
-/// buffers). Block-to-worker assignment is dynamic (work stealing); only
-/// use the index for scratch whose contents never leak into results.
-void ParallelForWorker(
-    size_t n, size_t grain,
-    const std::function<void(int worker, size_t begin, size_t end)>& fn);
-
-/// Cooperative-stop variants: `stop` (may be null) is polled once per
-/// block, at dispatch — a block that starts after the flag is set is
-/// skipped entirely, and the serial inline path checks once up front.
-/// Because whole index ranges may then never run, these are only for
-/// regions whose partial output is *discarded* on stop (the execution-
-/// control abandon path); deterministic merges must not observe which
-/// blocks ran. Block bodies that want a faster reaction set the flag
-/// themselves (it is the same flag they poll).
+///
+/// Cooperative stop: `stop` (may be null) is polled once per block, at
+/// dispatch — a block that starts after the flag is set is skipped
+/// entirely, and the serial inline path checks once up front. Because
+/// whole index ranges may then never run, a caller must *discard* the
+/// region's partial output on stop (the execution-control abandon path);
+/// a deterministic merge must not observe which blocks ran. Block bodies
+/// that want a faster reaction set the flag themselves (it is the same
+/// flag they poll).
 void ParallelFor(size_t n, size_t grain, const std::atomic<bool>* stop,
                  const std::function<void(size_t, size_t)>& fn);
-void ParallelForWorker(
-    size_t n, size_t grain, const std::atomic<bool>* stop,
-    const std::function<void(int worker, size_t begin, size_t end)>& fn);
 
 }  // namespace whynot::par
 

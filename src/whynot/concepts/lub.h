@@ -41,8 +41,7 @@ class LubContext {
   explicit LubContext(const rel::Instance* instance, LubOptions options = {});
 
   const rel::Instance& instance() const { return *instance_; }
-  /// The resource limits this context was built with (per-worker contexts
-  /// in the parallel searches clone them).
+  /// The resource limits this context was built with.
   const LubOptions& options() const { return options_; }
 
   /// lub_I(X) in selection-free LS (Lemma 5.1, PTIME): the conjunction of

@@ -5,7 +5,6 @@
 #include <set>
 #include <tuple>
 
-#include "whynot/common/parallel.h"
 #include "whynot/concepts/ls_eval.h"
 #include "whynot/concepts/lub.h"
 
@@ -25,14 +24,6 @@ bool ShorterRepresentative(const LsConcept& a, const LsConcept& b) {
   if (a.Length() != b.Length()) return a.Length() < b.Length();
   return a < b;
 }
-
-/// Evaluates `concepts[make(i)]`-style work items in parallel: `eval(i)`
-/// must be a pure function of `i` (the instance is pre-warmed by the
-/// caller), results land in index-addressed slots. Processing chunks
-/// bounds the live Extension storage; the caller consumes each chunk
-/// serially *in index order*, so the outcome is identical to the serial
-/// evaluation loop for every thread count.
-constexpr size_t kEvalChunk = 4096;
 
 }  // namespace
 
@@ -109,106 +100,38 @@ Result<std::unique_ptr<LsOntology>> LsOntology::Materialize(
     // extension on I (i.e. modulo ≡_{O_I}) and keeping a shortest
     // representative per class. The closure is the lattice of achievable
     // extensions, which is what Algorithm 1 over OI[K] operates on.
-    //
-    // The Eval calls — one per (class, base-conjunct) meet and round, the
-    // dominant cost — are embarrassingly parallel, so they run chunked
-    // across the pool with results in index-addressed slots; the map
-    // insertions replay serially in the exact pair order of the serial
-    // loop, which makes representatives, the round structure, and the
-    // max_concepts cutoff identical for every thread count.
-    const bool parallel = par::NumThreads() > 1;
-    if (parallel) instance->WarmForConcurrentReads();
     std::map<ExtKey, LsConcept> by_ext;
-    if (!parallel) {
-      // Serial path: one live (meet, key) at a time — the chunk buffers of
-      // the parallel path below cost ~15% in cache traffic at 1 thread.
-      for (const LsConcept& c : base) {
-        ExtKey key = KeyOf(Eval(c, *instance));
-        auto it = by_ext.find(key);
-        if (it == by_ext.end()) {
-          by_ext.emplace(std::move(key), c);
-        } else if (ShorterRepresentative(c, it->second)) {
-          it->second = c;
-        }
+    for (const LsConcept& c : base) {
+      ExtKey key = KeyOf(Eval(c, *instance));
+      auto it = by_ext.find(key);
+      if (it == by_ext.end()) {
+        by_ext.emplace(std::move(key), c);
+      } else if (ShorterRepresentative(c, it->second)) {
+        it->second = c;
       }
-      bool changed = true;
-      while (changed) {
-        changed = false;
-        std::vector<std::pair<ExtKey, LsConcept>> snapshot(by_ext.begin(),
-                                                           by_ext.end());
-        for (const auto& [key, concept_expr] : snapshot) {
-          for (const LsConcept& b : base) {
-            LsConcept meet = concept_expr.Intersect(b);
-            ExtKey meet_key = KeyOf(Eval(meet, *instance));
-            auto it = by_ext.find(meet_key);
-            if (it == by_ext.end()) {
-              by_ext.emplace(std::move(meet_key), std::move(meet));
-              changed = true;
-              if (by_ext.size() > options.max_concepts) {
-                return Status::ResourceExhausted(
-                    "materialized OI[K] exceeded max_concepts; derived "
-                    "ontologies are typically infinite and not meant to be "
-                    "materialized (Section 4.2)");
-              }
-            } else if (ShorterRepresentative(meet, it->second)) {
-              it->second = std::move(meet);
-              // Representative change only; no new extension class.
-            }
-          }
-        }
-      }
-    } else {
-      {
-        std::vector<ExtKey> keys(base.size());
-        par::ParallelFor(base.size(), 16, [&](size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            keys[i] = KeyOf(Eval(base[i], *instance));
-          }
-        });
-        for (size_t i = 0; i < base.size(); ++i) {
-          auto it = by_ext.find(keys[i]);
+    }
+    bool changed = true;
+    while (changed) {
+      changed = false;
+      std::vector<std::pair<ExtKey, LsConcept>> snapshot(by_ext.begin(),
+                                                         by_ext.end());
+      for (const auto& [key, concept_expr] : snapshot) {
+        for (const LsConcept& b : base) {
+          LsConcept meet = concept_expr.Intersect(b);
+          ExtKey meet_key = KeyOf(Eval(meet, *instance));
+          auto it = by_ext.find(meet_key);
           if (it == by_ext.end()) {
-            by_ext.emplace(std::move(keys[i]), base[i]);
-          } else if (ShorterRepresentative(base[i], it->second)) {
-            it->second = base[i];
-          }
-        }
-      }
-      bool changed = true;
-      while (changed) {
-        changed = false;
-        std::vector<std::pair<ExtKey, LsConcept>> snapshot(by_ext.begin(),
-                                                           by_ext.end());
-        size_t pairs = snapshot.size() * base.size();
-        std::vector<LsConcept> meets(std::min(pairs, kEvalChunk));
-        std::vector<ExtKey> keys(meets.size());
-        for (size_t chunk = 0; chunk < pairs; chunk += kEvalChunk) {
-          size_t chunk_end = std::min(pairs, chunk + kEvalChunk);
-          par::ParallelFor(
-              chunk_end - chunk, 16, [&](size_t begin, size_t end) {
-                for (size_t off = begin; off < end; ++off) {
-                  size_t p = chunk + off;
-                  const LsConcept& concept_expr =
-                      snapshot[p / base.size()].second;
-                  meets[off] = concept_expr.Intersect(base[p % base.size()]);
-                  keys[off] = KeyOf(Eval(meets[off], *instance));
-                }
-              });
-          for (size_t off = 0; off < chunk_end - chunk; ++off) {
-            auto it = by_ext.find(keys[off]);
-            if (it == by_ext.end()) {
-              by_ext.emplace(std::move(keys[off]), std::move(meets[off]));
-              changed = true;
-              if (by_ext.size() > options.max_concepts) {
-                return Status::ResourceExhausted(
-                    "materialized OI[K] exceeded max_concepts; derived "
-                    "ontologies are typically infinite and not meant to be "
-                    "materialized (Section 4.2)");
-              }
-            } else if (ShorterRepresentative(meets[off], it->second)) {
-              it->second = std::move(meets[off]);
-              // Representative change only; no new extension class.
+            by_ext.emplace(std::move(meet_key), std::move(meet));
+            changed = true;
+            if (by_ext.size() > options.max_concepts) {
+              return Status::ResourceExhausted(
+                  "materialized OI[K] exceeded max_concepts; derived "
+                  "ontologies are typically infinite and not meant to be "
+                  "materialized (Section 4.2)");
             }
+          } else if (ShorterRepresentative(meet, it->second)) {
+            it->second = std::move(meet);
+            // Representative change only; no new extension class.
           }
         }
       }
@@ -238,40 +161,17 @@ Status LsOntology::BuildMatrix(const MaterializeOptions& options) {
   int32_t n = NumConcepts();
   matrix_ = onto::BoolMatrix(n);
   if (options.mode == SubsumptionMode::kInstance) {
-    // Both phases shard cleanly: the Evals land in index-addressed slots,
-    // and each row of the n × n SubsetOf sweep writes only its own matrix
-    // words. SubsetOf on fresh Eval results takes the id/rank read-only
-    // paths (no lazy bitmap is ever *built* by it), so the pre-warmed
-    // instance makes the sweep safe for concurrent readers.
-    if (par::NumThreads() > 1) instance_->WarmForConcurrentReads();
-    std::vector<Extension> exts(static_cast<size_t>(n));
-    par::ParallelFor(static_cast<size_t>(n), 16, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        exts[i] = Eval(concepts_[i], *instance_);
-      }
-    });
-    // A pool-less operand (empty extension of a missing relation) sends
-    // SubsetOf through the lazily boxed values() of *both* sides; when one
-    // exists, pre-box every finite extension serially so the sweep never
-    // materializes a view concurrently.
-    bool any_poolless = false;
-    for (const Extension& e : exts) {
-      if (!e.all && e.pool() == nullptr) any_poolless = true;
-    }
-    if (any_poolless && par::NumThreads() > 1) {
-      for (Extension& e : exts) {
-        if (!e.all) e.values();
-      }
-    }
-    par::ParallelFor(static_cast<size_t>(n), 8, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        for (int32_t j = 0; j < n; ++j) {
-          if (exts[i].SubsetOf(exts[static_cast<size_t>(j)])) {
-            matrix_.Set(static_cast<int32_t>(i), j);
-          }
+    std::vector<Extension> exts;
+    exts.reserve(static_cast<size_t>(n));
+    for (const LsConcept& c : concepts_) exts.push_back(Eval(c, *instance_));
+    for (int32_t i = 0; i < n; ++i) {
+      for (int32_t j = 0; j < n; ++j) {
+        if (exts[static_cast<size_t>(i)].SubsetOf(
+                exts[static_cast<size_t>(j)])) {
+          matrix_.Set(i, j);
         }
       }
-    });
+    }
     return Status::OK();
   }
   for (int32_t i = 0; i < n; ++i) {

@@ -13,9 +13,9 @@ namespace whynot::explain {
 /// advances fastest, so linear index L maps to
 ///   idx[i] = (L / stride_i) % |lists[i]|,  stride_0 = 1,
 ///   stride_{i+1} = stride_i * |lists[i]|.
-/// The parallel candidate filters shard [0, total) into index ranges and
-/// merge per-range results in range order, which reproduces the serial
-/// enumeration order exactly.
+/// The pooled odometer (ParallelFilterSpace) shards [0, total) into index
+/// ranges and merges per-range results in range order, which reproduces
+/// the serial enumeration order exactly.
 ///
 /// Overflow guard: wide arities × large cover lists can push the product
 /// past SIZE_MAX. The constructor detects that (overflow()) instead of

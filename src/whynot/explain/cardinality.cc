@@ -59,8 +59,8 @@ Result<std::optional<CardinalityResult>> ExactCardMaximal(
     }
     size_t m = wni.arity();
     // Pre-resolved cover table: the avoidance ANDs — the dominant cost —
-    // shard through the shared candidate filter, while the degree front
-    // replays serially over the survivors in the serial odometer's order.
+    // shard through the pooled odometer, while the degree front replays
+    // serially over the survivors in the serial odometer's order.
     // On spaces large enough to amortize the setup, degrees come from the
     // table's resolved sizes (a handful of adds per survivor, even when
     // nothing is filtered); tiny spaces keep the direct DegreeOf, whose
@@ -182,12 +182,9 @@ Result<std::optional<CardinalityResult>> GreedyCardinalityClimb(
 
   Explanation current = seed;
   Degree degree = DegreeOf(bound, current);
-  // Stops are observed once per candidate examined, always at the serial
-  // acceptance point — the parallel path's sharded ANDs are pure and
-  // index-addressed, so the climb state at any stop ordinal is identical
-  // for every thread count. A stopped climb returns the current (sound)
-  // explanation when certified; the certificate's stop records where the
-  // climb was cut.
+  // Stops are observed once per candidate examined. A stopped climb
+  // returns the current (sound) explanation when certified; the
+  // certificate's stop records where the climb was cut.
   std::optional<exec::Stop> halted;
   auto check = [&]() -> Status {
     size_t probe = probes++;
@@ -206,44 +203,13 @@ Result<std::optional<CardinalityResult>> GreedyCardinalityClimb(
       // once; each candidate is one word-parallel intersect-any.
       std::vector<uint64_t> base = covers->AndAllExcept(current, i);
       const std::vector<onto::ConceptId>& list = candidates[i];
-      if (par::NumThreads() <= 1) {
-        for (onto::ConceptId c : list) {
-          WHYNOT_RETURN_IF_ERROR(check());
-          if (halted.has_value()) break;
-          if (c == current[i]) continue;
-          if (ConceptAnswerCovers::AnyAnd(base, covers->Cover(c, i))) {
-            continue;
-          }
-          Explanation probe = current;
-          probe[i] = c;
-          Degree d = DegreeOf(bound, probe);
-          if (d > degree) {
-            current = std::move(probe);
-            degree = d;
-            improved = true;
-          }
-        }
-        continue;
-      }
-      // The ANDs are the sweep's hot part and independent per candidate,
-      // so they shard across the pool into an index-addressed validity
-      // mask; the acceptance scan — whose degree threshold ratchets
-      // within the sweep — replays serially in candidate order, exactly
-      // as the serial loop.
-      std::vector<const uint64_t*> cover_at =
-          CoverTable::ResolveList(covers, list, i);
-      std::vector<uint8_t> valid(list.size(), 0);
-      par::ParallelFor(list.size(), 64, [&](size_t begin, size_t end) {
-        for (size_t c = begin; c < end; ++c) {
-          valid[c] = !ConceptAnswerCovers::AnyAnd(base, cover_at[c]);
-        }
-      });
-      for (size_t c = 0; c < list.size(); ++c) {
+      for (onto::ConceptId c : list) {
         WHYNOT_RETURN_IF_ERROR(check());
         if (halted.has_value()) break;
-        if (list[c] == current[i] || !valid[c]) continue;
+        if (c == current[i]) continue;
+        if (ConceptAnswerCovers::AnyAnd(base, covers->Cover(c, i))) continue;
         Explanation probe = current;
-        probe[i] = list[c];
+        probe[i] = c;
         Degree d = DegreeOf(bound, probe);
         if (d > degree) {
           current = std::move(probe);

@@ -1,6 +1,5 @@
 #include "whynot/explain/existence.h"
 
-#include <algorithm>
 #include <optional>
 #include <set>
 
@@ -9,10 +8,6 @@
 namespace whynot::explain {
 
 namespace {
-
-/// Minimum AND work (candidates × words) at a node before the narrowing
-/// sweep is worth sharding across the pool.
-constexpr size_t kMinParallelAndWords = 4096;
 
 /// Backtracking state: at position i with a bitmap of still-alive answers
 /// (answers not yet excluded at any earlier position). An explanation
@@ -60,14 +55,6 @@ class Search {
         return false;
       }
     }
-    // Parallel configuration: per-position cover tables are resolved
-    // lazily on first descent into a position (an easy instance that
-    // finds its witness in a few nodes should not pay for covers the
-    // search never probes). The search itself (descent order,
-    // memoization, node budget) is untouched — only the per-candidate
-    // ANDs at a node run in parallel — so the traversal, the witness,
-    // and the node counts are identical for every thread count.
-    if (par::NumThreads() > 1) cover_table_.resize(m_);
     bool found = false;
     WHYNOT_RETURN_IF_ERROR(Descend(0, covers_->full_words(), &found));
     if (found && witness != nullptr) *witness = chosen_;
@@ -120,46 +107,13 @@ class Search {
 
     const std::vector<onto::ConceptId>& cands = candidates_[pos];
     size_t nwords = alive.size();
-    if (!cover_table_.empty() &&
-        cands.size() * nwords >= kMinParallelAndWords) {
-      // Shard the narrowing ANDs (the node's hot loop) over the candidate
-      // list; recursion then consumes the per-candidate alive sets in the
-      // exact serial order.
-      if (cover_table_[pos].empty()) {
-        // First descent into this position: resolve its covers serially
-        // (Cover builds lazily; the sharded loop below must be read-only).
-        cover_table_[pos] = CoverTable::ResolveList(covers_, cands, pos);
-      }
-      std::vector<std::vector<uint64_t>> nexts(cands.size());
-      const std::vector<const uint64_t*>& table = cover_table_[pos];
-      size_t grain = std::max<size_t>(1, 2048 / std::max<size_t>(1, nwords));
-      par::ParallelFor(cands.size(), grain, [&](size_t begin, size_t end) {
-        for (size_t c = begin; c < end; ++c) {
-          nexts[c].resize(nwords);
-          const uint64_t* cover = table[c];
-          for (size_t w = 0; w < nwords; ++w) {
-            nexts[c][w] = alive[w] & cover[w];
-          }
-        }
-      });
-      for (size_t c = 0; c < cands.size(); ++c) {
-        chosen_[pos] = cands[c];
-        WHYNOT_RETURN_IF_ERROR(Descend(pos + 1, nexts[c], found));
-        // Release this candidate's alive set before recursing into the
-        // next: otherwise the whole level's buffers stay live under the
-        // entire subtree (O(|candidates| × words) instead of one level).
-        std::vector<uint64_t>().swap(nexts[c]);
-        if (*found || halted_.has_value()) return Status::OK();
-      }
-    } else {
-      std::vector<uint64_t> next(nwords);
-      for (onto::ConceptId c : cands) {
-        const uint64_t* cover = covers_->Cover(c, pos);
-        for (size_t w = 0; w < nwords; ++w) next[w] = alive[w] & cover[w];
-        chosen_[pos] = c;
-        WHYNOT_RETURN_IF_ERROR(Descend(pos + 1, next, found));
-        if (*found || halted_.has_value()) return Status::OK();
-      }
+    std::vector<uint64_t> next(nwords);
+    for (onto::ConceptId c : cands) {
+      const uint64_t* cover = covers_->Cover(c, pos);
+      for (size_t w = 0; w < nwords; ++w) next[w] = alive[w] & cover[w];
+      chosen_[pos] = c;
+      WHYNOT_RETURN_IF_ERROR(Descend(pos + 1, next, found));
+      if (*found || halted_.has_value()) return Status::OK();
     }
     defeated_.emplace(std::move(key));
     return Status::OK();
@@ -170,9 +124,6 @@ class Search {
   std::vector<std::vector<onto::ConceptId>> candidates_;
   ConceptAnswerCovers* covers_;
   std::optional<ConceptAnswerCovers> local_covers_;
-  // Pre-resolved cover rows per position (parallel runs only; empty
-  // in the serial configuration, which keeps the lazy one-at-a-time path).
-  std::vector<std::vector<const uint64_t*>> cover_table_;
   Explanation chosen_;
   std::set<std::pair<size_t, std::vector<uint64_t>>> defeated_;
   size_t nodes_ = 0;

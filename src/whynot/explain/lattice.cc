@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "whynot/common/parallel.h"
-
 namespace whynot::explain {
 
 namespace {
@@ -21,45 +19,36 @@ bool AnyAndWords(const uint64_t* a, const uint64_t* b, size_t nwords) {
 
 ConceptLattice::ConceptLattice(onto::BoundOntology* bound)
     : n_(bound->NumConcepts()), leq_(n_), strict_up_(n_), strict_down_(n_) {
-  // Extensions must be warm before pool workers read them (the lazy Ext
-  // cache is not safe to fill concurrently).
+  // Warm every extension up front, in concept order, so the pool ids do
+  // not depend on which pairs the passes below happen to visit.
   bound->WarmExtensions();
   size_t n = static_cast<size_t>(n_);
 
-  // Pass 1 — the effective order, row-parallel: row c only writes its own
-  // packed words. The subsumption probe gates the SubsetOf test, so the
-  // word-parallel extension comparisons run once per ⊑ pair, not once per
-  // concept pair.
-  std::vector<uint8_t> row_consistent(n, 1);
-  par::ParallelFor(n, 8, [&](size_t begin, size_t end) {
-    for (size_t ci = begin; ci < end; ++ci) {
-      onto::ConceptId c = static_cast<onto::ConceptId>(ci);
-      const onto::ExtSet& ec = bound->Ext(c);
-      for (int32_t d = 0; d < n_; ++d) {
-        if (!bound->Subsumes(c, d)) continue;
-        if (ec.SubsetOf(bound->Ext(d))) {
-          leq_.Set(c, d);
-        } else {
-          row_consistent[ci] = 0;
-        }
+  // Pass 1 — the effective order. The subsumption probe gates the SubsetOf
+  // test, so the word-parallel extension comparisons run once per ⊑ pair,
+  // not once per concept pair.
+  for (onto::ConceptId c = 0; c < n_; ++c) {
+    const onto::ExtSet& ec = bound->Ext(c);
+    for (int32_t d = 0; d < n_; ++d) {
+      if (!bound->Subsumes(c, d)) continue;
+      if (ec.SubsetOf(bound->Ext(d))) {
+        leq_.Set(c, d);
+      } else {
+        consistent_ = false;
       }
     }
-  });
-  for (uint8_t ok : row_consistent) consistent_ = consistent_ && ok != 0;
+  }
 
-  // Pass 2 — strict rows, from the finished leq_ matrix (needs column
-  // reads, hence the barrier between the passes).
-  par::ParallelFor(n, 8, [&](size_t begin, size_t end) {
-    for (size_t ci = begin; ci < end; ++ci) {
-      onto::ConceptId c = static_cast<onto::ConceptId>(ci);
-      for (int32_t d = 0; d < n_; ++d) {
-        bool cd = leq_.Get(c, d);
-        bool dc = leq_.Get(d, c);
-        if (cd && !dc) strict_up_.Set(c, d);
-        if (dc && !cd) strict_down_.Set(c, d);
-      }
+  // Pass 2 — strict rows, from the finished leq_ matrix (it reads
+  // columns, so it waits for pass 1).
+  for (onto::ConceptId c = 0; c < n_; ++c) {
+    for (int32_t d = 0; d < n_; ++d) {
+      bool cd = leq_.Get(c, d);
+      bool dc = leq_.Get(d, c);
+      if (cd && !dc) strict_up_.Set(c, d);
+      if (dc && !cd) strict_down_.Set(c, d);
     }
-  });
+  }
 
   // Ranks: the strict relation is transitively closed, so a ≺ b implies
   // |strict-upset(a)| > |strict-upset(b)| and processing concepts by

@@ -70,7 +70,7 @@ inline void AccumulatePruneStats(PruneStats* into, const PruneStats& from) {
 /// exactly that, as a free byproduct of the build) and frontier results
 /// match the pure-⊑ odometer bit for bit.
 ///
-/// The build is two row-parallel O(n²) passes over warm extensions
+/// The build is two O(n²) passes over warm extensions
 /// (subsumption probes gate the word-parallel SubsetOf tests), which is
 /// why sessions hold the lattice behind a lazy LatticeHandle instead of
 /// paying for it at Bind time.

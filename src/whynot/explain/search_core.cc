@@ -163,7 +163,6 @@ Status LatticeFilterSpace(
     return false;
   };
 
-  std::vector<uint8_t> passed;
   std::vector<size_t> scratch_idx(m);
   auto to_idx = [&](const std::vector<uint32_t>& node) -> decltype(auto) {
     for (size_t i = 0; i < m; ++i) scratch_idx[i] = node[i];
@@ -173,9 +172,8 @@ Status LatticeFilterSpace(
   std::vector<std::vector<uint32_t>> next;
   while (!halted.has_value() && !frontier.empty()) {
     // Wave-start probe. products_enumerated only advances through the
-    // serial wave merge, so the ordinal sequence — and with it any
-    // injected stop and the antichain kept at that point — is identical
-    // at every thread count.
+    // wave merge, so the ordinal sequence — and with it any injected stop
+    // and the antichain kept at that point — is deterministic.
     if (std::optional<exec::Stop> s =
             exec::Check(exec, ps.products_enumerated)) {
       if (stop == nullptr) {
@@ -190,45 +188,13 @@ Status LatticeFilterSpace(
       halted = exec::Stop{exec::StopReason::kBudget, ps.products_enumerated};
       break;
     }
-    passed.assign(frontier.size(), 0);
-    if (par::NumThreads() > 1) {
-      std::atomic<bool> abandon{false};
-      par::ParallelFor(
-          frontier.size(), 16, &abandon, [&](size_t begin, size_t end) {
-            if (exec::ShouldAbandon(exec)) {
-              abandon.store(true, std::memory_order_relaxed);
-              return;
-            }
-            std::vector<size_t> idx(m);
-            for (size_t i = begin; i < end; ++i) {
-              for (size_t p = 0; p < m; ++p) idx[p] = frontier[i][p];
-              passed[i] = hooks.pred(idx) ? 1 : 0;
-            }
-          });
-      if (abandon.load(std::memory_order_relaxed)) {
-        // Real cancel/deadline mid-wave: the wave is discarded whole (not
-        // merged, not counted) and the antichain so far is the partial.
-        exec::Stop s = exec->PollNow(ps.products_enumerated)
-                           .value_or(exec::Stop{exec::StopReason::kCancelled,
-                                                ps.products_enumerated});
-        if (stop == nullptr) {
-          return exec::StopStatus(s, "dominance-pruned enumeration");
-        }
-        halted = s;
-        break;
-      }
-    } else {
-      for (size_t i = 0; i < frontier.size(); ++i) {
-        passed[i] = hooks.pred(to_idx(frontier[i])) ? 1 : 0;
-      }
-    }
     ps.products_enumerated += frontier.size();
 
-    // Serial wave merge, in linearization order (the wave is sorted).
+    // Wave merge, in linearization order (the wave is sorted).
     next.clear();
     for (size_t i = 0; i < frontier.size() && !halted.has_value(); ++i) {
       const std::vector<uint32_t>& node = frontier[i];
-      if (passed[i]) {
+      if (hooks.pred(to_idx(node))) {
         if (hooks.on_pass) hooks.on_pass(to_idx(node));
         // ≼-maximal antichain maintenance. A passing node can arrive
         // already dominated (its dominator was kept after this node was
@@ -270,8 +236,8 @@ Status LatticeFilterSpace(
     frontier.swap(next);
   }
 
-  // Replay the surviving antichain serially, in the serial odometer's
-  // order — exactly where ParallelFilterSpace would have consumed them.
+  // Replay the surviving antichain in the serial odometer's order —
+  // exactly where ParallelFilterSpace would have consumed them.
   // On a halt this is the sound partial prefix the certificate covers.
   std::sort(kept.begin(), kept.end(), LinearOrderLess<std::vector<uint32_t>>);
   for (const auto& node : kept) {
@@ -320,7 +286,8 @@ CoverTable::CoverTable(ConceptAnswerCovers* covers,
       nwords_(covers->num_words()),
       table_(lists.size()) {
   for (size_t i = 0; i < lists.size(); ++i) {
-    table_[i] = ResolveList(covers, lists[i], i);
+    table_[i].reserve(lists[i].size());
+    for (onto::ConceptId c : lists[i]) table_[i].push_back(covers->Cover(c, i));
   }
 }
 
@@ -340,15 +307,6 @@ void CoverTable::ResolveSizes(
       sizes_[i].push_back(e.is_all() ? 0 : e.size());
     }
   }
-}
-
-std::vector<const uint64_t*> CoverTable::ResolveList(
-    ConceptAnswerCovers* covers, const std::vector<onto::ConceptId>& list,
-    size_t pos) {
-  std::vector<const uint64_t*> out;
-  out.reserve(list.size());
-  for (onto::ConceptId c : list) out.push_back(covers->Cover(c, pos));
-  return out;
 }
 
 }  // namespace whynot::explain

@@ -31,19 +31,19 @@ namespace whynot::explain {
 ///  * ProductSearch — the one driver of the candidate-product searches
 ///    (Algorithm 1, exact cardinality, the why antichain): strategy,
 ///    budget, stats and certificate around the two walks below;
-///  * ParallelFilterSpace — the chunked candidate-product shard with
-///    range-ordered survivor replay (the odometer walk);
-///  * LatticeFilterSpace — the dominance-pruned frontier walk;
+///  * ParallelFilterSpace — the odometer walk; with more than one pool
+///    thread it is the chunked candidate-product shard with range-ordered
+///    survivor replay, the engine's one pooled path;
+///  * LatticeFilterSpace — the serial dominance-pruned frontier walk;
 ///  * CoverTable — pre-resolved cover pointers aligned with per-position
 ///    candidate lists, plus the extension metadata the counting
 ///    (containment) form needs;
 ///  * GreedyAndCache — the prefix/suffix running-AND probe cache of the
 ///    greedy sweeps (EnumerateAllMges' completion and maximality tests).
 ///
-/// Everything here follows the engine-wide parallel discipline: parallel
-/// stages compute pure index-addressed results, stateful consumption
-/// replays serially in index order, so outputs are bit-identical for
-/// every thread count.
+/// The odometer shard computes pure index-addressed results and replays
+/// stateful consumption serially in index order, so outputs are
+/// bit-identical for every thread count; everything else here is serial.
 
 /// Candidates filtered in one parallel round before their survivors are
 /// consumed serially; bounds the survivor buffer without a sync per block.
@@ -223,10 +223,10 @@ Status ParallelFilterSpace(const CandidateSpace& space, Pred&& pred,
 }
 
 /// Hooks of the dominance-pruned frontier enumeration. `pred` and
-/// `consume` have exactly the ParallelFilterSpace contract (pure sharded
-/// predicate, serial consumption); the optional pair exists for the
-/// branch-and-bound form of the cardinality search:
-///  * `on_pass(idx)` runs serially, in deterministic wave-merge order, on
+/// `consume` have the ParallelFilterSpace contract (pure predicate,
+/// consumption in the serial odometer's order); the optional pair exists
+/// for the branch-and-bound form of the cardinality search:
+///  * `on_pass(idx)` runs in deterministic wave-merge order, on
 ///    every candidate the predicate admitted — including ones a kept
 ///    survivor later dominates — so callers can maintain a running bound
 ///    over *passing* products;
@@ -256,24 +256,22 @@ struct LatticeFrontierHooks {
 /// componentwise cover-step at a time, which reaches every maximal
 /// passing product (failure propagates upward along any cover chain).
 ///
-/// Output protocol: predicate evaluation shards each wave across the
-/// pool; wave merge, antichain maintenance, and child generation are
-/// serial over the wave in linearization order; the surviving antichain
-/// is replayed through `consume` in linearization order
-/// (LinearOrderLess) at the end. On a consistent binding ≼ equals ⊑ and
-/// the consumed sequence is bit-identical to what ParallelFilterSpace
-/// feeds the same consume — at every thread count.
+/// Output protocol: the walk is serial at every thread count. Each wave
+/// is tested, merged into the antichain and expanded in linearization
+/// order; the surviving antichain is replayed through `consume` in
+/// linearization order (LinearOrderLess) at the end. On a consistent
+/// binding ≼ equals ⊑ and the consumed sequence is bit-identical to what
+/// ParallelFilterSpace feeds the same consume.
 ///
 /// `max_tested` budgets predicate evaluations (the lattice counterpart of
 /// the odometer's raw-product budget); exceeding it returns
 /// ResourceExhausted. Counters accumulate into `stats` when non-null.
 ///
 /// Execution control (`exec` may be null): checked at wave starts with
-/// probe = products_enumerated so far — a thread-invariant ordinal, since
-/// wave contents are serially merged in linearization order. When `stop`
-/// is null a stop returns the matching error (budget exhaustion keeps its
-/// historical ResourceExhausted, with no consume and no stats — exactly
-/// the pre-control behavior); when non-null the *current* ≼-maximal
+/// probe = products_enumerated so far. When `stop` is null a stop returns
+/// the matching error (budget exhaustion keeps its historical
+/// ResourceExhausted, with no consume and no stats — exactly the
+/// pre-control behavior); when non-null the *current* ≼-maximal
 /// antichain is replayed through `consume` as a sound partial prefix,
 /// stats accumulate, the Stop (budget included, as kBudget) is recorded,
 /// and the call returns OK.
@@ -415,8 +413,8 @@ class ProductSearch {
 /// (ResolveSizes), turning the why-explanation "product ⊆ Ans" predicate
 /// into table-local arithmetic plus one popcount AND.
 ///
-/// Resolution happens serially at construction (covers build lazily);
-/// the resolved table is immutable and safe to probe from pool workers.
+/// Resolution happens at construction (covers build lazily); the resolved
+/// table is immutable and safe to probe from the odometer's pool workers.
 class CoverTable {
  public:
   CoverTable(ConceptAnswerCovers* covers,
@@ -471,12 +469,6 @@ class CoverTable {
       *finite_sum += sizes_[i][idx[i]];  // 0 for All positions
     }
   }
-
-  /// Covers of one candidate list at a fixed position (the existence
-  /// search's per-node tables, the greedy climb's sweep tables).
-  static std::vector<const uint64_t*> ResolveList(
-      ConceptAnswerCovers* covers, const std::vector<onto::ConceptId>& list,
-      size_t pos);
 
  private:
   size_t num_answers_;

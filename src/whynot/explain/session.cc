@@ -219,11 +219,9 @@ Status ExplainSession::Rewarm(const exec::ExecContext* exec) {
   s.lattice.reset();
   s.bound.reset();
   if (s.ontology != nullptr) {
-    // Force every lazy instance cache so pool-worker reads inside the
-    // external-ontology searches (and instance-dependent ExtFns) are
-    // read-only. No derived-ontology path reads the instance from pool
-    // workers, so a session without an ontology skips this.
-    s.instance->WarmForConcurrentReads();
+    // The extensions are warmed here, serially; the one pooled search
+    // (the odometer walk) then reads only pre-resolved cover rows, so no
+    // pool worker reads the instance or calls an ExtFn.
     s.bound = std::make_unique<onto::BoundOntology>(s.ontology, s.instance);
     // A stop (or injected warm fault) aborts the rewarm before the covers
     // are rebuilt; s.version stays behind, so the next request retries the

@@ -95,8 +95,9 @@ struct GradedMges {
 /// instance *during* a request is not supported (same contract as the
 /// one-shot searches).
 ///
-/// Threading: requests dispatch into the same parallel searches as the
-/// one-shot calls. The session itself is single-threaded — serve
+/// Threading: requests dispatch into the same searches as the one-shot
+/// calls (only the odometer walk uses the pool). The session itself is
+/// single-threaded — serve
 /// concurrent callers from one session with external serialization, or
 /// give each its own session.
 class ExplainSession {

@@ -83,17 +83,17 @@ Result<std::vector<Explanation>> AllMostGeneralWhyExplanations(
     }
     // The product-containment test — the counting AND with its
     // finite-size pre-checks, by far the dominant cost — is a pure
-    // function of the candidate, so it shards through the shared
-    // candidate filter against a pre-resolved cover table; the antichain
-    // pass replays serially over the survivors in candidate order. A
-    // candidate the filter admits but a kept explanation dominates is
-    // dropped at the replay (domination is checked before insertion), so
-    // the antichain is exactly the serial reference's. The table resolves
-    // covers for *every* list concept up front — worth it only when
-    // workers will hammer it; the serial odometer path keeps the lazy
-    // per-probe covers (most candidates never get probed past the
-    // domination prefilter below). The frontier path always resolves the
-    // table: its predicate shards per wave regardless of thread count.
+    // function of the candidate, so the pooled odometer shards it against
+    // a pre-resolved cover table; the antichain pass replays serially
+    // over the survivors in candidate order. A candidate the filter
+    // admits but a kept explanation dominates is dropped at the replay
+    // (domination is checked before insertion), so the antichain is
+    // exactly the serial reference's. The table resolves covers for
+    // *every* list concept up front — worth it only when workers will
+    // hammer it; the serial odometer keeps the lazy per-probe covers
+    // (most candidates never get probed past the domination prefilter
+    // below). The frontier resolves the table too: it has no prefilter,
+    // so it probes every node it reaches.
     std::optional<CoverTable> table;
     if (search.frontier() || par::NumThreads() > 1) {
       table.emplace(covers, lists);

@@ -1,11 +1,6 @@
 #include "whynot/ontology/ontology.h"
 
-#include <algorithm>
-#include <mutex>
 #include <optional>
-#include <utility>
-
-#include "whynot/common/parallel.h"
 
 namespace whynot::onto {
 
@@ -49,63 +44,14 @@ std::vector<ConceptId> BoundOntology::ConceptsContaining(ValueId id) {
   WarmExtensions();
   int32_t n = NumConcepts();
   std::vector<ConceptId> out;
-  if (par::NumThreads() <= 1 || n < 1024) {
-    for (ConceptId c = 0; c < n; ++c) {
-      if (cache_[static_cast<size_t>(c)].Contains(id)) out.push_back(c);
-    }
-    return out;
-  }
-  // Warm extensions are immutable; scan concept-id ranges in parallel and
-  // concatenate the per-block hits in range order (ids stay ascending).
-  std::vector<std::pair<size_t, std::vector<ConceptId>>> found;
-  std::mutex mutex;
-  par::ParallelFor(static_cast<size_t>(n), 256, [&](size_t begin, size_t end) {
-    std::vector<ConceptId> local;
-    for (size_t c = begin; c < end; ++c) {
-      if (cache_[c].Contains(id)) local.push_back(static_cast<ConceptId>(c));
-    }
-    std::lock_guard<std::mutex> lock(mutex);
-    found.emplace_back(begin, std::move(local));
-  });
-  std::sort(found.begin(), found.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [begin, part] : found) {
-    out.insert(out.end(), part.begin(), part.end());
+  for (ConceptId c = 0; c < n; ++c) {
+    if (cache_[static_cast<size_t>(c)].Contains(id)) out.push_back(c);
   }
   return out;
 }
 
 Status BoundOntology::CheckConsistent() {
   int32_t n = NumConcepts();
-  if (par::NumThreads() > 1 && n >= 8) {
-    // Warm first (parallel), then the pairwise scan is read-only. Blocks
-    // report their first offending pair; the merge keeps the (c1, c2)-lex
-    // smallest so the error matches the serial scan's.
-    WarmExtensions();
-    std::optional<std::pair<ConceptId, ConceptId>> first;
-    std::mutex mutex;
-    par::ParallelFor(static_cast<size_t>(n), 1, [&](size_t begin, size_t end) {
-      for (size_t c1 = begin; c1 < end; ++c1) {
-        for (int32_t c2 = 0; c2 < n; ++c2) {
-          ConceptId a = static_cast<ConceptId>(c1);
-          if (a == c2 || !Subsumes(a, c2)) continue;
-          if (!cache_[c1].SubsetOf(cache_[static_cast<size_t>(c2)])) {
-            std::lock_guard<std::mutex> lock(mutex);
-            if (!first.has_value() || std::make_pair(a, c2) < *first) {
-              first = std::make_pair(a, c2);
-            }
-            return;  // later pairs in this block are lex-greater
-          }
-        }
-      }
-    });
-    if (!first.has_value()) return Status::OK();
-    auto [c1, c2] = *first;
-    return Status::InvalidArgument(
-        "instance inconsistent with ontology: " + ConceptName(c1) + " ⊑ " +
-        ConceptName(c2) + " but ext(" + ConceptName(c1) + ") ⊄ ext(" +
-        ConceptName(c2) + ")");
-  }
   for (ConceptId c1 = 0; c1 < n; ++c1) {
     for (ConceptId c2 = 0; c2 < n; ++c2) {
       if (c1 == c2 || !Subsumes(c1, c2)) continue;

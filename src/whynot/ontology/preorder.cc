@@ -1,7 +1,5 @@
 #include "whynot/ontology/preorder.h"
 
-#include "whynot/common/parallel.h"
-
 namespace whynot::onto {
 
 int32_t BoolMatrix::RowCount(int32_t i) const {
@@ -16,24 +14,6 @@ int32_t BoolMatrix::RowCount(int32_t i) const {
 void ReflexiveTransitiveClosure(BoolMatrix* m) {
   int32_t n = m->size();
   for (int32_t i = 0; i < n; ++i) m->Set(i, i);
-  // For each pivot the row updates are independent — every row i != k only
-  // reads the (unchanging) pivot row k and ORs into its own words — so the
-  // inner sweep shards by row blocks. The result is bit-identical for any
-  // thread count. Matrices below the cutoff keep the plain loop: the
-  // per-pivot dispatch would dominate the handful of word-ops per row
-  // (the Table-1 ontologies are tens of concepts).
-  if (par::NumThreads() > 1 && n >= 256) {
-    for (int32_t k = 0; k < n; ++k) {
-      par::ParallelFor(static_cast<size_t>(n), 128,
-                       [&](size_t begin, size_t end) {
-                         for (size_t i = begin; i < end; ++i) {
-                           int32_t row = static_cast<int32_t>(i);
-                           if (row != k && m->Get(row, k)) m->RowOr(row, k);
-                         }
-                       });
-    }
-    return;
-  }
   for (int32_t k = 0; k < n; ++k) {
     for (int32_t i = 0; i < n; ++i) {
       if (i != k && m->Get(i, k)) m->RowOr(i, k);

@@ -381,7 +381,7 @@ void Instance::WarmForConcurrentReads() const {
   for (const auto& [name, idx] : store_index_) {
     const StoredRelation& rel = store_[idx];
     // Boxed tuple view: an external ontology's caller-supplied ExtFns
-    // may read it from pool workers during WarmExtensions.
+    // may read it.
     Relation(name);
     for (size_t a = 0; a < rel.arity(); ++a) rel.Index(a);
   }

@@ -229,10 +229,11 @@ class Instance {
 
   /// Forces every lazily built cache — the pool's order index, the active
   /// domain snapshot, all column indexes, and the boxed tuple views — so
-  /// that subsequent *const* access is genuinely read-only. The parallel
-  /// execution layer calls this once before fanning readers of a shared
-  /// instance out across pool workers (the lazy mutable caches otherwise
-  /// make even const methods single-threaded; see the class NOTE above).
+  /// that subsequent *const* access is genuinely read-only. For callers
+  /// that share one instance across their own threads (the lazy mutable
+  /// caches otherwise make even const methods single-threaded; see the
+  /// class NOTE above). The engine never calls it: its one pooled path,
+  /// the odometer walk, reads pre-resolved cover rows, not the instance.
   void WarmForConcurrentReads() const;
 
   /// Heap + object bytes of the stored facts and warm caches: interned

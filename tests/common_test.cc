@@ -5,6 +5,7 @@
 
 #include "test_util.h"
 #include "whynot/common/algorithm.h"
+#include "whynot/common/parallel.h"
 #include "whynot/common/status.h"
 #include "whynot/common/strings.h"
 #include "whynot/common/value.h"
@@ -115,6 +116,13 @@ TEST(AlgorithmTest, InsertAtPositionsMergesIntoSortedVector) {
   inserted = {"x", "y"};
   InsertAtPositions(&empty, {0, 1}, make);
   EXPECT_EQ(empty, (std::vector<std::string>{"x", "y"}));
+}
+
+TEST(ParallelTest, SetNumThreadsClampsLikeTheEnvironment) {
+  // Reads the setting only: no parallel region runs, so no worker spawns.
+  par::SetNumThreads(1000);
+  EXPECT_EQ(par::NumThreads(), 256);
+  par::SetNumThreads(0);
 }
 
 TEST(StatusTest, OkAndErrors) {

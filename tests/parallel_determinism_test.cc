@@ -1,16 +1,21 @@
-// Determinism gate for the parallel execution layer (PR 4): every
-// explanation search must produce bit-identical results — including
-// enumeration order, witnesses, stats, and error outcomes — at
-// WHYNOT_THREADS ∈ {1, 2, 8}. The 1-thread run takes the serial code
-// paths verbatim and serves as the reference; the multi-thread runs
-// exercise the parallel ConceptsContaining and consistency scans, the
-// candidate fan-outs, and the deterministic index-ordered merges.
+// Determinism gate for the parallel execution layer: every explanation
+// search must produce bit-identical results — including enumeration
+// order, witnesses, stats, and error outcomes — at WHYNOT_THREADS ∈
+// {1, 2, 8}. The 1-thread run takes the serial code paths verbatim and
+// serves as the reference; the multi-thread runs exercise the one pooled
+// path, the odometer shard of ParallelFilterSpace, with its deterministic
+// index-ordered merge. Every other path is serial at every thread count,
+// so the warm-up and materialize cases also check their results against
+// literal readings computed here.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "test_util.h"
@@ -79,10 +84,94 @@ ExternalFixture MakeExternalFixture(uint64_t seed) {
   return f;
 }
 
+/// Random extensions over `domain` under random ⊑ edges: an ontology
+/// the instance is (almost surely) inconsistent with, at several pairs.
+std::unique_ptr<onto::ExplicitOntology> RandomInconsistentOntology(
+    const std::vector<Value>& domain, uint64_t seed) {
+  constexpr uint64_t kConcepts = 24;
+  Rng rng(seed);
+  auto o = std::make_unique<onto::ExplicitOntology>();
+  for (uint64_t c = 0; c < kConcepts; ++c) {
+    std::string name = "R" + std::to_string(c);
+    std::vector<Value> ext;
+    for (const Value& v : domain) {
+      if (rng.Chance(1, 2)) ext.push_back(v);
+    }
+    o->AddConcept(name);
+    o->SetExtension(name, std::move(ext));
+  }
+  for (int e = 0; e < 12; ++e) {
+    o->AddSubsumption("R" + std::to_string(rng.Below(kConcepts)),
+                      "R" + std::to_string(rng.Below(kConcepts)));
+  }
+  EXPECT_TRUE(o->Finalize().ok());
+  return o;
+}
+
+/// Ext(a) ⊆ Ext(b), element by element.
+bool LiteralSubset(const onto::ExtSet& a, const onto::ExtSet& b) {
+  if (b.is_all()) return true;
+  if (a.is_all()) return false;
+  for (ValueId id : a.ids()) {
+    if (std::find(b.ids().begin(), b.ids().end(), id) == b.ids().end()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Checks ConceptsContaining against {c : id ∈ Ext(c)} and
+/// CheckConsistent against the lex-least pair (c1, c2) with c1 ⊑ c2 and
+/// Ext(c1) ⊄ Ext(c2), both by plain loops over the warm table. Returns
+/// whether such a pair exists.
+bool ExpectLiteralScans(onto::BoundOntology* bound,
+                        const std::vector<Value>& probes) {
+  bound->WarmExtensions();
+  const int32_t n = bound->NumConcepts();
+  for (const Value& v : probes) {
+    ValueId id = bound->pool().Intern(v);
+    std::vector<onto::ConceptId> want;
+    for (onto::ConceptId c = 0; c < n; ++c) {
+      const onto::ExtSet& e = bound->Ext(c);
+      if (e.is_all() || std::find(e.ids().begin(), e.ids().end(), id) !=
+                            e.ids().end()) {
+        want.push_back(c);
+      }
+    }
+    EXPECT_EQ(bound->ConceptsContaining(id), want) << v.ToString();
+  }
+  std::optional<std::pair<onto::ConceptId, onto::ConceptId>> first;
+  for (onto::ConceptId c1 = 0; c1 < n && !first.has_value(); ++c1) {
+    for (onto::ConceptId c2 = 0; c2 < n; ++c2) {
+      if (c1 != c2 && bound->Subsumes(c1, c2) &&
+          !LiteralSubset(bound->Ext(c1), bound->Ext(c2))) {
+        first = std::make_pair(c1, c2);
+        break;
+      }
+    }
+  }
+  Status st = bound->CheckConsistent();
+  if (!first.has_value()) {
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    return false;
+  }
+  std::string a = bound->ConceptName(first->first);
+  std::string b = bound->ConceptName(first->second);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find(": " + a + " ⊑ " + b + " but ext(" + a +
+                              ") ⊄ ext(" + b + ")"),
+            std::string::npos)
+      << st.ToString() << " does not name " << a << " ⊑ " << b;
+  return true;
+}
+
 class ParallelDeterminismTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ParallelDeterminismTest, WarmupAndConceptsContaining) {
   ExternalFixture f = MakeExternalFixture(GetParam());
+  std::unique_ptr<onto::ExplicitOntology> inconsistent =
+      RandomInconsistentOntology(f.instance->ActiveDomain(),
+                                 GetParam() ^ 0x1badull);
   ExpectSameAtAllThreadCounts<std::vector<std::string>>(
       [&] {
         onto::BoundOntology bound(f.ontology.get(), f.instance.get());
@@ -108,6 +197,10 @@ TEST_P(ParallelDeterminismTest, WarmupAndConceptsContaining) {
           out.push_back(std::move(s));
         }
         out.push_back(bound.CheckConsistent().ToString());
+        EXPECT_FALSE(ExpectLiteralScans(&bound, f.wni.missing));
+        onto::BoundOntology broken(inconsistent.get(), f.instance.get());
+        EXPECT_TRUE(ExpectLiteralScans(&broken, f.instance->ActiveDomain()));
+        out.push_back(broken.CheckConsistent().ToString());
         return out;
       },
       "warm-up / ConceptsContaining / CheckConsistent");
@@ -232,8 +325,8 @@ TEST_P(ParallelDeterminismTest, SessionServedRequests) {
   // ontology serves derived and external requests in turn: each result
   // must equal the one-shot entry point's at the same thread count, and
   // the whole sequence the 1-thread run's. The session path additionally
-  // runs WarmForConcurrentReads, the session-owned cover tables, and
-  // repeated requests over one warm state.
+  // runs the session-owned cover tables and repeated requests over one
+  // warm state.
   ExternalFixture f = MakeExternalFixture(GetParam() ^ 0x5e55ull);
   ExpectSameAtAllThreadCounts<std::vector<std::string>>(
       [&] {
@@ -408,9 +501,10 @@ TEST_P(ParallelDeterminismTest, DerivedSearches) {
 
 TEST_P(ParallelDeterminismTest, MaterializeAndClosure) {
   DerivedFixture f = MakeDerivedFixture(GetParam() ^ 0xabcdull);
-  // Materialized OI[K]: concept list, extensions, and the subsumption
-  // matrix exercise the parallel dedup rounds, the sharded instance-mode
-  // matrix build, and the row-parallel Warshall closure.
+  // Materialized OI[K]: the concept list and the subsumption matrix of
+  // the extension-class dedup and the instance-mode matrix build, checked
+  // against the concepts' own extensions: Subsumes(c, d) iff
+  // Eval(c) ⊆ Eval(d), and no two concepts share an extension.
   ExpectSameAtAllThreadCounts<std::vector<std::string>>(
       [&] {
         ls::MaterializeOptions options;
@@ -421,6 +515,35 @@ TEST_P(ParallelDeterminismTest, MaterializeAndClosure) {
         std::vector<std::string> out;
         if (!r.ok()) return out;
         const ls::LsOntology& onto = *r.value();
+        // (is ⊤, members) per concept, from the boxed extension.
+        std::vector<std::pair<bool, std::set<Value>>> ext;
+        for (const ls::LsConcept& c : onto.concepts()) {
+          ls::Extension e = ls::Eval(c, *f.instance);
+          ext.emplace_back(e.all, e.all ? std::set<Value>{}
+                                        : std::set<Value>(e.values().begin(),
+                                                          e.values().end()));
+        }
+        auto subset = [&](size_t c, size_t d) {
+          if (ext[d].first) return true;
+          if (ext[c].first) return false;
+          for (const Value& v : ext[c].second) {
+            if (ext[d].second.count(v) == 0) return false;
+          }
+          return true;
+        };
+        for (size_t c = 0; c < ext.size(); ++c) {
+          for (size_t d = 0; d < ext.size(); ++d) {
+            onto::ConceptId ci = static_cast<onto::ConceptId>(c);
+            onto::ConceptId di = static_cast<onto::ConceptId>(d);
+            EXPECT_EQ(onto.Subsumes(ci, di), subset(c, d))
+                << onto.ConceptName(ci) << " vs " << onto.ConceptName(di);
+            if (c < d) {
+              EXPECT_FALSE(ext[c] == ext[d])
+                  << onto.ConceptName(ci) << " and " << onto.ConceptName(di)
+                  << " share an extension";
+            }
+          }
+        }
         for (onto::ConceptId c = 0; c < onto.NumConcepts(); ++c) {
           std::string row = onto.ConceptName(c) + "=";
           for (onto::ConceptId d = 0; d < onto.NumConcepts(); ++d) {

@@ -40,6 +40,13 @@ entry, current memory_bytes above --memory-ceiling (default 1.10x) times
 the parent's fails, so a time win can never quietly buy back the memory.
 Per-binary peak RSS (context.peak_rss_bytes) is reported alongside.
 
+The pooled-vs-1-thread report: for every entry present in both the
+pooled `benchmarks` rows and the `benchmarks_1thread` rows of the one
+BENCH file, the ratio 1-thread real_time / pooled real_time (above 1 the
+pool wins), under each binary's num_cpus and whynot_threads from the two
+contexts. This is the "beats its own 1-thread row" figure of a parallel
+path; it is printed only, not gated.
+
 Usage: tools/check_bench.py [bench-json] [--floor 0.85] [--prune-floor 0.9]
                             [--memory-ceiling 1.10] [--baseline-json FILE]
 """
@@ -49,6 +56,29 @@ import json
 import statistics
 import sys
 from pathlib import Path
+
+
+def report_pooled_vs_serial(data: dict) -> None:
+    """Prints each entry's 1-thread / pooled real_time ratio (report only)."""
+    serial_sections = data.get("benchmarks_1thread", {})
+    for bench, payload in sorted(data.get("benchmarks", {}).items()):
+        serial = serial_sections.get(bench)
+        if serial is None:
+            continue
+        ctx, serial_ctx = payload.get("context", {}), serial.get("context", {})
+        print(f"pooled vs 1-thread {bench}: num_cpus="
+              f"{ctx.get('num_cpus')}, whynot_threads "
+              f"{ctx.get('whynot_threads')} vs "
+              f"{serial_ctx.get('whynot_threads')}")
+        serial_results = serial.get("results", {})
+        for name, r in sorted(payload.get("results", {}).items()):
+            s = serial_results.get(name)
+            pooled_ns, serial_ns = r.get("real_time"), (s or {}).get("real_time")
+            if not pooled_ns or not serial_ns:
+                continue
+            print(f"  {name}: {serial_ns / pooled_ns:.2f}x "
+                  f"(1-thread {serial_ns / 1e3:.1f} us, pooled "
+                  f"{pooled_ns / 1e3:.1f} us)")
 
 
 def main() -> int:
@@ -99,6 +129,8 @@ def main() -> int:
                    for p in data.get("benchmarks", {}).values()}
         print(f"pooled ({sorted(t for t in threads if t)} threads): median "
               f"speedup {pmed:.2f}x over {len(pooled)} entries [not gated]")
+
+    report_pooled_vs_serial(data)
 
     # Pruning-effectiveness report: every result exporting the PR-6
     # frontier counters, across both thread flavors (the stats are part of
