@@ -8,6 +8,11 @@
 
 namespace whynot {
 
+/// Boost-style hash combine; good enough for bucket placement.
+inline size_t HashMix(size_t h, size_t x) {
+  return h ^ (x + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
+}
+
 /// Sorts `v` and drops duplicates — the canonical-set idiom used for
 /// extensions, answer lists, and column caches throughout.
 template <typename T>

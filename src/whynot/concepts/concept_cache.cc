@@ -1,8 +1,6 @@
 #include "whynot/concepts/concept_cache.h"
 
 #include <algorithm>
-#include <functional>
-#include <string>
 #include <utility>
 
 #include "whynot/common/algorithm.h"
@@ -10,27 +8,11 @@
 namespace whynot::ls {
 namespace {
 
-inline size_t Mix(size_t h, size_t x) {
-  // Boost-style hash combine; good enough for bucket placement.
-  return h ^ (x + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
-}
-
 // Approximate heap bytes of a support key (its value and signature
 // vectors).
 size_t KeyBytes(const SupportKey& key) {
   return key.values.capacity() * sizeof(Value) +
          key.sig.capacity() * sizeof(uint64_t);
-}
-
-// Approximate heap bytes of a concept's conjunct list (relation-name and
-// selection storage folded into a flat per-conjunct estimate).
-size_t ConceptBytes(const LsConcept& c) {
-  size_t bytes = sizeof(LsConcept);
-  for (const Conjunct& cj : c.conjuncts()) {
-    bytes += sizeof(Conjunct) + cj.relation.capacity() +
-             cj.selections.capacity() * sizeof(Selection);
-  }
-  return bytes;
 }
 
 // Per-node overhead of a hash map entry beyond its value: the next
@@ -41,34 +23,10 @@ constexpr size_t kNodeOverhead = 2 * sizeof(void*);
 
 size_t SupportKeyHash::operator()(const SupportKey& key) const {
   size_t h = key.values.size();
-  for (const Value& v : key.values) h = Mix(h, v.Hash());
+  for (const Value& v : key.values) h = HashMix(h, v.Hash());
   // Signature bits cluster in the low columns; the multiply spreads them
   // over the bucket bits.
-  for (uint64_t w : key.sig) h = Mix(h, w * 0x9e3779b97f4a7c15ull);
-  return h;
-}
-
-size_t ConceptHash::operator()(const LsConcept& concept_expr) const {
-  size_t h = concept_expr.conjuncts().size();
-  for (const Conjunct& cj : concept_expr.conjuncts()) {
-    h = Mix(h, static_cast<size_t>(cj.kind));
-    switch (cj.kind) {
-      case Conjunct::Kind::kTop:
-        break;
-      case Conjunct::Kind::kNominal:
-        h = Mix(h, cj.nominal.Hash());
-        break;
-      case Conjunct::Kind::kProjection:
-        h = Mix(h, std::hash<std::string>{}(cj.relation));
-        h = Mix(h, static_cast<size_t>(cj.attr));
-        for (const Selection& s : cj.selections) {
-          h = Mix(h, static_cast<size_t>(s.attr));
-          h = Mix(h, static_cast<size_t>(s.op));
-          h = Mix(h, s.constant.Hash());
-        }
-        break;
-    }
-  }
+  for (uint64_t w : key.sig) h = HashMix(h, w * 0x9e3779b97f4a7c15ull);
   return h;
 }
 
@@ -82,27 +40,26 @@ const ConceptCache::Entry* ConceptCache::FindSupport(
 void ConceptCache::Clear() {
   support_free_.clear();
   support_sel_.clear();
-  evals_.clear();
+  evals_.Clear();
 }
 
 size_t ConceptCache::size() const {
   return support_free_.size() + support_sel_.size() + evals_.size();
 }
 
-size_t ConceptCache::MemoryBytes() const {
-  size_t bytes = sizeof(*this);
-  // Extensions carry the bulk of the bytes; the support entries below only
-  // point at them, so each is counted once.
-  for (const auto& [concept_expr, ext] : evals_) {
-    bytes += ConceptBytes(concept_expr) + ext.MemoryBytes() + kNodeOverhead;
-  }
+size_t ConceptCache::SupportBytes() const {
+  size_t bytes = sizeof(*this) - sizeof(evals_);
   for (const SupportMap* map : {&support_free_, &support_sel_}) {
     for (const auto& node : *map) {
       bytes += sizeof(node) + KeyBytes(node.first) + kNodeOverhead;
     }
     bytes += map->bucket_count() * sizeof(void*);
   }
-  return bytes + evals_.bucket_count() * sizeof(void*);
+  return bytes;
+}
+
+size_t ConceptCache::MemoryBytes() const {
+  return SupportBytes() + evals_.MemoryBytes();
 }
 
 SupportKey ConceptCacheOverlay::KeyOf(const std::vector<Value>& x) const {
@@ -157,28 +114,19 @@ Result<LsConcept> ConceptCacheOverlay::LubOfKey(const SupportKey& key) {
       key.sig.data(), key.values.empty() ? nullptr : &key.values.front());
 }
 
-const ConceptCache::EvalMap::value_type& ConceptCacheOverlay::EvalOf(
+const ConceptCacheOverlay::EvalNode& ConceptCacheOverlay::EvalOf(
     LsConcept concept_expr) {
-  // The eval map is keyed by the concept, so distinct support sets in one
-  // lub class share a single Extension object. One hash: try_emplace both
-  // probes and claims the slot.
-  auto [it, inserted] = cache_->evals_.try_emplace(std::move(concept_expr));
-  if (inserted) {
-    ++cache_->stats_.publishes;
-    // Mirrors EvalCache::Eval bit for bit: intersect conjunct extensions
-    // in canonical order with the same early-empty break.
-    Extension value = Extension::All();
-    for (const Conjunct& c : it->first.conjuncts()) {
-      value = value.Intersect(conjunct_eval_->EvalConjunct(c));
-      if (value.empty()) break;
-    }
-    it->second = std::move(value);
-  }
-  return *it;
+  // evals() is keyed by the concept, so distinct support sets in one lub
+  // class share a single Extension object.
+  EvalCache& evals = cache_->evals_;
+  const size_t before = evals.size();
+  const EvalNode& node = evals.EvalNode(std::move(concept_expr));
+  cache_->stats_.publishes += evals.size() - before;
+  return node;
 }
 
-const ConceptCache::Entry* ConceptCacheOverlay::Record(
-    const SupportKey& key, const ConceptCache::EvalMap::value_type& node) {
+const ConceptCache::Entry* ConceptCacheOverlay::Record(const SupportKey& key,
+                                                       const EvalNode& node) {
   ++cache_->stats_.publishes;
   return &cache_->support(with_selections_)
               .emplace(key, ConceptCache::Entry{&node.first, &node.second})
@@ -224,7 +172,7 @@ const ConceptCache::Entry* ConceptCacheOverlay::PromoteLastProbe(
     const SupportKey& key) {
   // Already recorded: nothing to do. Otherwise the entry matches what a
   // fresh LubAndEval of the same key would record: same concept value,
-  // same eval-map extension address.
+  // same evals() extension address.
   if (last_entry_ != nullptr) return last_entry_;
   return Record(key, *last_eval_);
 }

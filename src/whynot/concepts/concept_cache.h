@@ -20,7 +20,7 @@ struct ConceptCacheStats {
   size_t shared_hits = 0;  // support lookups the memo served
   size_t local_hits = 0;   // always 0: the memo has one tier
   size_t misses = 0;       // lub + eval computed fresh
-  size_t publishes = 0;    // entries inserted (support and eval maps)
+  size_t publishes = 0;    // support entries + concepts added to evals()
 };
 
 /// The key of a support map: what lub(X) depends on, in the form each
@@ -48,23 +48,18 @@ struct SupportKeyHash {
   size_t operator()(const SupportKey& key) const;
 };
 
-struct ConceptHash {
-  size_t operator()(const LsConcept& concept_expr) const;
-};
-
 /// The concept memo: lub(X) together with its evaluated extension, across
 /// the probes of one search and — held by an ExplainSession — across
 /// requests. Lookups go through a ConceptCacheOverlay, which binds the lub
-/// flavor and the stores that compute a miss.
+/// flavor and the lub context that computes a miss.
 ///
-/// Three node-stable maps:
-///
-///  * two support maps, one per lub flavor, from the SupportKey of a
-///    support set X to (lub(X), ⟦lub(X)⟧ᴵ): the column signature of X
-///    selection-free, X itself with selections;
-///  * the eval map from an LsConcept to its extension, shared by every
-///    support key whose lub lands on the same concept — distinct support
-///    sets of one lub class reuse one Extension object.
+/// Two node-stable support maps, one per lub flavor, from the SupportKey
+/// of a support set X to lub(X) and ⟦lub(X)⟧ᴵ (the column signature of X
+/// selection-free, X itself with selections), over the one EvalCache the
+/// cache owns (evals()). Every lub is evaluated through that memo, so
+/// distinct support sets of one lub class — and any other caller of
+/// evals().Eval on the same concept — share one Extension object, and the
+/// answer covers build one row for it.
 ///
 /// Determinism: every entry is a pure function of (key, instance), so
 /// memo warmth can only change timing and pointer identities — never
@@ -77,10 +72,11 @@ struct ConceptHash {
 /// projections, their extensions) depend only on the distinct columns, so
 /// they stay exact across appends that leave every column unchanged; an
 /// ExplainSession keeps the memo across such writes when both its
-/// searches are selection-free, and Clear()s it on every other re-warm.
+/// searches are selection-free and evals().read_rows() is false, and
+/// Clear()s it on every other re-warm.
 class ConceptCache {
  public:
-  /// One support entry: views of the eval-map node holding the canonical
+  /// One support entry: views of the evals() node holding the canonical
   /// lub concept and its extension. Each key has one entry and each entry
   /// one address until Clear() — the answer-cover kernel keys cover rows
   /// by `ext`.
@@ -89,27 +85,32 @@ class ConceptCache {
     const Extension* ext;
   };
 
-  explicit ConceptCache(const rel::Instance* instance)
-      : instance_(instance) {}
-  // Entries point into the eval map's nodes.
+  explicit ConceptCache(const rel::Instance* instance) : evals_(instance) {}
+  // Entries point into the owned memo's nodes.
   ConceptCache(const ConceptCache&) = delete;
   ConceptCache& operator=(const ConceptCache&) = delete;
 
-  const rel::Instance& instance() const { return *instance_; }
+  const rel::Instance& instance() const { return evals_.instance(); }
+
+  /// The ⟦C⟧ᴵ memo every lub is evaluated through; stable until Clear().
+  EvalCache& evals() { return evals_; }
+  const EvalCache& evals() const { return evals_; }
 
   /// The recorded support entry of `key` in one flavor's map, null if
   /// none. Does not count as a hit.
   const Entry* FindSupport(bool with_selections, const SupportKey& key) const;
 
-  /// Drops every entry (session re-warm). Traffic counters survive.
+  /// Drops every entry, evals() included (session re-warm). Traffic
+  /// counters survive.
   void Clear();
 
-  /// Entries across the three maps.
+  /// Support entries plus the concepts evals() holds.
   size_t size() const;
 
-  /// Approximate residency, walked over the live entries: extensions (with
-  /// whichever dense mirrors probes have built so far), concepts, keys and
-  /// map structure. Feeds ExplainSession::MemoryUsage().
+  /// Approximate residency of the support maps: keys, entries and map
+  /// structure. The extensions they point at are evals().MemoryBytes().
+  size_t SupportBytes() const;
+  /// SupportBytes() + evals().MemoryBytes().
   size_t MemoryBytes() const;
 
   const ConceptCacheStats& stats() const { return stats_; }
@@ -117,7 +118,6 @@ class ConceptCache {
  private:
   friend class ConceptCacheOverlay;
 
-  using EvalMap = std::unordered_map<LsConcept, Extension, ConceptHash>;
   using SupportMap = std::unordered_map<SupportKey, Entry, SupportKeyHash>;
 
   SupportMap& support(bool with_selections) {
@@ -127,29 +127,24 @@ class ConceptCache {
     return with_selections ? support_sel_ : support_free_;
   }
 
-  const rel::Instance* instance_;
+  EvalCache evals_;
   SupportMap support_free_;
   SupportMap support_sel_;
-  EvalMap evals_;
   ConceptCacheStats stats_;
 };
 
-/// One search's binding to a ConceptCache: the lub flavor and the stores
-/// a miss is computed with. The entries live in the cache; the overlay
-/// keeps only the slot that PromoteLastProbe reads.
+/// One search's binding to a ConceptCache: the lub flavor and the lub
+/// context a miss is computed with. The entries live in the cache; the
+/// overlay keeps only the slot that PromoteLastProbe reads.
 ///
 /// Single-threaded, like the LubContext and EvalCache it drives.
 class ConceptCacheOverlay {
  public:
-  /// `lub` computes misses (flavor fixed by `with_selections`);
-  /// `conjunct_eval` supplies conjunct-level extensions (concepts share
-  /// conjuncts heavily).
+  /// `lub` computes misses (flavor fixed by `with_selections`); their
+  /// extensions come from cache->evals().
   ConceptCacheOverlay(ConceptCache* cache, bool with_selections,
-                      LubContext* lub, EvalCache* conjunct_eval)
-      : cache_(cache),
-        with_selections_(with_selections),
-        lub_(lub),
-        conjunct_eval_(conjunct_eval) {}
+                      LubContext* lub)
+      : cache_(cache), with_selections_(with_selections), lub_(lub) {}
 
   /// The key of a non-empty support set X in this overlay's flavor.
   SupportKey KeyOf(const std::vector<Value>& x) const;
@@ -171,8 +166,7 @@ class ConceptCacheOverlay {
   /// Probe variant for generalization sweeps, which test X ∪ {b} for every
   /// b and keep almost none. With selections the boxed keys are probed
   /// once each, so this serves a recorded support entry when there is one,
-  /// otherwise computes the lub fresh — memoizing only the concept-keyed
-  /// eval map. No support entry is recorded, so a rejected candidate
+  /// otherwise computes the lub fresh — memoizing only its evals() node. No support entry is recorded, so a rejected candidate
   /// never bloats the support map with probe-once keys. Selection-free
   /// keys are signatures, which recur across probes, so there this is
   /// LubAndEval. The returned extension is address-stable until Clear(),
@@ -193,23 +187,23 @@ class ConceptCacheOverlay {
   /// The lub of a support key, flavor fixed at construction.
   Result<LsConcept> LubOfKey(const SupportKey& key);
 
-  /// The eval-map node of `concept_expr` (key: the canonical concept,
-  /// value: its extension), evaluated and recorded on miss.
-  const ConceptCache::EvalMap::value_type& EvalOf(LsConcept concept_expr);
+  using EvalNode = EvalCache::ConceptMap::value_type;
+
+  /// The evals() node of `concept_expr`, counting a publish on miss.
+  const EvalNode& EvalOf(LsConcept concept_expr);
 
   /// Records `key` → `node` in this flavor's support map.
-  const ConceptCache::Entry* Record(
-      const SupportKey& key, const ConceptCache::EvalMap::value_type& node);
+  const ConceptCache::Entry* Record(const SupportKey& key,
+                                    const EvalNode& node);
 
   ConceptCache* cache_;
   bool with_selections_;
   LubContext* lub_;
-  EvalCache* conjunct_eval_;
   // Where the last LubExtTransient was served from, for PromoteLastProbe:
   // exactly one is set after a successful probe (a recorded support entry
-  // / the eval node of a freshly computed lub).
+  // / the evals() node of a freshly computed lub).
   const ConceptCache::Entry* last_entry_ = nullptr;
-  const ConceptCache::EvalMap::value_type* last_eval_ = nullptr;
+  const EvalNode* last_eval_ = nullptr;
 };
 
 }  // namespace whynot::ls

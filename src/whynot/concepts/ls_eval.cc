@@ -1,8 +1,10 @@
 #include "whynot/concepts/ls_eval.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 
+#include "whynot/common/algorithm.h"
 #include "whynot/common/strings.h"
 #include "whynot/relational/interval.h"
 
@@ -297,24 +299,31 @@ Extension Eval(const LsConcept& concept_expr, const rel::Instance& instance) {
   return ext;
 }
 
-const Extension& EvalCache::Projection(const std::string& relation, int attr) {
-  auto key = std::make_pair(relation, attr);
-  auto it = projection_exts_.find(key);
-  if (it == projection_exts_.end()) {
-    it = projection_exts_
-             .emplace(std::move(key),
-                      ls::Eval(Conjunct::Projection(relation, attr),
-                               *instance_))
-             .first;
+size_t ConceptHash::operator()(const LsConcept& concept_expr) const {
+  size_t h = concept_expr.conjuncts().size();
+  for (const Conjunct& cj : concept_expr.conjuncts()) {
+    h = HashMix(h, static_cast<size_t>(cj.kind));
+    switch (cj.kind) {
+      case Conjunct::Kind::kTop:
+        break;
+      case Conjunct::Kind::kNominal:
+        h = HashMix(h, cj.nominal.Hash());
+        break;
+      case Conjunct::Kind::kProjection:
+        h = HashMix(h, std::hash<std::string>{}(cj.relation));
+        h = HashMix(h, static_cast<size_t>(cj.attr));
+        for (const Selection& s : cj.selections) {
+          h = HashMix(h, static_cast<size_t>(s.attr));
+          h = HashMix(h, static_cast<size_t>(s.op));
+          h = HashMix(h, s.constant.Hash());
+        }
+        break;
+    }
   }
-  return it->second;
+  return h;
 }
 
 const Extension& EvalCache::EvalConjunct(const Conjunct& conjunct) {
-  if (conjunct.kind == Conjunct::Kind::kProjection &&
-      conjunct.selections.empty()) {
-    return Projection(conjunct.relation, conjunct.attr);
-  }
   auto it = conjunct_exts_.find(conjunct);
   if (it == conjunct_exts_.end()) {
     read_rows_ = read_rows_ || !conjunct.selections.empty();
@@ -327,20 +336,41 @@ const Extension& EvalCache::EvalConjunct(const Conjunct& conjunct) {
 const Extension& EvalCache::Eval(const LsConcept& concept_expr) {
   auto it = concept_exts_.find(concept_expr);
   if (it != concept_exts_.end()) return it->second;
-  Extension ext = Extension::All();
-  for (const Conjunct& c : concept_expr.conjuncts()) {
-    ext = ext.Intersect(EvalConjunct(c));
-    if (ext.empty()) break;
+  return EvalNode(concept_expr).second;
+}
+
+const EvalCache::ConceptMap::value_type& EvalCache::EvalNode(
+    LsConcept concept_expr) {
+  // One hash: try_emplace both probes and claims the slot.
+  auto [it, inserted] = concept_exts_.try_emplace(std::move(concept_expr));
+  if (inserted) {
+    Extension ext = Extension::All();
+    for (const Conjunct& c : it->first.conjuncts()) {
+      ext = ext.Intersect(EvalConjunct(c));
+      if (ext.empty()) break;
+    }
+    it->second = std::move(ext);
   }
-  return concept_exts_.emplace(concept_expr, std::move(ext)).first->second;
+  return *it;
+}
+
+void EvalCache::Clear() {
+  conjunct_exts_.clear();
+  concept_exts_.clear();
+  read_rows_ = false;
 }
 
 size_t EvalCache::MemoryBytes() const {
+  // Per concept node: the key's conjunct list, the extension and the
+  // node's next pointer and cached hash.
+  constexpr size_t kNodeOverhead = 2 * sizeof(void*);
   size_t bytes = sizeof(*this);
-  for (const auto& [key, ext] : projection_exts_) bytes += ext.MemoryBytes();
   for (const auto& [key, ext] : conjunct_exts_) bytes += ext.MemoryBytes();
-  for (const auto& [key, ext] : concept_exts_) bytes += ext.MemoryBytes();
-  return bytes;
+  for (const auto& [key, ext] : concept_exts_) {
+    bytes += sizeof(key) + key.conjuncts().capacity() * sizeof(Conjunct) +
+             ext.MemoryBytes() + kNodeOverhead;
+  }
+  return bytes + concept_exts_.bucket_count() * sizeof(void*);
 }
 
 bool SubsumedI(const LsConcept& c1, const LsConcept& c2,

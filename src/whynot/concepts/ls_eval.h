@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -143,18 +144,23 @@ Extension Eval(const LsConcept& concept_expr, const rel::Instance& instance);
 /// ⟦D⟧ᴵ of a single conjunct.
 Extension Eval(const Conjunct& conjunct, const rel::Instance& instance);
 
-/// Memoizes extensions of one (fixed) instance at three granularities.
-/// Concepts are intersections of conjuncts, and the greedy searches
-/// (Algorithm 2 and the MGE checks) re-evaluate candidates whose
-/// conjuncts — projections of the same few (relation, attr) pairs plus
-/// nominals — repeat constantly:
+struct ConceptHash {
+  size_t operator()(const LsConcept& concept_expr) const;
+};
+
+/// The ⟦C⟧ᴵ memo, at two granularities. Concepts are intersections of
+/// conjuncts, and the greedy searches (Algorithm 2 and the MGE checks)
+/// re-evaluate candidates whose conjuncts — projections of the same few
+/// (relation, attr) pairs plus nominals — repeat constantly:
 ///
-///  * per (relation, attr): the selection-free projection π_A(R), shared
-///    by every conjunct over that column (it is the instance's cached
-///    distinct column re-expressed as an Extension);
-///  * per conjunct: selections and nominals, keyed structurally;
+///  * per conjunct: projections (a selection-free one is the instance's
+///    cached distinct column re-expressed as an Extension), selections
+///    and nominals, keyed structurally;
 ///  * per concept: whole intersections, so IncrementalSearch's inner loop
 ///    (one probe per active-domain constant) does not even re-intersect.
+///
+/// A ConceptCache owns one and evaluates every lub through it, so each
+/// concept has one Extension object however it is reached.
 ///
 /// Every memoized extension is a snapshot of the instance at evaluation
 /// time. A selection-free extension depends only on distinct columns
@@ -162,12 +168,14 @@ Extension Eval(const Conjunct& conjunct, const rel::Instance& instance);
 /// that bring no value new to any column; a selection conjunct's extension
 /// depends on rows. The cache may outlive a write only when the owner has
 /// checked that no column moved and that read_rows() is false (an
-/// ExplainSession does so on re-warm); otherwise it must be rebuilt.
-/// Returned references are stable for the cache's lifetime (node-based
-/// maps), which the explain layer's answer-cover kernel relies on for
-/// identity-keyed cover bitmaps.
+/// ExplainSession does so on re-warm); otherwise it must be Clear()ed.
+/// Returned references are stable until Clear() (node-based maps), which
+/// the explain layer's answer-cover kernel relies on for identity-keyed
+/// cover bitmaps.
 class EvalCache {
  public:
+  using ConceptMap = std::unordered_map<LsConcept, Extension, ConceptHash>;
+
   explicit EvalCache(const rel::Instance* instance) : instance_(instance) {}
 
   const rel::Instance& instance() const { return *instance_; }
@@ -179,21 +187,33 @@ class EvalCache {
   /// ⟦C⟧ᴵ via cached conjunct extensions, memoized per concept.
   const Extension& Eval(const LsConcept& concept_expr);
 
+  /// Eval's memo node: the canonical concept (the key) and its extension,
+  /// evaluated and recorded on miss.
+  const ConceptMap::value_type& EvalNode(LsConcept concept_expr);
+
   /// ⟦D⟧ᴵ, computed once per distinct conjunct.
   const Extension& EvalConjunct(const Conjunct& conjunct);
 
-  /// ⟦π_attr(relation)⟧ᴵ, computed once per (relation, attr) pair.
-  const Extension& Projection(const std::string& relation, int attr);
+  /// ⟦π_attr(relation)⟧ᴵ: EvalConjunct of the selection-free projection.
+  const Extension& Projection(const std::string& relation, int attr) {
+    return EvalConjunct(Conjunct::Projection(relation, attr));
+  }
 
-  /// Approximate residency of the memoized extensions (shallow for the
-  /// structural keys).
+  /// Concepts memoized so far.
+  size_t size() const { return concept_exts_.size(); }
+
+  /// Drops every memoized extension and resets read_rows().
+  void Clear();
+
+  /// Approximate residency: the memoized extensions (with whichever dense
+  /// mirrors probes have built so far), the concept keys and the concept
+  /// map's structure (shallow for the conjunct keys).
   size_t MemoryBytes() const;
 
  private:
   const rel::Instance* instance_;
-  std::map<std::pair<std::string, int>, Extension> projection_exts_;
   std::map<Conjunct, Extension> conjunct_exts_;
-  std::map<LsConcept, Extension> concept_exts_;
+  ConceptMap concept_exts_;
   bool read_rows_ = false;
 };
 

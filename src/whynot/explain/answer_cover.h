@@ -302,12 +302,17 @@ class LsAnswerCovers {
 };
 
 /// The first check of every derived entry point that takes caller-owned
-/// LsAnswerCovers. The covers key rows by extension address, so the stores
-/// those extensions live in must be caller-owned as well: a per-call local
-/// store frees its extensions at return, a later call reuses the
-/// addresses, and the covers would serve another extension's row.
-/// `stores_given` says whether the caller passed every store the entry
-/// point takes; InvalidArgument naming `where` when covers come without it.
+/// LsAnswerCovers, and the one statement of which stores those need. The
+/// covers key rows by extension address, so the extensions must live in a
+/// caller-owned store: a per-call local frees its extensions at return, a
+/// later call reuses the addresses, and the covers would serve another
+/// extension's row. The O_I searches and checks (IncrementalSearch,
+/// CheckMgeDerived, EnumerateAllMges and their why duals) evaluate through
+/// the memo a ConceptCache owns, so covers need a caller-owned
+/// `concept_cache` there, and a null `cache` means that memo.
+/// IsLsWhyExplanation takes no concept cache and needs a caller-owned
+/// `cache`. `stores_given` says whether the caller passed that store;
+/// InvalidArgument naming `where` when covers come without it.
 inline Status RequireCoverStores(const LsAnswerCovers* covers,
                                  bool stores_given, const char* where) {
   if (covers == nullptr || stores_given) return Status::OK();

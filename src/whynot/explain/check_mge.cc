@@ -76,7 +76,7 @@ Result<bool> CheckMgeDerived(const WhyNotInstance& wni,
                              ls::ConceptCache* concept_cache,
                              const exec::ExecContext* exec) {
   DerivedStores stores("CheckMgeDerived", wni.instance, wni.answers,
-                       /*dedup_answers=*/false, with_selections, lub_context,
+                       /*dedup_answers=*/false, with_selections, {}, lub_context,
                        cache, covers, concept_cache);
   WHYNOT_RETURN_IF_ERROR(stores.status());
   return CheckMaximal<WhyNotDual>(wni.instance, wni.missing, candidate,

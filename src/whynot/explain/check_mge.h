@@ -40,14 +40,11 @@ Result<bool> CheckMgeExternal(onto::BoundOntology* bound,
 /// selection-free LS and for bounded schema arity, EXPTIME in general.
 /// The check is serial and shared with the why dual (CheckMaximal in
 /// derived_sweep.h).
-/// `cache` / `covers`, when non-null, are a prepared session's warm
-/// extension memo and answer-cover table over (wni.instance, wni.answers).
-/// `concept_cache`, when non-null, is the lub/eval memo the maximality
-/// probes run through (a session cache carries the entries to later
-/// requests). Each null store — `lub_context` included — gets a per-call
-/// local, with identical verdicts and errors — except that `covers` key
-/// rows by extension address, so passing covers requires passing `cache`
-/// and `concept_cache` too (InvalidArgument otherwise).
+/// The stores follow IncrementalSearch: a prepared session's warm state
+/// over (wni.instance, wni.answers), with `concept_cache` the lub/eval
+/// memo the maximality probes run through. Each null store gets a per-call
+/// local, with identical verdicts and errors; RequireCoverStores
+/// (answer_cover.h) says which stores caller-owned covers need.
 /// `exec` follows the CheckMgeExternal contract (one probe per position,
 /// stops are always errors).
 Result<bool> CheckMgeDerived(const WhyNotInstance& wni,

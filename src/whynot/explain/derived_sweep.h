@@ -79,47 +79,49 @@ bool IsDualExplanation(const rel::Instance* instance, const Tuple& tuple,
 }
 
 /// The stores one O_I search runs through, resolved once. The caller's
-/// stores are used where given; a null lub context, EvalCache,
-/// LsAnswerCovers or ConceptCache gets a call-local one, with identical
-/// results. Local covers index `answers`, or its sort-deduped copy when
-/// `dedup_answers` (the why dual's counting form needs Ans duplicate-free;
-/// caller-owned covers assert that of `answers` already). The probes run
-/// through an overlay of this search's flavor, which records every lub it
-/// computes in the ConceptCache at once, so a session cache carries the
-/// lubs to later requests whatever path the search returns by.
+/// stores are used where given. A null lub context gets a call-local one
+/// built with `lub_options`; a null ConceptCache or LsAnswerCovers gets a
+/// call-local one; a null EvalCache means the concept cache's evals().
+/// Results are identical either way. Local covers index `answers`, or its
+/// sort-deduped copy when `dedup_answers` (the why dual's counting form
+/// needs Ans duplicate-free; caller-owned covers assert that of `answers`
+/// already). The probes run through an overlay of this search's flavor,
+/// which records every lub it computes in the ConceptCache at once, so a
+/// session cache carries the lubs to later requests whatever path the
+/// search returns by.
 ///
-/// Covers key rows by extension address, so caller-owned covers need the
-/// caller-owned EvalCache and ConceptCache their extensions live in
+/// Caller-owned covers need a caller-owned ConceptCache
 /// (RequireCoverStores); status() is InvalidArgument naming `where`
 /// otherwise, and no other accessor may then be used.
 class DerivedStores {
  public:
   DerivedStores(const char* where, const rel::Instance* instance,
                 const std::vector<Tuple>& answers, bool dedup_answers,
-                bool with_selections, ls::LubContext* lub_context,
-                ls::EvalCache* cache, LsAnswerCovers* covers,
-                ls::ConceptCache* concept_cache);
+                bool with_selections, const ls::LubOptions& lub_options,
+                ls::LubContext* lub_context, ls::EvalCache* cache,
+                LsAnswerCovers* covers, ls::ConceptCache* concept_cache);
   DerivedStores(const DerivedStores&) = delete;
   DerivedStores& operator=(const DerivedStores&) = delete;
 
   const Status& status() const { return status_; }
   ls::EvalCache* cache() const { return cache_; }
   LsAnswerCovers* covers() const { return covers_; }
+  ls::ConceptCache* concept_cache() const { return concept_cache_; }
   ls::ConceptCacheOverlay& overlay() { return *overlay_; }
 
  private:
   Status status_;
   // Declaration order is destruction order reversed: the overlay drives
-  // the lub context, eval cache and concept cache, and the covers index
-  // the answers.
+  // the lub context and the concept cache, and the covers index the
+  // answers.
   std::optional<std::vector<Tuple>> sorted_answers_;
   std::optional<ls::LubContext> local_lub_;
-  std::optional<ls::EvalCache> local_cache_;
   std::optional<LsAnswerCovers> local_covers_;
   std::optional<ls::ConceptCache> local_concept_cache_;
   std::optional<ls::ConceptCacheOverlay> overlay_;
   ls::EvalCache* cache_ = nullptr;
   LsAnswerCovers* covers_ = nullptr;
+  ls::ConceptCache* concept_cache_ = nullptr;
 };
 
 /// The greedy sweep (Algorithm 2, lines 2-11, and its why dual): start

@@ -403,33 +403,16 @@ Result<std::vector<LsExplanation>> EnumerateAllMges(
   EnumerateStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   *stats = EnumerateStats{};
-  std::optional<ls::LubContext> local_lub;
-  if (lub_context == nullptr) {
-    local_lub.emplace(wni.instance, options.lub);
-    lub_context = &*local_lub;
-  }
-  // The stores would make a call-local cache too; it is made here so that
-  // its counters outlive the stores.
-  WHYNOT_RETURN_IF_ERROR(RequireCoverStores(
-      covers, cache != nullptr && concept_cache != nullptr,
-      "MGE enumeration"));
-  std::optional<ls::ConceptCache> local_cache;
-  if (concept_cache == nullptr) {
-    local_cache.emplace(wni.instance);
-    concept_cache = &*local_cache;
-  }
-  const ls::ConceptCacheStats before = concept_cache->stats();
-  Result<std::vector<LsExplanation>> result =
-      [&]() -> Result<std::vector<LsExplanation>> {
-    DerivedStores stores("MGE enumeration", wni.instance, wni.answers,
-                         /*dedup_answers=*/false, options.with_selections,
-                         lub_context, cache, covers, concept_cache);
-    WHYNOT_RETURN_IF_ERROR(stores.status());
-    return Enumerator(wni, options, stores, stats).Run();
-  }();
+  DerivedStores stores("MGE enumeration", wni.instance, wni.answers,
+                       /*dedup_answers=*/false, options.with_selections,
+                       options.lub, lub_context, cache, covers, concept_cache);
+  WHYNOT_RETURN_IF_ERROR(stores.status());
   // Attribute this run's cache traffic (a session cache accumulates
   // across requests; the stats block reports per-call deltas).
-  const ls::ConceptCacheStats& after = concept_cache->stats();
+  const ls::ConceptCacheStats before = stores.concept_cache()->stats();
+  Result<std::vector<LsExplanation>> result =
+      Enumerator(wni, options, stores, stats).Run();
+  const ls::ConceptCacheStats& after = stores.concept_cache()->stats();
   stats->cache_hits = after.shared_hits - before.shared_hits;
   stats->cache_misses = after.misses - before.misses;
   return result;

@@ -112,18 +112,14 @@ struct EnumerateStats {
 /// w.r.t. OI. Ordering is deterministic (FIFO order of the branch tree)
 /// and the same at every thread count: the enumeration runs serially.
 ///
-/// `lub_context`, when non-null, is reused (a prepared ExplainSession
-/// keeps its lub tables warm across requests); null gets a call-local one
-/// built with `options.lub`. The other stores are resolved as for
-/// IncrementalSearch (DerivedStores, derived_sweep.h): `concept_cache` is
-/// the lub/eval memo the run probes and records its misses into; `cache` and `covers` are a prepared session's extension
-/// memo and answer-cover table over (wni.instance, wni.answers), so a
-/// session's cover rows stay built across its requests. A null store gets
-/// a call-local one — except that covers key rows by extension address,
-/// so passing `covers` requires passing `cache` and `concept_cache` too
-/// (InvalidArgument otherwise). Output, ordering, the deterministic stats
-/// and errors are bit-identical either way (cache entries are pure
-/// functions of the instance); only timing and the cache_* counters move.
+/// The stores are resolved as for IncrementalSearch (a null `lub_context`
+/// is built with `options.lub`): `concept_cache` is the lub/eval memo the
+/// run probes and records its misses into, and a session's `covers` keep
+/// their rows across its requests. A null store gets a call-local one;
+/// RequireCoverStores (answer_cover.h) says which stores caller-owned
+/// covers need. Output, ordering, the deterministic stats and errors are
+/// bit-identical either way (cache entries are pure functions of the
+/// instance); only timing and the cache_* counters move.
 Result<std::vector<LsExplanation>> EnumerateAllMges(
     const WhyNotInstance& wni, const EnumerateOptions& options = {},
     EnumerateStats* stats = nullptr, ls::LubContext* lub_context = nullptr,

@@ -12,16 +12,10 @@ Result<LsExplanation> IncrementalSearch(const WhyNotInstance& wni,
                                         ls::ConceptCache* concept_cache) {
   DerivedStores stores("IncrementalSearch", wni.instance, wni.answers,
                        /*dedup_answers=*/false, options.with_selections,
-                       lub_context, cache, covers, concept_cache);
+                       options.lub, lub_context, cache, covers, concept_cache);
   WHYNOT_RETURN_IF_ERROR(stores.status());
   return GreedySweep<WhyNotDual>(wni.instance, wni.missing, &stores,
                                  options.exec, options.cert);
-}
-
-Result<LsExplanation> IncrementalSearch(const WhyNotInstance& wni,
-                                        const IncrementalOptions& options) {
-  ls::LubContext ctx(wni.instance, options.lub);
-  return IncrementalSearch(wni, options, &ctx, nullptr, nullptr, nullptr);
 }
 
 }  // namespace whynot::explain

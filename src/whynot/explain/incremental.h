@@ -41,22 +41,17 @@ struct IncrementalOptions {
 /// more general than any finite extension, so the output is most general
 /// w.r.t. the full language LS, which contains ⊤ (Definition 3.3). The
 /// sweep is the one shared with the why dual (derived_sweep.h).
-Result<LsExplanation> IncrementalSearch(const WhyNotInstance& wni,
-                                        const IncrementalOptions& options = {});
-
-/// Same, reusing a caller-provided lub context (amortizes the canonical-box
-/// construction across repeated calls; used by benchmarks). `cache` /
-/// `covers`, when non-null, are a prepared ExplainSession's warm extension
-/// memo and answer-cover table over (wni.instance, wni.answers);
-/// `concept_cache` the lub/eval memo the greedy sweep runs through (every
-/// lub is recorded as it is computed — a session cache carries them to
-/// later requests). A null `cache`, `covers` or `concept_cache` gets a
-/// per-call local, with bit-identical results — except that `covers` key
-/// rows by extension address, so passing covers requires passing `cache`
-/// and `concept_cache` too (InvalidArgument otherwise).
+///
+/// The trailing stores are a prepared ExplainSession's (or a benchmark's)
+/// warm state over (wni.instance, wni.answers): `lub_context` (a null one
+/// is built with `options.lub`), the extension memo `cache`, the answer
+/// covers and the lub/eval memo `concept_cache`, which records every lub
+/// the sweep computes. Each null store gets a per-call local, with
+/// bit-identical results; RequireCoverStores (answer_cover.h) says which
+/// stores caller-owned covers need.
 Result<LsExplanation> IncrementalSearch(
-    const WhyNotInstance& wni, const IncrementalOptions& options,
-    ls::LubContext* lub_context, ls::EvalCache* cache = nullptr,
+    const WhyNotInstance& wni, const IncrementalOptions& options = {},
+    ls::LubContext* lub_context = nullptr, ls::EvalCache* cache = nullptr,
     LsAnswerCovers* covers = nullptr,
     ls::ConceptCache* concept_cache = nullptr);
 

@@ -32,14 +32,16 @@ struct ExplainSession::State {
   /// The one answer vector lives in wni.answers; requests only swap the
   /// asked-about tuple, so Ans is never copied per request. wi.answers
   /// stays empty: the why duals read Ans only through the session's
-  /// covers (ls_covers over wni.answers, why_covers built from it).
+  /// covers (ls_covers over wni.answers, covers interned from it).
   WhyNotInstance wni;
   WhyInstance wi;
 
   // External-ontology warm state (null without an ontology).
   std::unique_ptr<onto::BoundOntology> bound;
-  std::unique_ptr<ConceptAnswerCovers> covers;      // avoidance form
-  std::unique_ptr<ConceptAnswerCovers> why_covers;  // counting (why dual)
+  // Over wni.answers, which is sort-unique, so the interned rows are
+  // duplicate-free: the avoidance tests and the why dual's counting
+  // containment test both read these.
+  std::unique_ptr<ConceptAnswerCovers> covers;
   // Shared Hasse/downset state for the dominance-pruned searches. The
   // handle is lazy: Bind stays O(covers) and the O(|concepts|²) lattice
   // build runs only the first time a request actually escalates to the
@@ -47,16 +49,15 @@ struct ExplainSession::State {
   std::unique_ptr<LatticeHandle> lattice;
 
   // Derived-ontology (OI) warm state, shared across every request: the
-  // lub context's canonical boxes, the eval cache's extension memo (whose
-  // stable identities key the cover bitmaps), and the LS answer covers
-  // over wni.answers.
+  // lub context's canonical boxes, the LS answer covers over wni.answers,
+  // and the concept cache. Every derived request records its lub+eval
+  // results in the concept cache, whose one extension memo (evals()) also
+  // serves every other ⟦C⟧ᴵ the requests evaluate; the memo's stable
+  // identities key the cover rows. Entries survive a re-warm that keeps
+  // the derived state and are dropped on one that rebuilds it; traffic
+  // counters survive both.
   std::unique_ptr<ls::LubContext> lub;
-  std::unique_ptr<ls::EvalCache> cache;
   std::unique_ptr<LsAnswerCovers> ls_covers;
-  // The concept cache: every derived request records its lub+eval results
-  // here and later requests start from them. Entries survive a re-warm
-  // that keeps the derived state and are dropped on one that rebuilds it;
-  // traffic counters survive both.
   std::unique_ptr<ls::ConceptCache> concept_cache;
 
   /// Session-wide cancel flag, copied into every session-built request
@@ -182,14 +183,14 @@ Status ExplainSession::Rewarm(const exec::ExecContext* exec) {
   // state caches depends only on the distinct columns (Lemma 5.1), so it
   // survives an append that left every column as it was — unless a caller
   // candidate brought a selection conjunct, whose extension reads rows,
-  // into the eval cache.
+  // into the eval memo.
   std::vector<size_t> distinct = ColumnCounts(*s.instance);
   const bool keep = s.lub != nullptr &&
                     s.generation == s.instance->generation() &&
                     distinct == s.distinct &&
                     !s.options.incremental.with_selections &&
                     !s.options.enumerate.with_selections &&
-                    !s.cache->read_rows();
+                    !s.concept_cache->evals().read_rows();
   // Cover rows are keyed by the addresses of the extensions a rebuild
   // frees; kept extensions keep their rows, which the merge below extends.
   if (!keep && s.ls_covers != nullptr) s.ls_covers->ClearRows();
@@ -206,7 +207,6 @@ Status ExplainSession::Rewarm(const exec::ExecContext* exec) {
     ++s.rewarms.kept;
   } else {
     s.lub = std::make_unique<ls::LubContext>(s.instance, s.options.lub);
-    s.cache = std::make_unique<ls::EvalCache>(s.instance);
     if (s.concept_cache == nullptr) {
       s.concept_cache = std::make_unique<ls::ConceptCache>(s.instance);
     } else {
@@ -215,7 +215,6 @@ Status ExplainSession::Rewarm(const exec::ExecContext* exec) {
   }
 
   s.covers.reset();
-  s.why_covers.reset();
   s.lattice.reset();
   s.bound.reset();
   if (s.ontology != nullptr) {
@@ -229,8 +228,6 @@ Status ExplainSession::Rewarm(const exec::ExecContext* exec) {
     WHYNOT_RETURN_IF_ERROR(s.bound->WarmExtensions(exec));
     s.covers = std::make_unique<ConceptAnswerCovers>(
         s.bound.get(), InternAnswers(s.bound.get(), s.wni));
-    s.why_covers = std::make_unique<ConceptAnswerCovers>(
-        s.bound.get(), InternedUniqueAnswers(s.bound.get(), s.wni.answers));
     s.lattice = std::make_unique<LatticeHandle>(s.bound.get());
   }
   s.version = s.instance->version();
@@ -328,11 +325,10 @@ ExplainSession::MemoryStats ExplainSession::MemoryUsage() const {
     m.dense_ext_sets = es.dense_sets;
   }
   if (s.covers != nullptr) m.cover_bytes += s.covers->MemoryBytes();
-  if (s.why_covers != nullptr) m.cover_bytes += s.why_covers->MemoryBytes();
   if (s.ls_covers != nullptr) m.cover_bytes += s.ls_covers->MemoryBytes();
-  if (s.cache != nullptr) m.eval_cache_bytes = s.cache->MemoryBytes();
   if (s.concept_cache != nullptr) {
-    m.shared_cache_bytes = s.concept_cache->MemoryBytes();
+    m.eval_cache_bytes = s.concept_cache->evals().MemoryBytes();
+    m.shared_cache_bytes = s.concept_cache->SupportBytes();
   }
   m.total_bytes = m.instance_bytes + m.ext_bytes + m.cover_bytes +
                   m.eval_cache_bytes + m.shared_cache_bytes;
@@ -354,8 +350,9 @@ Result<LsExplanation> ExplainSession::WhyNot(const Tuple& missing,
   WHYNOT_RETURN_IF_ERROR(Prepare(missing, /*expect_answer=*/false, &ctx));
   IncrementalOptions opts = s.options.incremental;
   opts.exec = &ctx;
-  return IncrementalSearch(s.wni, opts, s.lub.get(), s.cache.get(),
-                           s.ls_covers.get(), s.concept_cache.get());
+  return IncrementalSearch(s.wni, opts, s.lub.get(),
+                           &s.concept_cache->evals(), s.ls_covers.get(),
+                           s.concept_cache.get());
 }
 
 Result<std::vector<LsExplanation>> ExplainSession::EnumerateMges(
@@ -368,7 +365,7 @@ Result<std::vector<LsExplanation>> ExplainSession::EnumerateMges(
   EnumerateOptions opts = s.options.enumerate;
   opts.exec = &ctx;
   return EnumerateAllMges(s.wni, opts, stats, s.lub.get(),
-                          s.concept_cache.get(), s.cache.get(),
+                          s.concept_cache.get(), &s.concept_cache->evals(),
                           s.ls_covers.get());
 }
 
@@ -381,7 +378,7 @@ Result<bool> ExplainSession::CheckMgeDerived(const Tuple& missing,
   WHYNOT_RETURN_IF_ERROR(Prepare(missing, /*expect_answer=*/false, &ctx));
   return explain::CheckMgeDerived(s.wni, candidate,
                                   s.options.incremental.with_selections,
-                                  s.lub.get(), s.cache.get(),
+                                  s.lub.get(), &s.concept_cache->evals(),
                                   s.ls_covers.get(), s.concept_cache.get(),
                                   &ctx);
 }
@@ -395,8 +392,8 @@ Result<LsExplanation> ExplainSession::Why(const Tuple& present,
   // ls_covers indexes wni.answers, which is sorted and duplicate-free, as
   // the counting form needs.
   return IncrementalWhySearch(s.wi, s.options.incremental.with_selections,
-                              s.lub.get(), s.cache.get(), s.ls_covers.get(),
-                              s.concept_cache.get(), &ctx);
+                              s.lub.get(), &s.concept_cache->evals(),
+                              s.ls_covers.get(), s.concept_cache.get(), &ctx);
 }
 
 // --- External-ontology requests -------------------------------------------
@@ -520,7 +517,7 @@ Result<std::vector<Explanation>> ExplainSession::WhyMges(
   ExhaustiveOptions opts = s.options.exhaustive;
   opts.exec = &ctx;
   return AllMostGeneralWhyExplanations(s.bound.get(), s.wi, opts,
-                                       s.why_covers.get(), s.lattice.get());
+                                       s.covers.get(), s.lattice.get());
 }
 
 }  // namespace whynot::explain

@@ -75,10 +75,11 @@ struct GradedMges {
 /// assignment move the generation, and the re-warm evaluates q(I) in
 /// full, as Bind does.
 ///
-/// The derived-ontology state — the lub context, the eval memo and the
-/// concept cache — is *kept* across a write when
-/// nothing it reads has moved: the generation is unchanged, every schema
-/// column holds as many distinct values as at the last warm (appends are
+/// The derived-ontology state — the lub context and the concept cache,
+/// whose one eval memo (ConceptCache::evals()) holds every extension the
+/// derived requests evaluate — is *kept* across a write when nothing it
+/// reads has moved: the generation is unchanged, every schema column
+/// holds as many distinct values as at the last warm (appends are
 /// monotone, so the columns are equal), both searches are selection-free,
 /// and the eval memo has never evaluated a selection conjunct (a
 /// CheckMgeDerived candidate can bring one in; its extension reads rows).
@@ -152,8 +153,8 @@ class ExplainSession {
     size_t instance_bytes = 0;    // columns, fact index, column indexes
     size_t ext_bytes = 0;         // warm extension table (external ontology)
     size_t cover_bytes = 0;       // answer-cover rows, both ontologies
-    size_t eval_cache_bytes = 0;  // derived-ontology extension memos
-    size_t shared_cache_bytes = 0;  // concept-cache entries
+    size_t eval_cache_bytes = 0;  // the concept cache's extension memo
+    size_t shared_cache_bytes = 0;  // the concept cache's support maps
     size_t total_bytes = 0;
     size_t dense_ext_sets = 0;    // extensions carrying a dense mirror
   };

@@ -157,7 +157,7 @@ Result<LsExplanation> IncrementalWhySearch(const WhyInstance& wi,
                                            const exec::ExecContext* exec,
                                            exec::Certificate* cert) {
   DerivedStores stores("IncrementalWhySearch", wi.instance, wi.answers,
-                       /*dedup_answers=*/true, with_selections, lub_context,
+                       /*dedup_answers=*/true, with_selections, {}, lub_context,
                        cache, covers, concept_cache);
   WHYNOT_RETURN_IF_ERROR(stores.status());
   return GreedySweep<WhyDual>(wi.instance, wi.present, &stores, exec, cert);
@@ -172,7 +172,7 @@ Result<bool> CheckWhyMgeDerived(const WhyInstance& wi,
                                 ls::ConceptCache* concept_cache,
                                 const exec::ExecContext* exec) {
   DerivedStores stores("CheckWhyMgeDerived", wi.instance, wi.answers,
-                       /*dedup_answers=*/true, with_selections, lub_context,
+                       /*dedup_answers=*/true, with_selections, {}, lub_context,
                        cache, covers, concept_cache);
   WHYNOT_RETURN_IF_ERROR(stores.status());
   return CheckMaximal<WhyDual>(wi.instance, wi.present, candidate, &stores,

@@ -39,16 +39,18 @@ Result<WhyInstance> MakeWhyInstance(const rel::Instance* instance,
                                     Tuple present);
 
 /// The why-dual's answer rows interned against the bound pool and
-/// sort-deduped — the vector the external why covers index (the counting
-/// form needs Ans duplicate-free). Shared with ExplainSession's warm
-/// cover table.
+/// sort-deduped — the vector the one-shot external why covers index (the
+/// counting form needs Ans duplicate-free; a WhyInstance filled by hand
+/// may repeat a tuple).
 std::vector<std::vector<ValueId>> InternedUniqueAnswers(
     onto::BoundOntology* bound, const std::vector<Tuple>& answers);
 
 /// Checks the dual Definition 3.2 above. `covers`, when non-null, must be
-/// the answer-cover table of (bound, InternedUniqueAnswers(bound, Ans)) —
-/// a prepared ExplainSession's warm table; wi.answers is then not read
-/// and results are identical.
+/// an answer-cover table over Ans interned against `bound` with no row
+/// repeated — InternedUniqueAnswers(bound, Ans), or a prepared
+/// ExplainSession's warm table, which interns its sort-unique Ans
+/// (InternAnswers); wi.answers is then not read and results are
+/// identical.
 Result<bool> IsWhyExplanation(onto::BoundOntology* bound,
                               const WhyInstance& wi, const Explanation& e,
                               ConceptAnswerCovers* covers = nullptr);
@@ -76,17 +78,16 @@ Result<std::vector<Explanation>> AllMostGeneralWhyExplanations(
 /// (infinite product vs. finite Ans), so — unlike the why-not case — no
 /// ⊤-generalization sweep exists.
 ///
-/// The trailing cache parameters follow the session convention used
+/// The trailing store parameters follow the session convention used
 /// throughout this header: `cache` is an extension memo bound to
 /// wi.instance, `covers` an LsAnswerCovers over the *sort-deduped* answer
-/// vector fed by the same cache; both are created per call when null, and
-/// results are bit-identical either way. The covers key rows by extension
-/// address, so passing `covers` requires passing `cache` (and, where the
-/// entry point takes one, `concept_cache`) — InvalidArgument otherwise.
-/// With `covers` given, Ans is read only through them and wi.answers is
-/// not read (an ExplainSession leaves it empty); the covers' answer vector
-/// must be sorted and duplicate-free. Without, the one-shot path
-/// sort-dedups a local copy of wi.answers defensively.
+/// vector; each is created per call when null, and results are
+/// bit-identical either way. RequireCoverStores (answer_cover.h) says
+/// which stores caller-owned covers need. With `covers` given, Ans is read
+/// only through them and wi.answers is not read (an ExplainSession leaves
+/// it empty); the covers' answer vector must be sorted and
+/// duplicate-free. Without, the one-shot path sort-dedups a local copy of
+/// wi.answers defensively.
 Result<bool> IsLsWhyExplanation(const WhyInstance& wi, const LsExplanation& e,
                                 ls::EvalCache* cache = nullptr,
                                 LsAnswerCovers* covers = nullptr);
@@ -107,8 +108,8 @@ Result<bool> IsLsWhyExplanation(const WhyInstance& wi, const LsExplanation& e,
 /// stop returns the tuple generalized so far — a sound why-explanation,
 /// possibly not most general (Quality::kHeuristic).
 /// `concept_cache` is the lub/eval memo (session convention: null uses a
-/// call-local one; output is bit-identical either way, under the covers
-/// rule above).
+/// call-local one, and a null `cache` means its memo; output is
+/// bit-identical either way).
 Result<LsExplanation> IncrementalWhySearch(
     const WhyInstance& wi, bool with_selections = false,
     ls::LubContext* lub_context = nullptr, ls::EvalCache* cache = nullptr,
@@ -120,8 +121,8 @@ Result<LsExplanation> IncrementalWhySearch(
 /// CHECK-MGE for the dual problem w.r.t. OI: no single-position
 /// lub-generalization keeps the product inside the answers. The check is
 /// serial and shared with CheckMgeDerived (CheckMaximal in
-/// derived_sweep.h). Same trailing cache convention as IsLsWhyExplanation,
-/// with `concept_cache` the lub/eval memo the probes record into, and a null `lub_context` replaced by a call-local
+/// derived_sweep.h). Same trailing store convention as
+/// IncrementalWhySearch, and a null `lub_context` replaced by a call-local
 /// one. `exec` is observed once per candidate position; the boolean
 /// verdict admits no meaningful partial result, so a stop always returns
 /// the matching error status.

@@ -169,7 +169,6 @@ struct UnitFixture {
   rel::Schema schema;
   std::unique_ptr<rel::Instance> instance;
   std::unique_ptr<ls::LubContext> lub;
-  std::unique_ptr<ls::EvalCache> eval;
 };
 
 UnitFixture MakeUnitFixture() {
@@ -183,15 +182,13 @@ UnitFixture MakeUnitFixture() {
   }
   f.instance = std::make_unique<rel::Instance>(std::move(instance));
   f.lub = std::make_unique<ls::LubContext>(f.instance.get());
-  f.eval = std::make_unique<ls::EvalCache>(f.instance.get());
   return f;
 }
 
 TEST(ConceptCacheTest, MissThenHit) {
   UnitFixture f = MakeUnitFixture();
   ls::ConceptCache cache(f.instance.get());
-  ls::ConceptCacheOverlay a(&cache, /*with_selections=*/false, f.lub.get(),
-                            f.eval.get());
+  ls::ConceptCacheOverlay a(&cache, /*with_selections=*/false, f.lub.get());
   ls::SupportKey x = a.KeyOf({Value(1), Value(2)});
   ASSERT_OK_AND_ASSIGN(const ls::ConceptCache::Entry* first, a.LubAndEval(x));
   // The miss is recorded at once: the support entry and its eval node.
@@ -199,6 +196,10 @@ TEST(ConceptCacheTest, MissThenHit) {
   EXPECT_EQ(cache.stats().publishes, 2u);
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.FindSupport(false, x), first);
+  // The entry views the owned memo's node: evaluating its concept through
+  // evals() is a hit on the very same extension object.
+  EXPECT_EQ(first->ext, &cache.evals().Eval(*first->concept));
+  EXPECT_EQ(cache.size(), 2u);
   ASSERT_OK_AND_ASSIGN(const ls::ConceptCache::Entry* again, a.LubAndEval(x));
   EXPECT_EQ(first, again);  // one address per key
   EXPECT_EQ(cache.stats().shared_hits, 1u);
@@ -206,8 +207,7 @@ TEST(ConceptCacheTest, MissThenHit) {
 
   // A second overlay over the same cache is served the same entry.
   ls::LubContext lub_b(f.instance.get());
-  ls::ConceptCacheOverlay b(&cache, /*with_selections=*/false, &lub_b,
-                            f.eval.get());
+  ls::ConceptCacheOverlay b(&cache, /*with_selections=*/false, &lub_b);
   ASSERT_OK_AND_ASSIGN(const ls::ConceptCache::Entry* hit, b.LubAndEval(x));
   EXPECT_EQ(hit, first);
   EXPECT_EQ(cache.stats().shared_hits, 2u);
@@ -223,8 +223,7 @@ TEST(ConceptCacheTest, TransientProbesWithSelectionsRecordNoSupportEntry) {
   // concept-keyed eval node — never a support entry. (With selections:
   // the selection-free flavor keys by signature, and memoizes every
   // probe; see SelectionFreeSupportsShareOneEntryPerSignature.)
-  ls::ConceptCacheOverlay a(&cache, /*with_selections=*/true, f.lub.get(),
-                            f.eval.get());
+  ls::ConceptCacheOverlay a(&cache, /*with_selections=*/true, f.lub.get());
   ls::SupportKey x = a.KeyOf({Value(1), Value(2)});
   ASSERT_OK_AND_ASSIGN(const ls::Extension* cold, a.LubExtTransient(x));
   EXPECT_EQ(cache.FindSupport(true, x), nullptr);
@@ -256,8 +255,7 @@ TEST(ConceptCacheTest, SelectionFreeSupportsShareOneEntryPerSignature) {
 
   // 0, 1 and 2 occur in R.0, R.1 and U.0 alike, so every pair of them has
   // one signature, one key and one lub; 3 misses R.1.
-  ls::ConceptCacheOverlay a(&cache, /*with_selections=*/false, f.lub.get(),
-                            f.eval.get());
+  ls::ConceptCacheOverlay a(&cache, /*with_selections=*/false, f.lub.get());
   ls::SupportKey k01 = a.KeyOf({Value(0), Value(1)});
   EXPECT_EQ(a.KeyOf({Value(2), Value(1)}), k01);
   EXPECT_FALSE(a.KeyOf({Value(0), Value(3)}) == k01);
@@ -293,20 +291,20 @@ TEST(ConceptCacheTest, PromoteLastProbeMatchesLubAndEval) {
   // concept equals what an independent LubAndEval derives.
   for (bool with_selections : {false, true}) {
     ls::ConceptCache cache(f.instance.get());
-    ls::ConceptCacheOverlay a(&cache, with_selections, f.lub.get(),
-                              f.eval.get());
+    ls::ConceptCacheOverlay a(&cache, with_selections, f.lub.get());
     ls::SupportKey x = a.KeyOf({Value(1), Value(2)});
     ASSERT_OK_AND_ASSIGN(const ls::Extension* probed, a.LubExtTransient(x));
     const ls::ConceptCache::Entry* promoted = a.PromoteLastProbe(x);
     ASSERT_NE(promoted, nullptr);
     EXPECT_EQ(promoted->ext, probed);
     EXPECT_EQ(cache.FindSupport(with_selections, x), promoted);
+    EXPECT_EQ(promoted->ext, &cache.evals().Eval(*promoted->concept));
     EXPECT_EQ(cache.stats().misses, 1u);
 
     // A fresh cache's LubAndEval of the same key derives the same concept.
     ls::ConceptCache fresh(f.instance.get());
     ls::LubContext lub_b(f.instance.get());
-    ls::ConceptCacheOverlay b(&fresh, with_selections, &lub_b, f.eval.get());
+    ls::ConceptCacheOverlay b(&fresh, with_selections, &lub_b);
     ASSERT_OK_AND_ASSIGN(const ls::ConceptCache::Entry* independent,
                          b.LubAndEval(x));
     EXPECT_EQ(*independent->concept, *promoted->concept);
@@ -331,10 +329,8 @@ TEST(ConceptCacheTest, SelectionFlavorsAreDistinctMaps) {
   ls::ConceptCache cache(f.instance.get());
   std::vector<Value> x = {Value(1), Value(2)};
 
-  ls::ConceptCacheOverlay free_overlay(&cache, false, f.lub.get(),
-                                       f.eval.get());
-  ls::ConceptCacheOverlay sel_overlay(&cache, true, f.lub.get(),
-                                      f.eval.get());
+  ls::ConceptCacheOverlay free_overlay(&cache, false, f.lub.get());
+  ls::ConceptCacheOverlay sel_overlay(&cache, true, f.lub.get());
   ASSERT_OK_AND_ASSIGN(const ls::ConceptCache::Entry* e_free,
                        free_overlay.LubAndEval(free_overlay.KeyOf(x)));
   // The with-selections map must not serve the selection-free entry.
@@ -350,7 +346,7 @@ TEST(ConceptCacheTest, SelectionFlavorsAreDistinctMaps) {
 TEST(ConceptCacheTest, ClearDropsEntriesKeepsCounters) {
   UnitFixture f = MakeUnitFixture();
   ls::ConceptCache cache(f.instance.get());
-  ls::ConceptCacheOverlay a(&cache, false, f.lub.get(), f.eval.get());
+  ls::ConceptCacheOverlay a(&cache, false, f.lub.get());
   ls::SupportKey x = a.KeyOf({Value(2), Value(3)});
   ASSERT_TRUE(a.LubAndEval(x).ok());
   EXPECT_GT(cache.size(), 0u);
@@ -372,10 +368,9 @@ TEST(ConceptCacheTest, MemoryBytesGrowsWithEntries) {
   rel::Instance instance(&schema);
   for (int v = 0; v < 40; ++v) ASSERT_OK(instance.AddFact("U", {Value(v)}));
   ls::LubContext lub(&instance);
-  ls::EvalCache eval(&instance);
   ls::ConceptCache cache(&instance);
   size_t bytes = cache.MemoryBytes();
-  ls::ConceptCacheOverlay a(&cache, false, &lub, &eval);
+  ls::ConceptCacheOverlay a(&cache, false, &lub);
   for (int v = 0; v < 4; ++v) {
     ASSERT_TRUE(a.LubAndEval(a.KeyOf({Value(v)})).ok());
     EXPECT_GT(cache.MemoryBytes(), bytes);

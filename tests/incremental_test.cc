@@ -56,9 +56,10 @@ TEST_F(IncrementalTest, WithSelectionsOutputIsExplanationAndMge) {
 }
 
 // Caller-owned covers key rows by extension address, so the derived
-// entry points refuse them without the caller-owned stores those
-// extensions live in: per-call locals would free the extensions at return
-// and a later call would reuse the addresses.
+// entry points refuse them without a caller-owned concept cache, whose
+// memo the extensions live in: a per-call local would free the extensions
+// at return and a later call would reuse the addresses. A null `cache`
+// then means the concept cache's own memo, which is caller-owned.
 TEST_F(IncrementalTest, IncrementalSearchRejectsCoversWithoutStores) {
   explain::LsAnswerCovers covers(instance_.get(), &wni_->answers);
   ls::LubContext ctx(instance_.get());
@@ -69,17 +70,16 @@ TEST_F(IncrementalTest, IncrementalSearchRejectsCoversWithoutStores) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(explain::IncrementalSearch(*wni_, {}, &ctx, nullptr, &covers,
-                                       &concepts)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
   ASSERT_OK_AND_ASSIGN(LsExplanation want,
                        explain::IncrementalSearch(*wni_, {}));
   ASSERT_OK_AND_ASSIGN(LsExplanation got,
                        explain::IncrementalSearch(*wni_, {}, &ctx, &cache,
                                                   &covers, &concepts));
   EXPECT_EQ(got, want);
+  ASSERT_OK_AND_ASSIGN(LsExplanation own_memo,
+                       explain::IncrementalSearch(*wni_, {}, &ctx, nullptr,
+                                                  &covers, &concepts));
+  EXPECT_EQ(own_memo, want);
 }
 
 TEST_F(IncrementalTest, CheckMgeDerivedRejectsCoversWithoutStores) {
@@ -93,15 +93,35 @@ TEST_F(IncrementalTest, CheckMgeDerivedRejectsCoversWithoutStores) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(explain::CheckMgeDerived(*wni_, e, false, &ctx, nullptr, &covers,
-                                     &concepts)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
   ASSERT_OK_AND_ASSIGN(bool mge,
                        explain::CheckMgeDerived(*wni_, e, false, &ctx, &cache,
                                                 &covers, &concepts));
   EXPECT_TRUE(mge);
+  ASSERT_OK_AND_ASSIGN(bool own_memo,
+                       explain::CheckMgeDerived(*wni_, e, false, &ctx, nullptr,
+                                                &covers, &concepts));
+  EXPECT_TRUE(own_memo);
+}
+
+// A null lub context is built with the caller's LubOptions: a box cap the
+// with-selections lubs exceed fails the same whether or not the lub
+// context argument is spelled out.
+TEST(IncrementalLubOptionsTest, NullLubContextHonorsLubOptions) {
+  ASSERT_OK_AND_ASSIGN(workload::RetailScenario s,
+                       workload::MakeRetailScenario(4, 3));
+  ASSERT_OK_AND_ASSIGN(explain::WhyNotInstance wni,
+                       explain::MakeWhyNotInstance(
+                           s.instance.get(), s.stock_query, s.missing));
+  IncrementalOptions o;
+  o.with_selections = true;
+  o.lub.max_boxes_per_relation = 1;
+  Result<LsExplanation> implicit = explain::IncrementalSearch(wni, o);
+  Result<LsExplanation> spelled = explain::IncrementalSearch(wni, o, nullptr);
+  EXPECT_EQ(implicit.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(implicit.status().message().find("Products"), std::string::npos)
+      << implicit.status().ToString();
+  EXPECT_EQ(spelled.status().code(), implicit.status().code());
+  EXPECT_EQ(spelled.status().message(), implicit.status().message());
 }
 
 TEST_F(IncrementalTest, TrivialExplanationWhenAnswersBlockEverything) {

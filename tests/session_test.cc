@@ -287,6 +287,27 @@ TEST(SessionDerivedTest, RepeatedRequestsMatchOneShot) {
   par::SetNumThreads(0);
 }
 
+// The concept cache owns the session's one ⟦C⟧ᴵ memo, so checking an
+// enumerated MGE evaluates its concepts to the extension objects the
+// enumeration built, and the cover rows keyed by their addresses serve
+// the check: it builds no second row for one concept.
+TEST(SessionDerivedTest, ChecksOfEnumeratedMgesReuseCoverRows) {
+  ASSERT_OK_AND_ASSIGN(workload::RetailScenario s,
+                       workload::MakeRetailScenario(24, 9));
+  ASSERT_OK_AND_ASSIGN(
+      explain::ExplainSession session,
+      explain::ExplainSession::Bind(s.instance.get(), s.stock_query));
+  ASSERT_OK_AND_ASSIGN(std::vector<explain::LsExplanation> mges,
+                       session.EnumerateMges(s.missing));
+  ASSERT_FALSE(mges.empty());
+  const size_t cover_bytes = session.MemoryUsage().cover_bytes;
+  for (const explain::LsExplanation& e : mges) {
+    ASSERT_OK_AND_ASSIGN(bool mge, session.CheckMgeDerived(s.missing, e));
+    EXPECT_TRUE(mge);
+  }
+  EXPECT_EQ(session.MemoryUsage().cover_bytes, cover_bytes);
+}
+
 // --- Invalidation ----------------------------------------------------------
 
 TEST(SessionInvalidationTest, AddFactRebuildsDeterministically) {

@@ -47,6 +47,14 @@ pool wins), under each binary's num_cpus and whynot_threads from the two
 contexts. This is the "beats its own 1-thread row" figure of a parallel
 path; it is printed only, not gated.
 
+The ratio audit: with --baseline-json, every recorded speedup_vs_baseline
+is recomputed from the raw rows, parent 1-thread real_time / current
+1-thread real_time, and each entry whose recorded ratio differs from the
+recomputed one by more than 5% is printed with both figures:
+BENCH_PR10.json records 10.65x for BM_Table1_IdsSelectionFree/128
+against BENCH_PR9.json, whose rows give 1.10x. The audit is printed only; the floor gate still
+reads the recorded ratios.
+
 Usage: tools/check_bench.py [bench-json] [--floor 0.85] [--prune-floor 0.9]
                             [--memory-ceiling 1.10] [--baseline-json FILE]
 """
@@ -81,6 +89,35 @@ def report_pooled_vs_serial(data: dict) -> None:
                   f"{pooled_ns / 1e3:.1f} us)")
 
 
+def serial_real_times(data: dict) -> dict:
+    """name -> real_time of the 1-thread rows (the pooled rows in files
+    that have no 1-thread section)."""
+    sections = data.get("benchmarks_1thread") or data.get("benchmarks", {})
+    return {name: r.get("real_time")
+            for payload in sections.values()
+            for name, r in payload.get("results", {}).items()}
+
+
+def report_recomputed_speedups(data: dict, base: dict,
+                               tolerance: float = 0.05) -> None:
+    """Prints each recorded speedup_vs_baseline that its rows do not give
+    (report only)."""
+    current, parent = serial_real_times(data), serial_real_times(base)
+    off = []
+    for name, recorded in sorted(data.get("speedup_vs_baseline", {}).items()):
+        cur_ns, base_ns = current.get(name), parent.get(name)
+        if not cur_ns or not base_ns:
+            continue
+        recomputed = base_ns / cur_ns
+        if abs(recorded / recomputed - 1) > tolerance:
+            off.append((name, recorded, recomputed))
+    print(f"ratio audit: {len(off)} recorded speedup(s) off their rows by "
+          f"more than {tolerance:.0%} [not gated]")
+    for name, recorded, recomputed in off:
+        print(f"  {name}: recorded {recorded:.2f}x, rows give "
+              f"{recomputed:.2f}x")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("bench_json", nargs="?",
@@ -96,7 +133,8 @@ def main() -> int:
                              "multiple of the parent tree's")
     parser.add_argument("--baseline-json", default=None,
                         help="parent-tree BENCH json for the memory gate "
-                             "(default: BENCH_PR<N-1>.json beside bench-json)")
+                             "(default: BENCH_PR<N-1>.json beside bench-json)"
+                             " and, when given, the ratio audit")
     args = parser.parse_args()
 
     data = json.load(open(args.bench_json))
@@ -198,6 +236,8 @@ def main() -> int:
     if baseline_path:
         try:
             base = json.load(open(baseline_path))
+            if args.baseline_json is not None:
+                report_recomputed_speedups(data, base)
             for section in ("benchmarks_1thread", "benchmarks"):
                 for bench, payload in base.get(section, {}).items():
                     rss = payload.get("context", {}).get("peak_rss_bytes")
