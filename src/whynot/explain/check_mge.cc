@@ -75,6 +75,10 @@ Result<bool> CheckMgeDerived(const WhyNotInstance& wni,
                              ls::EvalCache* cache, LsAnswerCovers* covers,
                              ls::ConceptCache* concept_cache,
                              const exec::ExecContext* exec) {
+  if (candidate.size() != wni.arity()) {
+    return Status::InvalidArgument(
+        "explanation arity does not match the missing tuple");
+  }
   DerivedStores stores("CheckMgeDerived", wni.instance, wni.answers,
                        /*dedup_answers=*/false, with_selections, {}, lub_context,
                        cache, covers, concept_cache);

@@ -46,7 +46,8 @@ Result<bool> CheckMgeExternal(onto::BoundOntology* bound,
 /// local, with identical verdicts and errors; RequireCoverStores
 /// (answer_cover.h) says which stores caller-owned covers need.
 /// `exec` follows the CheckMgeExternal contract (one probe per position,
-/// stops are always errors).
+/// stops are always errors). A candidate whose arity differs from the
+/// missing tuple's is InvalidArgument, as in CheckMgeExternal.
 Result<bool> CheckMgeDerived(const WhyNotInstance& wni,
                              const LsExplanation& candidate,
                              bool with_selections,

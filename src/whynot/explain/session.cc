@@ -12,11 +12,14 @@ namespace whynot::explain {
 /// cheaply movable while internal pointers (covers → answer vector,
 /// covers → bound ontology) stay stable.
 struct ExplainSession::State {
-  const rel::Instance* instance = nullptr;
-  const onto::FiniteOntology* ontology = nullptr;
+  State(const rel::Instance* instance, const onto::FiniteOntology* ontology,
+        ExplainSessionOptions options)
+      : instance(instance), ontology(ontology), options(std::move(options)) {}
+
+  const rel::Instance* instance;
+  const onto::FiniteOntology* ontology;
   ExplainSessionOptions options;
-  rel::UnionQuery query;
-  bool has_query = false;
+  bool has_query = false;  // bound from wni.query, not from fixed answers
   uint64_t version = 0;
   // What the last warm was brought up to date against: the instance's
   // non-append generation, the distinct count of every schema column
@@ -30,11 +33,11 @@ struct ExplainSession::State {
   RewarmCounts rewarms;
 
   /// The one answer vector lives in wni.answers; requests only swap the
-  /// asked-about tuple, so Ans is never copied per request. wi.answers
-  /// stays empty: the why duals read Ans only through the session's
-  /// covers (ls_covers over wni.answers, covers interned from it).
+  /// missing tuple, so Ans is never copied per request. The why requests
+  /// read Ans only through the session's covers (ls_covers over
+  /// wni.answers, covers interned from it), so their WhyInstance carries
+  /// empty answers.
   WhyNotInstance wni;
-  WhyInstance wi;
 
   // External-ontology warm state (null without an ontology).
   std::unique_ptr<onto::BoundOntology> bound;
@@ -99,6 +102,24 @@ std::vector<size_t> ColumnCounts(const rel::Instance& instance) {
   return counts;
 }
 
+/// `options` with the request context installed.
+template <typename Options>
+Options WithExec(Options options, const exec::ExecContext& ctx) {
+  options.exec = &ctx;
+  return options;
+}
+
+/// The options of an O_I search: the session's two derived knobs and the
+/// request context.
+template <typename Options>
+Options DerivedOptions(const ExplainSessionOptions& session,
+                       const exec::ExecContext& ctx) {
+  Options options;
+  options.with_selections = session.with_selections;
+  options.lub = session.lub;
+  return WithExec(options, ctx);
+}
+
 }  // namespace
 
 ExplainSession::ExplainSession(std::unique_ptr<State> state)
@@ -108,29 +129,13 @@ ExplainSession::ExplainSession(ExplainSession&&) noexcept = default;
 ExplainSession& ExplainSession::operator=(ExplainSession&&) noexcept = default;
 ExplainSession::~ExplainSession() = default;
 
-std::unique_ptr<ExplainSession::State> ExplainSession::MakeState(
-    const rel::Instance* instance, const onto::FiniteOntology* ontology,
-    ExplainSessionOptions options) {
-  auto state = std::make_unique<State>();
-  state->instance = instance;
-  state->ontology = ontology;
-  // One shared LubContext serves every derived request, so both searches
-  // must agree on its limits.
-  options.incremental.lub = options.lub;
-  options.enumerate.lub = options.lub;
-  state->options = std::move(options);
-  return state;
-}
-
 Result<ExplainSession> ExplainSession::Bind(const rel::Instance* instance,
                                             rel::UnionQuery query,
                                             const onto::FiniteOntology* ontology,
                                             ExplainSessionOptions options) {
-  std::unique_ptr<State> state =
-      MakeState(instance, ontology, std::move(options));
-  state->query = std::move(query);
+  auto state = std::make_unique<State>(instance, ontology, std::move(options));
+  state->wni.query = std::move(query);
   state->has_query = true;
-  state->wni.query = state->query;  // informational, as in the one-shot path
   ExplainSession session(std::move(state));
   WHYNOT_RETURN_IF_ERROR(session.Rewarm());
   return session;
@@ -145,9 +150,7 @@ Result<ExplainSession> ExplainSession::BindWithAnswers(
       return Status::InvalidArgument("answer tuples have mixed arities");
     }
   }
-  std::unique_ptr<State> state =
-      MakeState(instance, ontology, std::move(options));
-  state->has_query = false;
+  auto state = std::make_unique<State>(instance, ontology, std::move(options));
   state->wni.answers = std::move(answers);
   ExplainSession session(std::move(state));
   WHYNOT_RETURN_IF_ERROR(session.Rewarm());
@@ -167,7 +170,7 @@ Status ExplainSession::UpdateAnswers() {
     ++s.rewarms.delta;
   }
   WHYNOT_ASSIGN_OR_RETURN(std::vector<std::vector<ValueId>> delta,
-                          rel::EvaluateIds(s.query, *s.instance, s.marks));
+                          rel::EvaluateIds(s.wni.query, *s.instance, s.marks));
   // The merge skips answers already present, so a retry after a re-warm
   // that failed past this point (the marks stay behind) is a no-op here.
   s.ls_covers->MergeAnswers(delta, &s.wni.answers);
@@ -177,7 +180,6 @@ Status ExplainSession::UpdateAnswers() {
 Status ExplainSession::Rewarm(const exec::ExecContext* exec) {
   State& s = *state_;
   s.wni.instance = s.instance;
-  s.wi.instance = s.instance;
 
   // Over selection-free LS every signature, lub and extension the derived
   // state caches depends only on the distinct columns (Lemma 5.1), so it
@@ -188,8 +190,7 @@ Status ExplainSession::Rewarm(const exec::ExecContext* exec) {
   const bool keep = s.lub != nullptr &&
                     s.generation == s.instance->generation() &&
                     distinct == s.distinct &&
-                    !s.options.incremental.with_selections &&
-                    !s.options.enumerate.with_selections &&
+                    !s.options.with_selections &&
                     !s.concept_cache->evals().read_rows();
   // Cover rows are keyed by the addresses of the extensions a rebuild
   // frees; kept extensions keep their rows, which the merge below extends.
@@ -233,25 +234,18 @@ Status ExplainSession::Rewarm(const exec::ExecContext* exec) {
   s.version = s.instance->version();
   s.generation = s.instance->generation();
   s.distinct = std::move(distinct);
-  if (s.has_query) s.marks = rel::MarkRows(s.query, *s.instance);
+  if (s.has_query) s.marks = rel::MarkRows(s.wni.query, *s.instance);
   return Status::OK();
 }
 
-Status ExplainSession::RewarmIfStale(const exec::ExecContext* exec) {
-  if (state_->version != state_->instance->version()) {
-    WHYNOT_RETURN_IF_ERROR(Rewarm(exec));
-  }
-  return Status::OK();
-}
-
-Status ExplainSession::Prepare(const Tuple& tuple, bool expect_answer,
+Status ExplainSession::Prepare(const Tuple& tuple, Question question,
                                const exec::ExecContext* exec) {
-  WHYNOT_RETURN_IF_ERROR(RewarmIfStale(exec));
   State& s = *state_;
-  if (s.has_query && s.query.arity() != tuple.size()) {
+  if (s.version != s.instance->version()) WHYNOT_RETURN_IF_ERROR(Rewarm(exec));
+  if (s.has_query && s.wni.query.arity() != tuple.size()) {
     return Status::InvalidArgument(
-        expect_answer ? "tuple arity does not match query arity"
-                      : "missing tuple arity does not match query arity");
+        question == kWhy ? "tuple arity does not match query arity"
+                         : "missing tuple arity does not match query arity");
   }
   if (!s.has_query && !s.wni.answers.empty() &&
       s.wni.answers.front().size() != tuple.size()) {
@@ -260,21 +254,18 @@ Status ExplainSession::Prepare(const Tuple& tuple, bool expect_answer,
   }
   bool in_answers = std::binary_search(s.wni.answers.begin(),
                                        s.wni.answers.end(), tuple);
-  if (expect_answer) {
-    if (!in_answers) {
-      return Status::InvalidArgument(
-          "tuple " + TupleToString(tuple) +
-          " is not in the answer set; ask a why-not question instead");
-    }
-    s.wi.present = tuple;
-  } else {
-    if (in_answers) {
-      return Status::InvalidArgument("tuple " + TupleToString(tuple) +
-                                     " is in the answer set; nothing to "
-                                     "explain");
-    }
-    s.wni.missing = tuple;
+  if (question == kWhy) {
+    if (in_answers) return Status::OK();
+    return Status::InvalidArgument(
+        "tuple " + TupleToString(tuple) +
+        " is not in the answer set; ask a why-not question instead");
   }
+  if (in_answers) {
+    return Status::InvalidArgument("tuple " + TupleToString(tuple) +
+                                   " is in the answer set; nothing to "
+                                   "explain");
+  }
+  s.wni.missing = tuple;
   return Status::OK();
 }
 
@@ -285,6 +276,20 @@ Status ExplainSession::RequireOntology() const {
         "ontology (OI) requests are available");
   }
   return Status::OK();
+}
+
+template <typename Fn>
+auto ExplainSession::Serve(const Tuple& tuple, Question question,
+                           Ontology ontology, const exec::ExecContext* exec,
+                           Fn fn)
+    -> decltype(fn(std::declval<State&>(),
+                   std::declval<const exec::ExecContext&>())) {
+  if (ontology == kExternal) WHYNOT_RETURN_IF_ERROR(RequireOntology());
+  State& s = *state_;
+  const exec::ExecContext ctx =
+      MakeRequestExec(s.options.request_deadline_ms, s.cancel, exec);
+  WHYNOT_RETURN_IF_ERROR(Prepare(tuple, question, &ctx));
+  return fn(s, ctx);
 }
 
 const std::vector<Tuple>& ExplainSession::answers() const {
@@ -311,8 +316,9 @@ void ExplainSession::ResetCancel() { state_->cancel = exec::CancelToken(); }
 
 Status ExplainSession::CheckConsistent() {
   WHYNOT_RETURN_IF_ERROR(RequireOntology());
-  WHYNOT_RETURN_IF_ERROR(RewarmIfStale());
-  return state_->bound->CheckConsistent();
+  State& s = *state_;
+  if (s.version != s.instance->version()) WHYNOT_RETURN_IF_ERROR(Rewarm());
+  return s.bound->CheckConsistent();
 }
 
 ExplainSession::MemoryStats ExplainSession::MemoryUsage() const {
@@ -344,56 +350,45 @@ ls::ConceptCacheStats ExplainSession::CacheStats() const {
 
 Result<LsExplanation> ExplainSession::WhyNot(const Tuple& missing,
                                              const exec::ExecContext* exec) {
-  State& s = *state_;
-  exec::ExecContext ctx =
-      MakeRequestExec(s.options.request_deadline_ms, s.cancel, exec);
-  WHYNOT_RETURN_IF_ERROR(Prepare(missing, /*expect_answer=*/false, &ctx));
-  IncrementalOptions opts = s.options.incremental;
-  opts.exec = &ctx;
-  return IncrementalSearch(s.wni, opts, s.lub.get(),
-                           &s.concept_cache->evals(), s.ls_covers.get(),
-                           s.concept_cache.get());
+  return Serve(missing, kWhyNot, kDerived, exec, [](State& s, auto& ctx) {
+    return IncrementalSearch(
+        s.wni, DerivedOptions<IncrementalOptions>(s.options, ctx), s.lub.get(),
+        &s.concept_cache->evals(), s.ls_covers.get(), s.concept_cache.get());
+  });
 }
 
 Result<std::vector<LsExplanation>> ExplainSession::EnumerateMges(
     const Tuple& missing, EnumerateStats* stats,
     const exec::ExecContext* exec) {
-  State& s = *state_;
-  exec::ExecContext ctx =
-      MakeRequestExec(s.options.request_deadline_ms, s.cancel, exec);
-  WHYNOT_RETURN_IF_ERROR(Prepare(missing, /*expect_answer=*/false, &ctx));
-  EnumerateOptions opts = s.options.enumerate;
-  opts.exec = &ctx;
-  return EnumerateAllMges(s.wni, opts, stats, s.lub.get(),
-                          s.concept_cache.get(), &s.concept_cache->evals(),
-                          s.ls_covers.get());
+  return Serve(missing, kWhyNot, kDerived, exec, [&](State& s, auto& ctx) {
+    return EnumerateAllMges(
+        s.wni, DerivedOptions<EnumerateOptions>(s.options, ctx), stats,
+        s.lub.get(), s.concept_cache.get(), &s.concept_cache->evals(),
+        s.ls_covers.get());
+  });
 }
 
 Result<bool> ExplainSession::CheckMgeDerived(const Tuple& missing,
                                              const LsExplanation& candidate,
                                              const exec::ExecContext* exec) {
-  State& s = *state_;
-  exec::ExecContext ctx =
-      MakeRequestExec(s.options.request_deadline_ms, s.cancel, exec);
-  WHYNOT_RETURN_IF_ERROR(Prepare(missing, /*expect_answer=*/false, &ctx));
-  return explain::CheckMgeDerived(s.wni, candidate,
-                                  s.options.incremental.with_selections,
-                                  s.lub.get(), &s.concept_cache->evals(),
-                                  s.ls_covers.get(), s.concept_cache.get(),
-                                  &ctx);
+  return Serve(missing, kWhyNot, kDerived, exec, [&](State& s, auto& ctx) {
+    return explain::CheckMgeDerived(
+        s.wni, candidate, s.options.with_selections, s.lub.get(),
+        &s.concept_cache->evals(), s.ls_covers.get(), s.concept_cache.get(),
+        &ctx);
+  });
 }
 
 Result<LsExplanation> ExplainSession::Why(const Tuple& present,
                                           const exec::ExecContext* exec) {
-  State& s = *state_;
-  exec::ExecContext ctx =
-      MakeRequestExec(s.options.request_deadline_ms, s.cancel, exec);
-  WHYNOT_RETURN_IF_ERROR(Prepare(present, /*expect_answer=*/true, &ctx));
-  // ls_covers indexes wni.answers, which is sorted and duplicate-free, as
-  // the counting form needs.
-  return IncrementalWhySearch(s.wi, s.options.incremental.with_selections,
-                              s.lub.get(), &s.concept_cache->evals(),
-                              s.ls_covers.get(), s.concept_cache.get(), &ctx);
+  return Serve(present, kWhy, kDerived, exec, [&](State& s, auto& ctx) {
+    // ls_covers indexes wni.answers, which is sorted and duplicate-free, as
+    // the counting form needs.
+    return IncrementalWhySearch(
+        WhyInstance{s.instance, {}, present}, s.options.with_selections,
+        s.lub.get(), &s.concept_cache->evals(), s.ls_covers.get(),
+        s.concept_cache.get(), &ctx);
+  });
 }
 
 // --- External-ontology requests -------------------------------------------
@@ -405,119 +400,94 @@ Result<std::vector<Explanation>> ExplainSession::ExhaustiveMges(
 
 Result<std::vector<Explanation>> ExplainSession::PrunedMges(
     const Tuple& missing, const exec::ExecContext* exec) {
-  WHYNOT_RETURN_IF_ERROR(RequireOntology());
-  State& s = *state_;
-  exec::ExecContext ctx =
-      MakeRequestExec(s.options.request_deadline_ms, s.cancel, exec);
-  WHYNOT_RETURN_IF_ERROR(Prepare(missing, /*expect_answer=*/false, &ctx));
-  ExhaustiveOptions opts = s.options.exhaustive;
-  opts.exec = &ctx;
-  return PrunedSearchAllMge(s.bound.get(), s.wni, opts, s.covers.get(),
-                            s.lattice.get());
+  return Serve(missing, kWhyNot, kExternal, exec, [](State& s, auto& ctx) {
+    return PrunedSearchAllMge(s.bound.get(), s.wni,
+                              WithExec(s.options.exhaustive, ctx),
+                              s.covers.get(), s.lattice.get());
+  });
 }
 
 Result<GradedMges> ExplainSession::MgesWithDegradation(
     const Tuple& missing, const exec::ExecContext* exec) {
-  WHYNOT_RETURN_IF_ERROR(RequireOntology());
-  State& s = *state_;
-  exec::ExecContext ctx =
-      MakeRequestExec(s.options.request_deadline_ms, s.cancel, exec);
-  WHYNOT_RETURN_IF_ERROR(Prepare(missing, /*expect_answer=*/false, &ctx));
-  GradedMges graded;
-  // Rung 1/2: the pruned exact search under the request context. With a
-  // certificate attached a stop is not an error — the search returns the
-  // deterministic prefix it had confirmed and records the cut.
-  ExhaustiveOptions opts = s.options.exhaustive;
-  opts.exec = &ctx;
-  opts.cert = &graded.certificate;
-  WHYNOT_ASSIGN_OR_RETURN(
-      graded.explanations,
-      PrunedSearchAllMge(s.bound.get(), s.wni, opts, s.covers.get(),
-                         s.lattice.get()));
-  if (graded.certificate.complete() || !graded.explanations.empty()) {
-    return graded;  // kExact, or a non-empty kLowerBound prefix
-  }
-  // Rung 3: the stop left nothing confirmed. A cancelled caller asked for
-  // no further work; a deadline/budget stop buys one greedy explanation
-  // under a cancel-only grace context (no deadline, no injector — the
-  // original deadline is already spent).
-  if (graded.certificate.stop == exec::StopReason::kCancelled) return graded;
-  exec::ExecContext grace;
-  grace.cancel = ctx.cancel;
-  exec::Certificate greedy_cert;
-  WHYNOT_ASSIGN_OR_RETURN(
-      std::optional<CardinalityResult> one,
-      GreedyCardinalityClimb(s.bound.get(), s.wni, s.covers.get(), &grace,
-                             &greedy_cert));
-  if (one.has_value()) {
-    graded.explanations.push_back(std::move(one->explanation));
-    graded.certificate.quality = exec::Quality::kHeuristic;
-    graded.certificate.progress.best_so_far = 1;
-  }
-  // The certificate keeps the original stop reason: it explains why the
-  // answer is not exact, not how the fallback itself ended.
-  return graded;
+  return Serve(missing, kWhyNot, kExternal, exec,
+               [](State& s, auto& ctx) -> Result<GradedMges> {
+    GradedMges graded;
+    // Rung 1/2: the pruned exact search under the request context. With a
+    // certificate attached a stop is not an error — the search returns the
+    // deterministic prefix it had confirmed and records the cut.
+    ExhaustiveOptions opts = WithExec(s.options.exhaustive, ctx);
+    opts.cert = &graded.certificate;
+    WHYNOT_ASSIGN_OR_RETURN(
+        graded.explanations,
+        PrunedSearchAllMge(s.bound.get(), s.wni, opts, s.covers.get(),
+                           s.lattice.get()));
+    if (graded.certificate.complete() || !graded.explanations.empty()) {
+      return graded;  // kExact, or a non-empty kLowerBound prefix
+    }
+    // Rung 3: the stop left nothing confirmed. A cancelled caller asked for
+    // no further work; a deadline/budget stop buys one greedy explanation
+    // under a cancel-only grace context (no deadline, no injector — the
+    // original deadline is already spent).
+    if (graded.certificate.stop == exec::StopReason::kCancelled) return graded;
+    exec::ExecContext grace;
+    grace.cancel = ctx.cancel;
+    exec::Certificate greedy_cert;
+    WHYNOT_ASSIGN_OR_RETURN(
+        std::optional<CardinalityResult> one,
+        GreedyCardinalityClimb(s.bound.get(), s.wni, s.covers.get(), &grace,
+                               &greedy_cert));
+    if (one.has_value()) {
+      graded.explanations.push_back(std::move(one->explanation));
+      graded.certificate.quality = exec::Quality::kHeuristic;
+      graded.certificate.progress.best_so_far = 1;
+    }
+    // The certificate keeps the original stop reason: it explains why the
+    // answer is not exact, not how the fallback itself ended.
+    return graded;
+  });
 }
 
 Result<bool> ExplainSession::Exists(const Tuple& missing, Explanation* witness,
                                     const exec::ExecContext* exec) {
-  WHYNOT_RETURN_IF_ERROR(RequireOntology());
-  State& s = *state_;
-  exec::ExecContext ctx =
-      MakeRequestExec(s.options.request_deadline_ms, s.cancel, exec);
-  WHYNOT_RETURN_IF_ERROR(Prepare(missing, /*expect_answer=*/false, &ctx));
-  ExistenceOptions opts = s.options.existence;
-  opts.exec = &ctx;
-  return ExistsExplanation(s.bound.get(), s.wni, witness, opts, s.covers.get(),
-                           s.lattice.get());
+  return Serve(missing, kWhyNot, kExternal, exec, [&](State& s, auto& ctx) {
+    return ExistsExplanation(s.bound.get(), s.wni, witness,
+                             WithExec(s.options.existence, ctx),
+                             s.covers.get(), s.lattice.get());
+  });
 }
 
 Result<std::optional<CardinalityResult>> ExplainSession::CardMaximal(
     const Tuple& missing, const exec::ExecContext* exec) {
-  WHYNOT_RETURN_IF_ERROR(RequireOntology());
-  State& s = *state_;
-  exec::ExecContext ctx =
-      MakeRequestExec(s.options.request_deadline_ms, s.cancel, exec);
-  WHYNOT_RETURN_IF_ERROR(Prepare(missing, /*expect_answer=*/false, &ctx));
-  ExhaustiveOptions opts = s.options.exhaustive;
-  opts.exec = &ctx;
-  return ExactCardMaximal(s.bound.get(), s.wni, opts, s.covers.get(),
-                          s.lattice.get());
+  return Serve(missing, kWhyNot, kExternal, exec, [](State& s, auto& ctx) {
+    return ExactCardMaximal(s.bound.get(), s.wni,
+                            WithExec(s.options.exhaustive, ctx),
+                            s.covers.get(), s.lattice.get());
+  });
 }
 
 Result<std::optional<CardinalityResult>> ExplainSession::GreedyCard(
     const Tuple& missing, const exec::ExecContext* exec) {
-  WHYNOT_RETURN_IF_ERROR(RequireOntology());
-  State& s = *state_;
-  exec::ExecContext ctx =
-      MakeRequestExec(s.options.request_deadline_ms, s.cancel, exec);
-  WHYNOT_RETURN_IF_ERROR(Prepare(missing, /*expect_answer=*/false, &ctx));
-  return GreedyCardinalityClimb(s.bound.get(), s.wni, s.covers.get(), &ctx);
+  return Serve(missing, kWhyNot, kExternal, exec, [](State& s, auto& ctx) {
+    return GreedyCardinalityClimb(s.bound.get(), s.wni, s.covers.get(), &ctx);
+  });
 }
 
 Result<bool> ExplainSession::CheckMge(const Tuple& missing,
                                       const Explanation& candidate,
                                       const exec::ExecContext* exec) {
-  WHYNOT_RETURN_IF_ERROR(RequireOntology());
-  State& s = *state_;
-  exec::ExecContext ctx =
-      MakeRequestExec(s.options.request_deadline_ms, s.cancel, exec);
-  WHYNOT_RETURN_IF_ERROR(Prepare(missing, /*expect_answer=*/false, &ctx));
-  return CheckMgeExternal(s.bound.get(), s.wni, candidate, s.covers.get(),
-                          &ctx);
+  return Serve(missing, kWhyNot, kExternal, exec, [&](State& s, auto& ctx) {
+    return CheckMgeExternal(s.bound.get(), s.wni, candidate, s.covers.get(),
+                            &ctx);
+  });
 }
 
 Result<std::vector<Explanation>> ExplainSession::WhyMges(
     const Tuple& present, const exec::ExecContext* exec) {
-  WHYNOT_RETURN_IF_ERROR(RequireOntology());
-  State& s = *state_;
-  exec::ExecContext ctx =
-      MakeRequestExec(s.options.request_deadline_ms, s.cancel, exec);
-  WHYNOT_RETURN_IF_ERROR(Prepare(present, /*expect_answer=*/true, &ctx));
-  ExhaustiveOptions opts = s.options.exhaustive;
-  opts.exec = &ctx;
-  return AllMostGeneralWhyExplanations(s.bound.get(), s.wi, opts,
-                                       s.covers.get(), s.lattice.get());
+  return Serve(present, kWhy, kExternal, exec, [&](State& s, auto& ctx) {
+    return AllMostGeneralWhyExplanations(
+        s.bound.get(), WhyInstance{s.instance, {}, present},
+        WithExec(s.options.exhaustive, ctx), s.covers.get(), s.lattice.get());
+  });
 }
 
 }  // namespace whynot::explain

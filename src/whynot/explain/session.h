@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "whynot/common/status.h"
@@ -20,15 +21,18 @@
 
 namespace whynot::explain {
 
-/// Session-wide knobs, fixed at Bind time. The per-algorithm option
-/// structs keep their one-shot meanings; `lub` overrides the lub limits
-/// of both the incremental and the enumeration searches so the session's
-/// single shared LubContext serves every derived request.
+/// Session-wide knobs, fixed at Bind time. `exhaustive` and `existence`
+/// keep their one-shot meanings (the session sets their `exec`); the
+/// derived-ontology (O_I) requests read only `with_selections` and `lub`.
 struct ExplainSessionOptions {
-  ExhaustiveOptions exhaustive;    // Exhaustive/Pruned/CardMaximal/WhyMges
+  ExhaustiveOptions exhaustive;  // Exhaustive/Pruned/CardMaximal/WhyMges
   ExistenceOptions existence;
-  IncrementalOptions incremental;  // WhyNot()/Why(): selections, ⊤ sweep
-  EnumerateOptions enumerate;
+  /// Every O_I request — WhyNot, EnumerateMges, CheckMgeDerived, Why —
+  /// searches selection-free LS when false (Lemma 5.1) and full LS via
+  /// lubσ when true (Lemma 5.2).
+  bool with_selections = false;
+  /// The limits of the session's one LubContext, which serves every O_I
+  /// request.
   ls::LubOptions lub;
 
   /// Default per-request deadline in milliseconds (0 = none). Every
@@ -55,13 +59,12 @@ struct GradedMges {
 /// query answers, extension warm-up, answer-cover bitmaps, lub canonical
 /// boxes, eval memos. A session binds that state once — Bind evaluates
 /// the query, constructs the answer-cover tables and, with an external
-/// ontology, warms the instance's lazy caches for concurrent reads and
-/// every bound-ontology extension — and then serves repeated WhyNot /
-/// Why / EnumerateMges / Cardinality / Existence requests that only vary
-/// the asked-about tuple. Results, enumeration order, and stats are
-/// bit-identical to the standalone entry points at every thread count:
-/// all shared caches memoize pure functions of the fixed (instance,
-/// answers) binding, so warm-vs-cold only changes time.
+/// ontology, warms every bound-ontology extension — and then serves
+/// repeated WhyNot / Why / EnumerateMges / Cardinality / Existence
+/// requests that only vary the asked-about tuple. Results, enumeration
+/// order, and stats are bit-identical to the standalone entry points at
+/// every thread count: all shared caches memoize pure functions of the
+/// fixed (instance, answers) binding, so warm-vs-cold only changes time.
 ///
 /// Invalidation: the session records rel::Instance::version() at warm
 /// time, and the next request after any mutation re-warms before it
@@ -80,8 +83,8 @@ struct GradedMges {
 /// derived requests evaluate — is *kept* across a write when nothing it
 /// reads has moved: the generation is unchanged, every schema column
 /// holds as many distinct values as at the last warm (appends are
-/// monotone, so the columns are equal), both searches are selection-free,
-/// and the eval memo has never evaluated a selection conjunct (a
+/// monotone, so the columns are equal), `with_selections` is false, and
+/// the eval memo has never evaluated a selection conjunct (a
 /// CheckMgeDerived candidate can bring one in; its extension reads rows).
 /// Over selection-free LS, signatures, lubs and extensions depend only on
 /// the distinct columns (Lemma 5.1), so they are still exact. The LS
@@ -257,12 +260,6 @@ class ExplainSession {
   struct State;
   explicit ExplainSession(std::unique_ptr<State> state);
 
-  /// Shared Bind/BindWithAnswers boilerplate: allocates the state and
-  /// couples the per-algorithm lub limits to the session-wide ones.
-  static std::unique_ptr<State> MakeState(const rel::Instance* instance,
-                                          const onto::FiniteOntology* ontology,
-                                          ExplainSessionOptions options);
-
   /// Rebuilds all warm state against the current instance contents;
   /// re-evaluates the query when the session owns one. `exec` is observed
   /// by the extension warm-up (WarmExtensions), so a request's deadline
@@ -272,14 +269,24 @@ class ExplainSession {
   /// date for a query-bound session: the delta since the recorded row
   /// marks, or the full answer set when the generation moved.
   Status UpdateAnswers();
-  /// Rewarm iff the instance version moved since the last warm-up.
-  Status RewarmIfStale(const exec::ExecContext* exec = nullptr);
-  /// RewarmIfStale, then validates and installs the request tuple
-  /// (missing ∉ Ans when `expect_answer` is false, present ∈ Ans
-  /// otherwise).
-  Status Prepare(const Tuple& tuple, bool expect_answer,
-                 const exec::ExecContext* exec = nullptr);
+  /// What a request asks about: a missing tuple (∉ Ans) or a present one
+  /// (∈ Ans), and against which ontology.
+  enum Question { kWhyNot, kWhy };
+  enum Ontology { kDerived, kExternal };
+  /// Rewarms iff the instance version moved since the last warm-up, then
+  /// validates the request tuple for `question` and, for kWhyNot, installs
+  /// it as the missing tuple.
+  Status Prepare(const Tuple& tuple, Question question,
+                 const exec::ExecContext* exec);
   Status RequireOntology() const;
+  /// The one request path: the ontology check (kExternal), the request
+  /// context (see Execution control), Prepare, then `fn(state, ctx)` — the
+  /// request's one search call.
+  template <typename Fn>
+  auto Serve(const Tuple& tuple, Question question, Ontology ontology,
+             const exec::ExecContext* exec, Fn fn)
+      -> decltype(fn(std::declval<State&>(),
+                     std::declval<const exec::ExecContext&>()));
 
   std::unique_ptr<State> state_;
 };

@@ -132,6 +132,10 @@ Result<std::vector<Explanation>> AllMostGeneralWhyExplanations(
 
 Result<bool> IsLsWhyExplanation(const WhyInstance& wi, const LsExplanation& e,
                                 ls::EvalCache* cache, LsAnswerCovers* covers) {
+  if (e.size() != wi.arity()) {
+    return Status::InvalidArgument(
+        "explanation arity does not match the tuple");
+  }
   WHYNOT_RETURN_IF_ERROR(
       RequireCoverStores(covers, cache != nullptr, "IsLsWhyExplanation"));
   std::optional<ls::EvalCache> local_cache;
@@ -171,6 +175,10 @@ Result<bool> CheckWhyMgeDerived(const WhyInstance& wi,
                                 LsAnswerCovers* covers,
                                 ls::ConceptCache* concept_cache,
                                 const exec::ExecContext* exec) {
+  if (candidate.size() != wi.arity()) {
+    return Status::InvalidArgument(
+        "explanation arity does not match the tuple");
+  }
   DerivedStores stores("CheckWhyMgeDerived", wi.instance, wi.answers,
                        /*dedup_answers=*/true, with_selections, {}, lub_context,
                        cache, covers, concept_cache);

@@ -87,7 +87,8 @@ Result<std::vector<Explanation>> AllMostGeneralWhyExplanations(
 /// only through them and wi.answers is not read (an ExplainSession leaves
 /// it empty); the covers' answer vector must be sorted and
 /// duplicate-free. Without, the one-shot path sort-dedups a local copy of
-/// wi.answers defensively.
+/// wi.answers defensively. A candidate whose arity differs from the
+/// present tuple's is InvalidArgument, here and in CheckWhyMgeDerived.
 Result<bool> IsLsWhyExplanation(const WhyInstance& wi, const LsExplanation& e,
                                 ls::EvalCache* cache = nullptr,
                                 LsAnswerCovers* covers = nullptr);

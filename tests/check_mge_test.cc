@@ -76,6 +76,25 @@ TEST_F(CheckMgeTest, ArityMismatchRejected) {
   Explanation wrong_arity = {Id("City")};
   EXPECT_FALSE(
       explain::CheckMgeExternal(bound_.get(), *wni_, wrong_arity).ok());
+  // CHECK-MGE w.r.t. O_I rejects a wrong-arity candidate the same way, one-
+  // shot and through a session, rather than answering "not most general".
+  explain::LsExplanation wrong_ls = {
+      ls::LsConcept::Nominal(Value("Amsterdam"))};
+  ls::LubContext lub(instance_.get());
+  EXPECT_EQ(explain::CheckMgeDerived(*wni_, wrong_ls,
+                                     /*with_selections=*/false, &lub)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_OK_AND_ASSIGN(
+      explain::ExplainSession session,
+      explain::ExplainSession::Bind(instance_.get(),
+                                    workload::ConnectedViaQuery(),
+                                    ontology_.get()));
+  EXPECT_EQ(session.CheckMge(wni_->missing, wrong_arity).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(session.CheckMgeDerived(wni_->missing, wrong_ls).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 /// Sweep: CheckMgeExternal agrees with membership in the Algorithm 1 output

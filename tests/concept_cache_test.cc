@@ -77,8 +77,7 @@ std::string RunRequestMix(const Fixture& f, bool with_selections,
   std::vector<explain::LsExplanation> mges;
   if (through_session) {
     explain::ExplainSessionOptions options;
-    options.incremental.with_selections = with_selections;
-    options.enumerate.with_selections = with_selections;
+    options.with_selections = with_selections;
     auto session = explain::ExplainSession::BindWithAnswers(
         f.instance.get(), f.wni.answers, nullptr, options);
     EXPECT_TRUE(session.ok());

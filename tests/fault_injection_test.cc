@@ -917,8 +917,7 @@ TEST(SessionExecTest, InterruptedDerivedRequestsLeaveTheMemoSound) {
   for (bool with_selections : {false, true}) {
     SCOPED_TRACE(with_selections ? "with selections" : "selection-free");
     explain::ExplainSessionOptions options;
-    options.incremental.with_selections = with_selections;
-    options.enumerate.with_selections = with_selections;
+    options.with_selections = with_selections;
     auto bind = [&] {
       return explain::ExplainSession::Bind(
           f.instance.get(), workload::ConnectedViaQuery(), nullptr, options);

@@ -308,6 +308,35 @@ TEST(SessionDerivedTest, ChecksOfEnumeratedMgesReuseCoverRows) {
   EXPECT_EQ(session.MemoryUsage().cover_bytes, cover_bytes);
 }
 
+// The session's one `lub` limit and one `with_selections` flag reach every
+// derived request: with selections, one canonical box per relation is too
+// few for the retail stock query, so each request stops on the budget.
+TEST(SessionDerivedTest, SessionLubLimitReachesEveryDerivedRequest) {
+  ASSERT_OK_AND_ASSIGN(workload::RetailScenario s,
+                       workload::MakeRetailScenario(4, 3));
+  explain::ExplainSessionOptions options;
+  options.with_selections = true;
+  options.lub.max_boxes_per_relation = 1;
+  ASSERT_OK_AND_ASSIGN(
+      explain::ExplainSession session,
+      explain::ExplainSession::Bind(s.instance.get(), s.stock_query,
+                                    /*ontology=*/nullptr, options));
+  ASSERT_FALSE(session.answers().empty());
+  const Tuple present = session.answers().front();
+  explain::LsExplanation nominals;
+  for (const Value& v : s.missing) {
+    nominals.push_back(ls::LsConcept::Nominal(v));
+  }
+  EXPECT_EQ(session.WhyNot(s.missing).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(session.Why(present).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(session.EnumerateMges(s.missing).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(session.CheckMgeDerived(s.missing, nominals).status().code(),
+            StatusCode::kResourceExhausted);
+}
+
 // --- Invalidation ----------------------------------------------------------
 
 TEST(SessionInvalidationTest, AddFactRebuildsDeterministically) {
@@ -420,8 +449,7 @@ TEST(SessionInvalidationTest, SignatureChangingWritesMatchFreshBinding) {
     par::SetNumThreads(threads);
     for (bool with_selections : {false, true}) {
       explain::ExplainSessionOptions options;
-      options.incremental.with_selections = with_selections;
-      options.enumerate.with_selections = with_selections;
+      options.with_selections = with_selections;
       rel::Instance instance(base);
       ASSERT_OK_AND_ASSIGN(explain::ExplainSession session,
                            explain::ExplainSession::BindWithAnswers(
@@ -636,8 +664,7 @@ TEST(SessionInvalidationTest, ColumnStableAppendsKeepDerivedState) {
       for (bool with_selections : {false, true}) {
         for (bool query_bound : {true, false}) {
           explain::ExplainSessionOptions options;
-          options.incremental.with_selections = with_selections;
-          options.enumerate.with_selections = with_selections;
+          options.with_selections = with_selections;
           rel::Instance instance(base);
           auto bind = [&]() {
             return query_bound

@@ -198,6 +198,23 @@ TEST_F(WhyDerivedTest, ProductOutsideAnswersRejected) {
   EXPECT_FALSE(explain::IsLsWhyExplanation(*wi_, e).value());
 }
 
+// A candidate whose arity differs from the present tuple's is malformed
+// input, as for the external IsWhyExplanation, not a "no" verdict.
+TEST_F(WhyDerivedTest, ArityMismatchRejected) {
+  explain::LsExplanation wrong_arity = {
+      ls::LsConcept::Nominal(Value("Amsterdam"))};
+  EXPECT_EQ(explain::IsLsWhyExplanation(*wi_, wrong_arity).status().code(),
+            StatusCode::kInvalidArgument);
+  ls::LubContext ctx(instance_.get());
+  for (bool with_selections : {false, true}) {
+    EXPECT_EQ(explain::CheckWhyMgeDerived(*wi_, wrong_arity, with_selections,
+                                          &ctx)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
 // Caller-owned covers key rows by extension address, so the why entry
 // points refuse them without the caller-owned store those extensions live
 // in (the concept cache for the searches, the eval cache for

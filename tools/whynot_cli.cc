@@ -211,7 +211,7 @@ int ExplainDerived(const wn::rel::Instance& instance,
   auto deadline_ms = DeadlineMsArg(args);
   if (!deadline_ms.ok()) return Fail(deadline_ms.status());
   wn::explain::ExplainSessionOptions options;
-  options.incremental.with_selections = mode == "selections";
+  options.with_selections = mode == "selections";
   options.request_deadline_ms = deadline_ms.value();
   auto session = wn::explain::ExplainSession::BindWithAnswers(
       &instance, std::move(answers), /*ontology=*/nullptr, options);
@@ -321,7 +321,7 @@ int Run(int argc, char** argv) {
     auto deadline_ms = DeadlineMsArg(args);
     if (!deadline_ms.ok()) return Fail(deadline_ms.status());
     wn::explain::ExplainSessionOptions options;
-    options.incremental.with_selections = args.Get("--mode") == "selections";
+    options.with_selections = args.Get("--mode") == "selections";
     options.request_deadline_ms = deadline_ms.value();
     auto session = wn::explain::ExplainSession::Bind(
         &instance, query.value(), /*ontology=*/nullptr, options);
